@@ -12,6 +12,7 @@ from cloudnav.planner import (
     expand,
     heuristic,
     plan,
+    relaxed_replan,
     replan_step,
 )
 from cloudnav.spatial import MapConfig, TemporalLocalMap
@@ -322,3 +323,42 @@ def test_search_report_dict_roundtrip():
     d = report.as_dict()
     for key in ("outcome", "expansions", "wall_seconds", "analytic_connection", "cost"):
         assert key in d
+
+
+def test_relaxed_replan_shrinks_clearance_until_start_is_free(monkeypatch):
+    import cloudnav.planner as planner
+
+    tried = []
+    search = planner.plan
+
+    def recording_plan(start, goal, cfg, local_map):
+        tried.append((cfg.clearance, cfg.effective_prune_cell))
+        return search(start, goal, cfg, local_map)
+
+    monkeypatch.setattr(planner, "plan", recording_plan)
+    cfg = default_cfg()
+    m = make_map([[0.0, 0.3, 0.0]])  # 0.3 m from the start: inside 0.45, outside 0.288
+    traj, report, used = relaxed_replan(UavState.hover([0, 0, 0]), [4, 0, 0], cfg, m)
+    assert [c for c, _ in tried] == [0.45, 0.45 * 0.8, 0.45 * 0.8 * 0.8]
+    assert used == tried[-1][0]
+    assert {cell for _, cell in tried} == {cfg.effective_prune_cell}  # dedup grid fixed
+    assert report.outcome in ("analytic", "primitive")
+    assert np.linalg.norm(traj.end_state.p - np.array([4, 0, 0])) <= cfg.goal_tolerance + 1e-9
+
+
+def test_relaxed_replan_raises_at_clearance_floor(monkeypatch):
+    import cloudnav.planner as planner
+
+    tried = []
+    search = planner.plan
+
+    def recording_plan(start, goal, cfg, local_map):
+        tried.append(cfg.clearance)
+        return search(start, goal, cfg, local_map)
+
+    monkeypatch.setattr(planner, "plan", recording_plan)
+    m = make_map([[0.0, 0.05, 0.0]])  # closer than the 0.1 m floor
+    with pytest.raises(StartInCollision):
+        relaxed_replan(UavState.hover([0, 0, 0]), [4, 0, 0], default_cfg(), m)
+    assert tried[-1] == 0.10 and tried[-2] > 0.10
+    assert all(b == pytest.approx(0.8 * a) for a, b in zip(tried[:-2], tried[1:-1]))

@@ -195,3 +195,27 @@ def test_overrides_apply_by_dotted_path():
 def test_override_bad_format_rejected():
     with pytest.raises(ScenarioError, match="dotted.path=value"):
         apply_overrides({}, ["planner.v_max"])
+
+
+def test_obstacle_inside_clearance_at_start_takes_emergency_path():
+    # the sphere sits 0.3 m from the start, inside the 0.45 m clearance: the
+    # first plan relaxes the clearance (0.45 * 0.8^3) instead of failing
+    rock = {"name": "rock", "shape": "sphere", "center": [0.6, 0.0, 1.0], "radius": 0.3}
+    scenario = mini_scenario(obstacles=[rock])
+    log = simulate(scenario)
+    first = log.events[0]
+    assert (first.t, first.kind) == (0.0, "emergency_relax")
+    assert first.data == {"clearance": 0.2304, "expansions": 16}
+    assert log.frames[0].flag == "emergency_relax"
+    assert log.outcome == "goal_reached"
+    assert audit_ground_truth(log, scenario).min_distance == pytest.approx(0.3)
+
+
+def test_short_duration_ends_in_timeout():
+    log = simulate(mini_scenario(duration=1.0))
+    assert log.outcome == "timeout"
+    assert log.final_time == pytest.approx(1.0)
+    last = log.frames[-1]
+    assert (last.index, last.flag) == (50, "timeout")
+    assert last.t == pytest.approx(1.0)
+    assert all(fr.flag != "timeout" for fr in log.frames[:-1])
