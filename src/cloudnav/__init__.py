@@ -3,85 +3,27 @@
 A temporal local map of cycling KD-trees over recent voxel-filtered scans
 feeds a kinodynamic A* replanner; a synthetic rosette-scan lidar and analytic
 obstacle environment close the loop in simulation.
+
+The top level re-exports the names the benchmark in `perfbench/` imports;
+everything else is imported from its module (`cloudnav.planner`, ...).
 """
 
-from .core import (
-    ConstantAccelSegment,
-    KinodynamicLimits,
-    PointCloud,
-    QuinticSegment,
-    Trajectory,
-    UavState,
-    propagate,
-    sample_trajectory,
-    vec3,
-    voxel_filter,
-)
-from .planner import (
-    PlannerConfig,
-    PlannerError,
-    PlanningFailed,
-    ReplanDecision,
-    SearchReport,
-    StartInCollision,
-    analytic_expansion,
-    expand,
-    heuristic,
-    plan,
-    replan_step,
-)
-from .scenario import Scenario, ScenarioError, load_scenario
-from .sensor import (
-    Box,
-    Capsule,
-    Environment,
-    MotionSchedule,
-    Obstacle,
-    SensorModel,
-    Sphere,
-    generate_scan,
-)
-from .sim import RunLog, audit_ground_truth, simulate
-from .spatial import KdTree, MapConfig, TemporalLocalMap, check_trajectory
+from .core import ConstantAccelSegment, UavState
+from .planner import PlannerError
+from .scenario import load_scenario
+from .sensor import Environment, generate_scan
+from .sim import audit_ground_truth, simulate
+from .spatial import TemporalLocalMap, check_trajectory
 
 __all__ = [
-    "Box",
-    "Capsule",
     "ConstantAccelSegment",
     "Environment",
-    "KdTree",
-    "KinodynamicLimits",
-    "MapConfig",
-    "MotionSchedule",
-    "Obstacle",
-    "PlannerConfig",
     "PlannerError",
-    "PlanningFailed",
-    "PointCloud",
-    "QuinticSegment",
-    "ReplanDecision",
-    "RunLog",
-    "Scenario",
-    "ScenarioError",
-    "SearchReport",
-    "SensorModel",
-    "Sphere",
-    "StartInCollision",
     "TemporalLocalMap",
-    "Trajectory",
     "UavState",
-    "analytic_expansion",
     "audit_ground_truth",
     "check_trajectory",
-    "expand",
     "generate_scan",
-    "heuristic",
     "load_scenario",
-    "plan",
-    "propagate",
-    "replan_step",
-    "sample_trajectory",
     "simulate",
-    "vec3",
-    "voxel_filter",
 ]

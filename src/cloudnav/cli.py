@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -66,19 +66,6 @@ class RunReport:
     seed: int
     scenario: str
     timings: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "replan_count": self.replan_count,
-            "min_ground_truth_clearance": self.min_ground_truth_clearance,
-            "path_length": self.path_length,
-            "flight_duration": self.flight_duration,
-            "frames": self.frames,
-            "seed": self.seed,
-            "scenario": self.scenario,
-            "timings": self.timings,
-        }
 
 
 def _stats(samples) -> dict:
@@ -149,7 +136,7 @@ def run(scenario_path, seed: int | None, out_dir, overrides: list[str] | None = 
     write_events_csv(log, os.path.join(out_dir, "events.csv"))
     dump_map(log.local_map, os.path.join(out_dir, "map_final"))
     with open(os.path.join(out_dir, "report.json"), "w") as f:
-        json.dump(report.as_dict(), f, indent=2, sort_keys=True)
+        json.dump(asdict(report), f, indent=2, sort_keys=True)
         f.write("\n")
     return report
 

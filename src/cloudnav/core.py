@@ -16,10 +16,6 @@ import numpy as np
 Vec3 = np.ndarray  # shape (3,), float64
 
 
-def vec3(x: float, y: float, z: float) -> Vec3:
-    return np.array([x, y, z], dtype=float)
-
-
 def _as_vec3(v, name: str) -> Vec3:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):

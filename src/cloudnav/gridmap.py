@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,6 @@ class IntegrateStats:
     rays: int = 0
     traversed_cells: int = 0
     hit_cells: int = 0
-    seconds: float = 0.0
 
 
 class OccupancyGrid:
@@ -90,7 +88,8 @@ class OccupancyGrid:
     def _clip_segments(self, origin: np.ndarray, ends: np.ndarray):
         """Liang-Barsky clip of each segment origin->end to the grid box.
 
-        Returns (starts, stops, end_inside) for the surviving parameter range.
+        Returns (ta, tb, valid): the surviving parameter range of each segment
+        and whether it is non-empty.
         """
         lo = self.config.origin
         hi = lo + np.array(self.config.shape) * self.config.resolution
@@ -104,11 +103,7 @@ class OccupancyGrid:
         highs = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
         ta = np.maximum(lows.max(axis=1), 0.0)
         tb = np.minimum(highs.min(axis=1), 1.0)
-        valid = ta <= tb
-        end_inside = self.in_bounds(
-            np.floor((ends - lo) / self.config.resolution).astype(np.int64)
-        )
-        return ta, tb, valid, end_inside
+        return ta, tb, ta <= tb
 
     def traverse(self, origin, ends: np.ndarray):
         """Integer-grid traversal of each segment origin->ends[i], clipped to
@@ -119,7 +114,7 @@ class OccupancyGrid:
         res = cfg.resolution
         origin = np.asarray(origin, dtype=float)
         ends = np.atleast_2d(np.asarray(ends, dtype=float))
-        ta, tb, valid, _ = self._clip_segments(origin, ends)
+        ta, tb, valid = self._clip_segments(origin, ends)
         idx = np.nonzero(valid)[0]
         if len(idx) == 0:
             return np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
@@ -163,17 +158,14 @@ class OccupancyGrid:
 
     def integrate_scan(self, sensor_origin, scan: PointCloud) -> IntegrateStats:
         """Apply one scan: misses along each ray, a hit at each in-bounds endpoint."""
-        t0 = time.perf_counter()
         cfg = self.config
         stats = IntegrateStats(rays=len(scan))
         if len(scan) == 0:
-            stats.seconds = time.perf_counter() - t0
             return stats
         origin = np.asarray(sensor_origin, dtype=float)
         ends = scan.points
         ray_idx, cells = self.traverse(origin, ends)
         if len(cells) == 0:
-            stats.seconds = time.perf_counter() - t0
             return stats
 
         end_cells = np.floor((ends - cfg.origin) / cfg.resolution).astype(np.int64)
@@ -193,7 +185,6 @@ class OccupancyGrid:
         )
         stats.traversed_cells = len(cells)
         stats.hit_cells = int(is_hit.sum())
-        stats.seconds = time.perf_counter() - t0
         return stats
 
     def export_rows(self):
@@ -261,28 +252,23 @@ def thin_object_experiment(scenario, frames: int | None = None, export_dir=None)
             GridConfig(resolution=resolution, origin=comp.origin, size=comp.size)
         )
         rng = np.random.default_rng(scenario.seed)
-        cell_time = []
         for k in range(n_frames):
             t = k * sensor.frame_dt
             scan = generate_scan(env, sensor, pose_p, R, t, rng, frame_index=k)
-            st = grid.integrate_scan(pose_p, scan)
-            cell_time.append((st.traversed_cells, st.seconds))
+            grid.integrate_scan(pose_p, scan)
         t_end = (n_frames - 1) * sensor.frame_dt
         cells = bar_cells(grid, bar, t_end)
         occ = grid.occupied_mask()
         occupied = sum(1 for c in cells if occ[c])
         fraction = occupied / len(cells) if cells else 0.0
-        return fraction, grid, cell_time
+        return fraction, grid
 
     full = list(scenario.obstacles)
     no_wall = [ob for ob in full if ob.name != wall.name]
 
-    main_fraction, main_grid, _ = run_grid(comp.grid_resolution, full)
-    no_wall_fraction, _, _ = run_grid(comp.grid_resolution, no_wall)
-    sweep = {}
-    for res in comp.sweep:
-        f, _, _ = run_grid(res, full)
-        sweep[res] = f
+    main_fraction, main_grid = run_grid(comp.grid_resolution, full)
+    no_wall_fraction, _ = run_grid(comp.grid_resolution, no_wall)
+    sweep = {res: run_grid(res, full)[0] for res in comp.sweep}
 
     # point-cloud side: same scans through the temporal local map
     env = Environment(full)

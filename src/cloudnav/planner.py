@@ -15,7 +15,7 @@ import itertools
 import math
 import time
 from functools import lru_cache
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -108,16 +108,7 @@ class SearchReport:
     primitive_count: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "expansions": self.expansions,
-            "open_size": self.open_size,
-            "closed_size": self.closed_size,
-            "wall_seconds": self.wall_seconds,
-            "analytic_connection": self.analytic_connection,
-            "cost": self.cost,
-            "primitive_count": self.primitive_count,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=16)
@@ -152,11 +143,6 @@ def heuristic(state: UavState, goal, cfg: PlannerConfig) -> float:
     """Admissible time lower bound scaled by the time weight."""
     d = float(np.linalg.norm(state.p - np.asarray(goal, dtype=float)))
     return cfg.time_weight * d / cfg.limits.v_max
-
-
-def edge_cost(u: np.ndarray, tau: float, cfg: PlannerConfig) -> float:
-    """Control effort plus weighted time for one primitive."""
-    return (float(np.dot(u, u)) + cfg.time_weight) * tau
 
 
 def _velocity_ok(V: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
@@ -303,17 +289,8 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     closed: dict[tuple, float] = {}
     report = SearchReport()
     ae_last_d = math.inf
-
-    def finish(node: SearchNode, tail: QuinticSegment | None, outcome: str):
-        traj, cost, n_prim = _build_trajectory(node, start, tail, cfg)
-        report.outcome = outcome
-        report.analytic_connection = tail is not None
-        report.cost = cost
-        report.primitive_count = n_prim
-        report.open_size = len(open_heap)
-        report.closed_size = len(closed)
-        report.wall_seconds = time.perf_counter() - t_wall
-        return traj, report
+    tail = None
+    outcome = "open_set_exhausted"
 
     while open_heap:
         _, _, _, node = heapq.heappop(open_heap)
@@ -329,18 +306,15 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
             ae_last_d = d
             tail = analytic_expansion(node.state, goal, cfg, local_map)
             if tail is not None:
-                return finish(node, tail, "analytic")
+                outcome = "analytic"
+                break
         if at_goal:
-            return finish(node, None, "primitive")
+            outcome = "primitive"
+            break
 
         if report.expansions >= cfg.max_expansions:
-            report.outcome = "expansion_budget_exhausted"
-            report.open_size = len(open_heap)
-            report.closed_size = len(closed)
-            report.wall_seconds = time.perf_counter() - t_wall
-            raise PlanningFailed(
-                f"expansion budget {cfg.max_expansions} exhausted", report
-            )
+            outcome = "expansion_budget_exhausted"
+            break
         report.expansions += 1
         for child in expand(node, cfg, local_map, goal=goal):
             ckey = _prune_key(child.state.p, cell)
@@ -349,10 +323,19 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
                 continue
             heapq.heappush(open_heap, (child.f, child.f - child.g, next(counter), child))
 
-    report.outcome = "open_set_exhausted"
+    traj = None
+    if outcome in ("analytic", "primitive"):
+        traj, report.cost, report.primitive_count = _build_trajectory(node, start, tail, cfg)
+        report.analytic_connection = tail is not None
+    report.outcome = outcome
+    report.open_size = len(open_heap)
     report.closed_size = len(closed)
     report.wall_seconds = time.perf_counter() - t_wall
-    raise PlanningFailed("open set exhausted before reaching the goal", report)
+    if traj is None:
+        if outcome == "open_set_exhausted":
+            raise PlanningFailed("open set exhausted before reaching the goal", report)
+        raise PlanningFailed(f"expansion budget {cfg.max_expansions} exhausted", report)
+    return traj, report
 
 
 @dataclass

@@ -155,9 +155,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"sensor: {e}") from e
     try:
-        map_kwargs = dict(raw.get("map", {}))
-        map_kwargs.setdefault("scan_rate_hz", sensor.frame_rate)
-        map_config = MapConfig(**map_kwargs)
+        map_config = MapConfig(**raw.get("map", {}))
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"map: {e}") from e
 

@@ -17,8 +17,9 @@ import numpy as np
 
 from .core import Trajectory, UavState, sample_times, voxel_keys
 from .planner import (
+    PlannerConfig,
     PlannerError,
-    PlanningFailed,
+    SearchReport,
     StartInCollision,
     plan,
     relaxed_replan,
@@ -105,7 +106,6 @@ class RunLog:
     tree_build_seconds: list = field(default_factory=list)
     plan_seconds: list = field(default_factory=list)
     local_map: TemporalLocalMap | None = None
-    env: Environment | None = None
 
     def path_length(self) -> float:
         P = np.array([fr.p for fr in self.frames])
@@ -150,6 +150,57 @@ def _handover_time(t: float, budget: float, frame_dt: float) -> float:
     return t + math.ceil(max(budget, 0.0) / frame_dt - 1e-9) * frame_dt
 
 
+def _search_event(report: SearchReport, traj: Trajectory, sensed: _SensedSpace,
+                  cfg: PlannerConfig) -> dict:
+    """Event data of a `plan` or `replan` event."""
+    return {
+        "expansions": report.expansions,
+        "cost": round(report.cost, 9),
+        "analytic": report.analytic_connection,
+        "unseen_cells": sensed.unseen_count(traj, cfg.check_dt),
+    }
+
+
+def _next_plan(
+    scenario: Scenario,
+    local_map: TemporalLocalMap,
+    sensed: _SensedSpace,
+    t: float,
+    uav: UavState,
+    active: Trajectory | None,
+):
+    """The plan this frame needs, as (event kind, trajectory, report, event
+    data), or None while the tracked trajectory stays clear.
+
+    Raises PlannerError when no plan can be found.
+    """
+    cfg = scenario.planner_config
+    goal = scenario.goal
+    handover = _handover_time(t, cfg.plan_budget, scenario.sensor.frame_dt)
+    try:
+        if active is None:
+            traj, report = plan(UavState.hover(uav.p, t=handover), goal, cfg, local_map)
+            return "plan", traj, report, _search_event(report, traj, sensed, cfg)
+        decision = replan_step(active, max(t, active.t0), local_map, cfg, goal)
+        if decision.action == "keep":
+            return None
+    except StartInCollision:
+        # Replan start state already violates the clearance (obstacle swept
+        # onto the UAV): relax the clearance stepwise to escape.
+        if active is None:
+            start = UavState.hover(uav.p, t=handover)
+        else:
+            start = active.state_at(min(max(handover, active.t0), active.t_end))
+        traj, report, used = relaxed_replan(start, goal, cfg, local_map)
+        return "emergency_relax", traj, report, {
+            "clearance": round(used, 9), "expansions": report.expansions
+        }
+    traj, report = decision.trajectory, decision.report
+    data = {"collision_time": round(decision.collision_time, 9)}
+    data.update(_search_event(report, traj, sensed, cfg))
+    return "replan", traj, report, data
+
+
 def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
     seed = scenario.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -161,7 +212,7 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
     dt = sensor.frame_dt
     n_frames = int(round(scenario.duration / dt))
 
-    log = RunLog(scenario_name=scenario.name, seed=seed, local_map=local_map, env=env)
+    log = RunLog(scenario_name=scenario.name, seed=seed, local_map=local_map)
     uav = UavState.hover(scenario.start_position, t=0.0)
     yaw = scenario.start_yaw
     tracking = _TrackingState(uav)
@@ -181,10 +232,15 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
             )
         )
 
+    def _terminate(outcome: str, k: int, state: UavState, scan_size: int = 0) -> RunLog:
+        log.outcome = outcome
+        log.final_time = k * dt
+        record(k, state, scan_size, outcome)
+        return log
+
     for k in range(n_frames):
         t = k * dt
         tracking.promote(t)
-        flag = ""
 
         speed_xy = math.hypot(uav.v[0], uav.v[1])
         if speed_xy > 0.05:
@@ -201,102 +257,28 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
             )
 
         try:
-            active = tracking.active()
-            if active is None:
-                t0 = _handover_time(t, cfg.plan_budget, dt)
-                traj, report = plan(UavState.hover(uav.p, t=t0), goal, cfg, local_map)
-                tracking.pending = traj
-                log.plan_seconds.append(report.wall_seconds)
-                log.events.append(
-                    SimEvent(
-                        t=t,
-                        kind="plan",
-                        data={
-                            "expansions": report.expansions,
-                            "cost": round(report.cost, 9),
-                            "analytic": report.analytic_connection,
-                            "unseen_cells": sensed.unseen_count(traj, cfg.check_dt),
-                        },
-                    )
-                )
-                flag = "plan"
-            else:
-                decision = replan_step(active, max(t, active.t0), local_map, cfg, goal)
-                if decision.action == "replaced":
-                    tracking.pending = decision.trajectory
-                    log.replan_count += 1
-                    log.plan_seconds.append(decision.report.wall_seconds)
-                    log.events.append(
-                        SimEvent(
-                            t=t,
-                            kind="replan",
-                            data={
-                                "collision_time": round(decision.collision_time, 9),
-                                "expansions": decision.report.expansions,
-                                "cost": round(decision.report.cost, 9),
-                                "analytic": decision.report.analytic_connection,
-                                "unseen_cells": sensed.unseen_count(
-                                    decision.trajectory, cfg.check_dt
-                                ),
-                            },
-                        )
-                    )
-                    flag = "replan"
-        except StartInCollision:
-            # Replan start state already violates the clearance (obstacle swept
-            # onto the UAV): relax the clearance stepwise to escape.
-            try:
-                active = tracking.active()
-                handover = _handover_time(t, cfg.plan_budget, dt)
-                if active is not None:
-                    start = active.state_at(min(max(handover, active.t0), active.t_end))
-                else:
-                    start = UavState.hover(uav.p, t=handover)
-                traj, report, used = relaxed_replan(start, goal, cfg, local_map)
-                tracking.pending = traj
-                log.replan_count += 1
-                log.plan_seconds.append(report.wall_seconds)
-                log.events.append(
-                    SimEvent(
-                        t=t,
-                        kind="emergency_relax",
-                        data={"clearance": round(used, 9), "expansions": report.expansions},
-                    )
-                )
-                flag = "emergency_relax"
-            except PlannerError as e:
-                log.outcome = "planner_failure"
-                log.events.append(SimEvent(t=t, kind="planner_failure", data={"reason": str(e)}))
-                record(k, uav, len(scan), "planner_failure")
-                log.final_time = t
-                return log
-        except PlanningFailed as e:
-            log.outcome = "planner_failure"
+            step = _next_plan(scenario, local_map, sensed, t, uav, tracking.active())
+        except PlannerError as e:
             log.events.append(SimEvent(t=t, kind="planner_failure", data={"reason": str(e)}))
-            record(k, uav, len(scan), "planner_failure")
-            log.final_time = t
-            return log
-
+            return _terminate("planner_failure", k, uav, len(scan))
+        flag = ""
+        if step is not None:
+            flag, traj, report, data = step
+            tracking.pending = traj
+            log.plan_seconds.append(report.wall_seconds)
+            if flag != "plan":
+                log.replan_count += 1
+            log.events.append(SimEvent(t=t, kind=flag, data=data))
         record(k, uav, len(scan), flag)
 
         t_next = (k + 1) * dt
         uav = tracking.state_at(t_next)
-
         if np.linalg.norm(uav.p - goal) <= cfg.goal_tolerance:
-            log.outcome = "goal_reached"
-            record(k + 1, uav, 0, "goal_reached")
-            log.final_time = t_next
-            return log
+            return _terminate("goal_reached", k + 1, uav)
         if env.min_distance(uav.p, t_next) <= 0.0:
-            log.outcome = "collision"
-            record(k + 1, uav, 0, "collision")
-            log.final_time = t_next
-            return log
+            return _terminate("collision", k + 1, uav)
 
-    log.outcome = "timeout"
-    log.final_time = n_frames * dt
-    record(n_frames, uav, 0, "timeout")
-    return log
+    return _terminate("timeout", n_frames, uav)
 
 
 @dataclass

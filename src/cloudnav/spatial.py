@@ -83,19 +83,14 @@ class MapConfig:
     tree_count: int = 2
     resolution: float = 0.1
     clearance: float = 0.45
-    scan_rate_hz: float = 50.0
 
     def __post_init__(self):
         if self.scans_per_tree < 1:
             raise ValueError("scans_per_tree must be >= 1")
         if self.tree_count < 2:
             raise ValueError("tree_count must be >= 2")
-        if self.resolution <= 0 or self.clearance <= 0 or self.scan_rate_hz <= 0:
-            raise ValueError("resolution, clearance and scan_rate_hz must be > 0")
-
-    @property
-    def accumulation_time(self) -> float:
-        return self.scans_per_tree / self.scan_rate_hz
+        if self.resolution <= 0 or self.clearance <= 0:
+            raise ValueError("resolution and clearance must be > 0")
 
 
 @dataclass
@@ -131,8 +126,6 @@ class TemporalLocalMap:
         cfg = self.config
         t_start = time.perf_counter()
         window = cfg.scans_per_tree * cfg.tree_count
-        if self.scan_input_num >= window:  # kept for safety; counter wraps below
-            self.scan_input_num = 0
         # the scan that starts a new cycle overwrites tree 0 wholesale
         wrapped = self.scan_input_num == 0 and self.total_scans > 0
         tree_index = self.scan_input_num // cfg.scans_per_tree

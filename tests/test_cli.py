@@ -93,6 +93,9 @@ def test_cli_main_exit_codes(mini_path, tmp_path):
     bad.write_text("nonsense: [\n")
     assert main([str(bad), "--out", str(tmp_path / "x")]) == EXIT_SCENARIO_ERROR
     assert main(["missing_scenario", "--out", str(tmp_path / "y")]) == EXIT_SCENARIO_ERROR
+    # unknown keys are refused, not ignored
+    unknown = ["--set", "map.scan_rate_hz=50"]
+    assert main([mini_path, "--out", str(tmp_path / "z"), *unknown]) == EXIT_SCENARIO_ERROR
 
 
 def test_cli_override_flag(mini_path, tmp_path, capsys):
