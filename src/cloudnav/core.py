@@ -305,7 +305,13 @@ _KEY_MASK = (1 << 21) - 1
 
 
 def voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
-    """Packed integer key of the half-open cell [k*r, (k+1)*r) containing each point."""
+    """Packed integer key of the half-open cell [k*r, (k+1)*r) containing each point.
+
+    Raises ValueError on non-finite points and on points outside the packable
+    index range, so no point is ever cast to an arbitrary cell.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite point coordinates")
     ijk = np.floor(points / resolution).astype(np.int64) + _KEY_OFFSET
     if ijk.size and (ijk.min() < 0 or ijk.max() > _KEY_MASK):
         raise ValueError("points outside the supported voxel index range")

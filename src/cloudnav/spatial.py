@@ -5,6 +5,12 @@ voxel-filtered accumulation of up to `scans_per_tree` consecutive scans, so
 together the trees cover a bounded window of recent sensor history and space
 vacated by moving obstacles becomes free again once the window rolls past.
 Collision checks always consult every tree.
+
+The tree being filled is not re-filtered from its raw scans on every update:
+the map keeps running per-voxel coordinate sums and counts for it and folds
+each new scan into them, so an update costs O(scan + voxels) instead of
+O(H * scan). The result is bit-identical to `core.voxel_filter` over the
+concatenated block (see `TemporalLocalMap`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import PointCloud, Trajectory, sample_times, save_cloud_txt, voxel_filter
+from .core import PointCloud, Trajectory, sample_times, save_cloud_txt, voxel_keys
 
 
 class KdTree:
@@ -110,8 +116,18 @@ class TemporalLocalMap:
     Update rule per new scan: once every tree has received its quota of scans
     the counters reset and tree 0 is overwritten; otherwise the target tree is
     scan_input_num // scans_per_tree. A fresh accumulation starts whenever
-    scan_input_num is a multiple of scans_per_tree; the accumulated raw points
-    are voxel-filtered and the target tree is rebuilt from scratch.
+    scan_input_num is a multiple of scans_per_tree, and the target tree is
+    rebuilt from scratch from the voxel centroids of its accumulation.
+
+    The accumulation is kept as running voxel sums, not as raw scans: sorted
+    packed voxel keys, per-voxel x/y/z sums and per-voxel point counts. Each
+    scan's points are added to the sums one at a time in arrival order, and
+    the centroids are sums / counts in key order. `core.voxel_filter` sums
+    each voxel with `np.bincount`, which also adds left to right starting
+    from 0.0, so the running sums round exactly as re-filtering the
+    concatenated block would and the trees are bit-identical to it. (Summing
+    the new scan per voxel first and then adding that partial sum would
+    round differently.)
     """
 
     def __init__(self, config: MapConfig):
@@ -120,26 +136,47 @@ class TemporalLocalMap:
         self.total_scans = 0
         self.trees: list[KdTree] = [KdTree() for _ in range(config.tree_count)]
         self._tree_clouds: list[PointCloud] = [PointCloud.empty() for _ in range(config.tree_count)]
-        self._accum: list[PointCloud] = []
+        self._reset_accumulation()
+
+    def _reset_accumulation(self) -> None:
+        self._keys = np.empty(0, dtype=np.int64)
+        self._sums = np.empty((0, 3))
+        self._counts = np.empty(0, dtype=np.int64)
+        self._raw = 0
+
+    def _fold(self, points: np.ndarray, keys: np.ndarray) -> None:
+        """Add `points` (with their voxel `keys`) to the running sums, in order."""
+        uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        pos = np.searchsorted(self._keys, uniq)
+        known = pos < len(self._keys)
+        known[known] = self._keys[pos[known]] == uniq[known]
+        fresh = ~known
+        if fresh.any():
+            at = pos[fresh]
+            self._keys = np.insert(self._keys, at, uniq[fresh])
+            self._sums = np.insert(self._sums, at, 0.0, axis=0)
+            self._counts = np.insert(self._counts, at, 0)
+            # each key moves right by the number of fresh keys sorted before it
+            pos = pos + np.cumsum(fresh) - fresh
+        self._counts[pos] += counts
+        slot = pos[inverse]
+        for axis in range(3):
+            np.add.at(self._sums[:, axis], slot, points[:, axis])
+        self._raw += len(points)
 
     def update(self, new_scan: PointCloud) -> MapUpdateInfo:
         cfg = self.config
         t_start = time.perf_counter()
+        # validated before any state changes: a rejected scan leaves the map as it was
+        keys = voxel_keys(new_scan.points, cfg.resolution)
         window = cfg.scans_per_tree * cfg.tree_count
         # the scan that starts a new cycle overwrites tree 0 wholesale
         wrapped = self.scan_input_num == 0 and self.total_scans > 0
         tree_index = self.scan_input_num // cfg.scans_per_tree
         if self.scan_input_num % cfg.scans_per_tree == 0:
-            self._accum = [new_scan]
-        else:
-            self._accum.append(new_scan)
-        raw = (
-            np.concatenate([c.points for c in self._accum])
-            if len(self._accum) > 1
-            else self._accum[0].points
-        )
-        t_filter = time.perf_counter()
-        filtered = voxel_filter(PointCloud(points=raw, stamp=new_scan.stamp), cfg.resolution)
+            self._reset_accumulation()
+        self._fold(new_scan.points, keys)
+        filtered = PointCloud(points=self._sums / self._counts[:, None], stamp=new_scan.stamp)
         t_build = time.perf_counter()
         self.trees[tree_index] = KdTree(filtered.points)
         self._tree_clouds[tree_index] = filtered
@@ -149,9 +186,9 @@ class TemporalLocalMap:
         return MapUpdateInfo(
             tree_index=tree_index,
             wrapped=wrapped,
-            raw_accumulated=len(raw),
+            raw_accumulated=self._raw,
             filtered_size=len(filtered),
-            filter_seconds=t_build - t_filter,
+            filter_seconds=t_build - t_start,
             build_seconds=t_end - t_build,
             total_seconds=t_end - t_start,
         )

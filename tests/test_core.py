@@ -12,6 +12,7 @@ from cloudnav.core import (
     sample_trajectory,
     save_cloud_txt,
     voxel_filter,
+    voxel_keys,
 )
 
 
@@ -223,6 +224,14 @@ def test_voxel_filter_output_near_every_input():
 def test_voxel_filter_rejects_bad_resolution():
     with pytest.raises(ValueError):
         voxel_filter(PointCloud.empty(), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_voxel_keys_rejects_non_finite(bad):
+    pts = np.zeros((4, 3))
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        voxel_keys(pts, 0.1)
 
 
 def test_cloud_txt_roundtrip(tmp_path):

@@ -161,6 +161,71 @@ def test_map_update_matches_replay_oracle_every_step():
             assert np.array_equal(m.trees[tree].points, pts), f"tree {tree} step {i}"
 
 
+def _corridor_scan(rng, n=600):
+    """Two walls and a floor of a 3 m wide corridor, re-hit by every scan."""
+    side = rng.integers(0, 3, n)
+    pts = np.column_stack(
+        [rng.uniform(0, 8, n), rng.uniform(-1.5, 1.5, n), rng.uniform(0, 2.5, n)]
+    )
+    pts[side == 0, 1] = -1.5
+    pts[side == 1, 1] = 1.5
+    pts[side == 2, 2] = 0.0
+    return pts + rng.normal(0, 0.02, (n, 3))
+
+
+def _assert_matches_oracle(m, info, scans, h, n, resolution):
+    """Every tree equals the replay oracle; the info counts the current block."""
+    want = replay_tree_contents(scans, h, n, resolution)
+    for tree, pts in want.items():
+        assert np.array_equal(m.trees[tree].points, pts), f"tree {tree} step {len(scans) - 1}"
+    block_start = (len(scans) - 1) // h * h
+    block = np.concatenate([s.points for s in scans[block_start:]])
+    assert info.raw_accumulated == len(block)
+    assert info.filtered_size == len(want[info.tree_index])
+
+
+def test_running_sums_match_replay_oracle_paper_parameters():
+    # paper parameters over 120 corridor scans: empty scans open blocks 0 and 1
+    # and fall mid-block, and the walls revisit occupied voxels on every scan
+    h, n = 50, 2
+    cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.1)
+    m = TemporalLocalMap(cfg)
+    rng = np.random.default_rng(21)
+    empty = {0, 1, 17, 50, 73, 74, 100}
+    scans = []
+    for i in range(120):
+        pts = np.empty((0, 3)) if i in empty else _corridor_scan(rng)
+        scans.append(_scan(pts, stamp=i * 0.02))
+        info = m.update(scans[-1])
+        _assert_matches_oracle(m, info, scans, h, n, cfg.resolution)
+    assert m.trees[0].size > 0 and m.trees[1].size > 0
+
+
+def test_rejected_scans_leave_map_unchanged():
+    h, n = 3, 2
+    cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.2)
+    m = TemporalLocalMap(cfg)
+    rng = np.random.default_rng(22)
+    bad_nan = rng.uniform(-2, 2, (20, 3))
+    bad_nan[7, 1] = np.nan
+    bad_range = rng.uniform(-2, 2, (20, 3))
+    bad_range[3, 0] = 1e6  # beyond the packable voxel index range
+    accepted = []
+    for i in range(14):
+        # i = 3 and 9 are block starts, i = 5 and 10 are mid-block
+        if i in (3, 5, 9, 10):
+            trees = list(m.trees)
+            counters = (m.scan_input_num, m.total_scans)
+            for bad in (bad_nan, bad_range):
+                with pytest.raises(ValueError):
+                    m.update(_scan(bad, stamp=float(i)))
+            assert all(a is b for a, b in zip(m.trees, trees))
+            assert (m.scan_input_num, m.total_scans) == counters
+        accepted.append(_scan(rng.uniform(-2, 2, (rng.integers(1, 40), 3)), stamp=float(i)))
+        info = m.update(accepted[-1])
+        _assert_matches_oracle(m, info, accepted, h, n, cfg.resolution)
+
+
 def test_repeated_identical_scan_idempotent_trees():
     h, n = 2, 2
     cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.1)
