@@ -169,6 +169,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
         planner_config = PlannerConfig(limits=limits, clearance=map_config.clearance, **pl)
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"planner: {e}") from e
+    # planner envelope: primitives from rest keep to v_max and leave the dedup cell
+    lim, cell = planner_config.limits, planner_config.effective_prune_cell
+    if lim.a_max * lim.primitive_duration > lim.v_max:
+        raise ScenarioError(f"planner.a_max, planner.primitive_duration: a_max*primitive_duration = "
+                            f"{lim.a_max * lim.primitive_duration:g} exceeds planner.v_max = {lim.v_max:g}")
+    if 0.5 * lim.a_max * lim.primitive_duration**2 <= cell:
+        raise ScenarioError(f"planner.a_max, planner.primitive_duration: 0.5*a_max*primitive_duration^2 = "
+                            f"{0.5 * lim.a_max * lim.primitive_duration**2:g} must exceed the dedup cell "
+                            f"planner.prune_cell = {cell:g} (default: half of map.clearance)")
 
     obstacles_raw = raw.get("obstacles", [])
     if not isinstance(obstacles_raw, list):

@@ -4,6 +4,11 @@ Obstacles are spheres, capsules (thin bars and branches) and axis-aligned
 boxes, optionally translated over time by a piecewise-linear schedule. Scans
 are produced by closed-form ray casting along either a Risley-style rosette
 sweep or uniform random directions inside the elliptical field of view.
+
+Each obstacle casts with its own matvecs (`dirs @ v` on the full ray block):
+a gemm over all obstacles, `einsum`, a written-out dot product or a matvec on
+a subset of rays all round some hits differently, which moves scan points and
+with them every map and flight. Only elementwise work is restructured.
 """
 
 from __future__ import annotations
@@ -18,6 +23,19 @@ from .core import PointCloud
 _EPS = 1e-12
 
 
+def _sphere_hits(origin: np.ndarray, center: np.ndarray, radius: float, dirs: np.ndarray) -> np.ndarray:
+    oc = origin - center
+    b = dirs @ oc
+    disc = b * b - (oc @ oc - radius**2)
+    t = np.full(len(dirs), np.inf)
+    m = disc >= 0
+    if m.any():
+        sq = np.sqrt(disc[m])
+        t0, t1 = -b[m] - sq, -b[m] + sq
+        t[m] = np.where(t0 > _EPS, t0, np.where(t1 > _EPS, t1, np.inf))
+    return t
+
+
 @dataclass(frozen=True)
 class Sphere:
     center: np.ndarray
@@ -29,19 +47,7 @@ class Sphere:
             raise ValueError("radius must be > 0")
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        oc = origin - self.center
-        b = dirs @ oc
-        c = oc @ oc - self.radius**2
-        disc = b * b - c
-        t = np.full(len(dirs), np.inf)
-        m = disc >= 0
-        if m.any():
-            sq = np.sqrt(disc[m])
-            t0 = -b[m] - sq
-            t1 = -b[m] + sq
-            tm = np.where(t0 > _EPS, t0, np.where(t1 > _EPS, t1, np.inf))
-            t[m] = tm
-        return t
+        return _sphere_hits(origin, self.center, self.radius, dirs)
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts - self.center, axis=-1) - self.radius
@@ -60,44 +66,44 @@ class Capsule:
             raise ValueError("radius must be > 0")
         if np.allclose(self.p0, self.p1):
             raise ValueError("capsule endpoints must differ")
+        axis = self.p1 - self.p0  # the unit axis and length, fixed per capsule
+        object.__setattr__(self, "length", np.linalg.norm(axis))
+        object.__setattr__(self, "a_hat", axis / self.length)
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         # Infinite cylinder around the axis, then clip to the segment span and
         # fall back to the cap spheres.
-        axis = self.p1 - self.p0
-        L = np.linalg.norm(axis)
-        a_hat = axis / L
+        a_hat = self.a_hat
         oc = origin - self.p0
-        d_perp = dirs - np.outer(dirs @ a_hat, a_hat)
-        o_perp = oc - (oc @ a_hat) * a_hat
-        A = (d_perp * d_perp).sum(axis=1)
+        oc_a = oc @ a_hat
+        # d_perp = dirs - outer(u, a_hat) column by column, C-contiguous for the matvec
+        u = dirs @ a_hat
+        d_perp = np.empty((len(dirs), 3))
+        for k in range(3):
+            np.subtract(dirs[:, k], u * a_hat[k], out=d_perp[:, k])
+        o_perp = oc - oc_a * a_hat
+        x, y, z = d_perp.T
+        A = x * x + y * y + z * z
         B = d_perp @ o_perp
         C = o_perp @ o_perp - self.radius**2
         t = np.full(len(dirs), np.inf)
-        m = A > _EPS
-        disc = np.where(m, B * B - A * C, -1.0)
+        disc = np.where(A > _EPS, B * B - A * C, -1.0)
         hm = disc >= 0
         if hm.any():
             sq = np.sqrt(disc[hm])
-            Ah = A[hm]
-            t0 = (-B[hm] - sq) / Ah
-            t1 = (-B[hm] + sq) / Ah
+            t0, t1 = (-B[hm] - sq) / A[hm], (-B[hm] + sq) / A[hm]
             tc = np.where(t0 > _EPS, t0, np.where(t1 > _EPS, t1, np.inf))
             # axial coordinate of the cylinder hit must fall inside the segment
             # (misses carry tc=inf; the nan they produce here fails the check)
             with np.errstate(invalid="ignore"):
-                s = (oc @ a_hat) + tc * (dirs[hm] @ a_hat)
-                tc = np.where((s >= 0) & (s <= L), tc, np.inf)
-            t[hm] = tc
-        for cap_center in (self.p0, self.p1):
-            ts = Sphere(cap_center, self.radius).ray_hits(origin, dirs)
-            t = np.minimum(t, ts)
-        return t
+                s = oc_a + tc * (dirs[hm] @ a_hat)
+                t[hm] = np.where((s >= 0) & (s <= self.length), tc, np.inf)
+        t = np.minimum(t, _sphere_hits(origin, self.p0, self.radius, dirs))
+        return np.minimum(t, _sphere_hits(origin, self.p1, self.radius, dirs))
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         axis = self.p1 - self.p0
-        denom = axis @ axis
-        u = np.clip((pts - self.p0) @ axis / denom, 0.0, 1.0)
+        u = np.clip((pts - self.p0) @ axis / (axis @ axis), 0.0, 1.0)
         closest = self.p0 + u[..., None] * axis
         return np.linalg.norm(pts - closest, axis=-1) - self.radius
 
@@ -114,23 +120,24 @@ class Box:
             raise ValueError("box must have hi > lo on every axis")
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs
-            t1 = (self.lo - origin) * inv
-            t2 = (self.hi - origin) * inv
-        # rays parallel to a slab: inside -> +-inf handled by min/max, outside -> miss
+        # Slab test one axis at a time: np.maximum/np.minimum chains give the
+        # t_near/t_far of a max/min over (N, 3) arrays at a fraction of the cost.
         parallel = np.abs(dirs) < _EPS
-        inside = (origin >= self.lo) & (origin <= self.hi)
-        lows = np.minimum(t1, t2)
-        highs = np.maximum(t1, t2)
-        lows = np.where(parallel, np.where(inside, -np.inf, np.inf), lows)
-        highs = np.where(parallel, np.where(inside, np.inf, -np.inf), highs)
-        t_near = lows.max(axis=1)
-        t_far = highs.min(axis=1)
-        t = np.where((t_near <= t_far) & (t_near > _EPS), t_near, np.inf)
-        exit_hit = (t_near <= t_far) & (t_near <= _EPS) & (t_far > _EPS)
-        t = np.where(exit_hit, t_far, t)
-        return t
+        any_parallel = parallel.any()
+        t_near, t_far = -np.inf, np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):  # 1/0 and 0 * inf
+            for k, d in enumerate(dirs.T):
+                inv = 1.0 / d
+                t1 = (self.lo[k] - origin[k]) * inv
+                t2 = (self.hi[k] - origin[k]) * inv
+                low, high = np.minimum(t1, t2), np.maximum(t1, t2)
+                if any_parallel:  # a ray parallel to the slab stays inside it or out
+                    inf = np.inf if self.lo[k] <= origin[k] <= self.hi[k] else -np.inf
+                    low, high = np.where(parallel[:, k], -inf, low), np.where(parallel[:, k], inf, high)
+                t_near, t_far = np.maximum(t_near, low), np.minimum(t_far, high)
+        # entry hit ahead of the origin, else exit hit from inside, else miss
+        hit = (t_near <= t_far) & (t_far > _EPS)
+        return np.where(hit, np.where(t_near > _EPS, t_near, t_far), np.inf)
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         center = 0.5 * (self.lo + self.hi)
@@ -160,10 +167,7 @@ class MotionSchedule:
 
     def offset_at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.stack(
-            [np.interp(t, self.times, self.offsets[:, k]) for k in range(3)], axis=-1
-        )
-        return out
+        return np.stack([np.interp(t, self.times, self.offsets[:, k]) for k in range(3)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -178,13 +182,13 @@ class Obstacle:
         return self.schedule.offset_at(t)
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray, t: float) -> np.ndarray:
-        off = self.offset_at(float(t))
-        return self.shape.ray_hits(origin - off, dirs)
+        if self.schedule is None:  # origin - 0.0 is origin, bit for bit
+            return self.shape.ray_hits(origin, dirs)
+        return self.shape.ray_hits(origin - self.schedule.offset_at(float(t)), dirs)
 
     def distances(self, pts: np.ndarray, t) -> np.ndarray:
         """Signed distance to the solid at time(s) t; pts (M,3), t scalar or (M,)."""
-        off = self.offset_at(t)
-        return self.shape.distances(pts - off)
+        return self.shape.distances(pts - self.offset_at(t))
 
 
 class Environment:
@@ -205,8 +209,7 @@ class Environment:
     def cast_ray(self, origin, direction, t: float, max_range: float):
         """Nearest hit point of a single ray, or None."""
         d = np.asarray(direction, dtype=float)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-6:
+        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
             raise ValueError("direction must be a unit vector")
         th = self.cast_rays(origin, d[None, :], t, max_range)[0]
         if not np.isfinite(th):
@@ -215,17 +218,13 @@ class Environment:
 
     def min_distance(self, p, t: float) -> float:
         """Smallest signed distance from p to any obstacle at time t."""
-        p = np.asarray(p, dtype=float)
-        if not self.obstacles:
-            return math.inf
-        return float(min(ob.distances(p[None, :], float(t))[0] for ob in self.obstacles))
+        p = np.asarray(p, dtype=float)[None, :]
+        return float(self.min_distances_over_time(p, np.array([float(t)]))[0])
 
     def min_distances_over_time(self, pts: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Per (pts[i], ts[i]) pair, the smallest signed distance to any obstacle."""
         pts = np.asarray(pts, dtype=float)
         ts = np.asarray(ts, dtype=float)
-        if not self.obstacles:
-            return np.full(len(pts), np.inf)
         d = np.full(len(pts), np.inf)
         for ob in self.obstacles:
             d = np.minimum(d, ob.distances(pts, ts))

@@ -200,14 +200,6 @@ class TemporalLocalMap:
     def tree_cloud(self, index: int) -> PointCloud:
         return self._tree_clouds[index]
 
-    def min_distances(self, pts: np.ndarray, cap: float) -> np.ndarray:
-        """Per query point, the smallest distance over all trees (inf beyond cap)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = np.full(len(pts), np.inf)
-        for tree in self.trees:
-            d = np.minimum(d, tree.min_distances(pts, cap))
-        return d
-
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         hit = np.zeros(len(pts), dtype=bool)

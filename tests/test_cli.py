@@ -96,6 +96,10 @@ def test_cli_main_exit_codes(mini_path, tmp_path):
     # unknown keys are refused, not ignored
     unknown = ["--set", "map.scan_rate_hz=50"]
     assert main([mini_path, "--out", str(tmp_path / "z"), *unknown]) == EXIT_SCENARIO_ERROR
+    # a config outside the planner envelope is refused before it flies
+    too_hard = ["--set", "planner.a_max=5"]
+    assert main([mini_path, "--out", str(tmp_path / "w"), *too_hard]) == EXIT_SCENARIO_ERROR
+    assert not (tmp_path / "w").exists()
 
 
 def test_cli_override_flag(mini_path, tmp_path, capsys):

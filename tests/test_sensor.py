@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cloudnav.cli import resolve_scenario_path
+from cloudnav.scenario import load_scenario
 from cloudnav.sensor import (
     Box,
     Capsule,
@@ -11,11 +13,13 @@ from cloudnav.sensor import (
     Obstacle,
     SensorModel,
     Sphere,
+    disk_to_directions,
     generate_scan,
     rosette_directions,
     uniform_directions,
     yaw_rotation,
 )
+from cloudnav.sim import _probe_disk_grid
 
 
 def march_ray(sdf, origin, direction, max_range, coarse=2e-3, tol=1e-6):
@@ -222,3 +226,188 @@ def test_scan_points_in_world_frame():
     scan = generate_scan(env, SensorModel(), [0, 0, 1], yaw_rotation(math.pi / 2), 0.0, rng)
     assert len(scan) > 0
     assert scan.points[:, 1].min() > 2.0
+
+
+# --- bit-exactness of the ray casts ------------------------------------------
+# The reference below is the per-obstacle ray formula set the loop was first
+# recorded with (golden digests, benchmark digests). The shipped kernels must
+# return the same bits on every cast: any change of BLAS call shape (a gemm
+# over obstacles, einsum, a matvec over a row subset) moves the last bits of
+# some dot products, and with them scan points, maps and flights.
+
+
+def _ref_sphere(center, radius, origin, dirs):
+    oc = origin - center
+    b = dirs @ oc
+    c = oc @ oc - radius**2
+    disc = b * b - c
+    t = np.full(len(dirs), np.inf)
+    m = disc >= 0
+    if m.any():
+        sq = np.sqrt(disc[m])
+        t0 = -b[m] - sq
+        t1 = -b[m] + sq
+        t[m] = np.where(t0 > 1e-12, t0, np.where(t1 > 1e-12, t1, np.inf))
+    return t
+
+
+def _ref_capsule(p0, p1, radius, origin, dirs):
+    axis = p1 - p0
+    L = np.linalg.norm(axis)
+    a_hat = axis / L
+    oc = origin - p0
+    d_perp = dirs - np.outer(dirs @ a_hat, a_hat)
+    o_perp = oc - (oc @ a_hat) * a_hat
+    A = (d_perp * d_perp).sum(axis=1)
+    B = d_perp @ o_perp
+    C = o_perp @ o_perp - radius**2
+    t = np.full(len(dirs), np.inf)
+    m = A > 1e-12
+    disc = np.where(m, B * B - A * C, -1.0)
+    hm = disc >= 0
+    if hm.any():
+        sq = np.sqrt(disc[hm])
+        Ah = A[hm]
+        t0 = (-B[hm] - sq) / Ah
+        t1 = (-B[hm] + sq) / Ah
+        tc = np.where(t0 > 1e-12, t0, np.where(t1 > 1e-12, t1, np.inf))
+        with np.errstate(invalid="ignore"):
+            s = (oc @ a_hat) + tc * (dirs[hm] @ a_hat)
+            tc = np.where((s >= 0) & (s <= L), tc, np.inf)
+        t[hm] = tc
+    for center in (p0, p1):
+        t = np.minimum(t, _ref_sphere(center, radius, origin, dirs))
+    return t
+
+
+def _ref_box(lo, hi, origin, dirs):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t1 = (lo - origin) * inv
+        t2 = (hi - origin) * inv
+    parallel = np.abs(dirs) < 1e-12
+    inside = (origin >= lo) & (origin <= hi)
+    lows = np.minimum(t1, t2)
+    highs = np.maximum(t1, t2)
+    lows = np.where(parallel, np.where(inside, -np.inf, np.inf), lows)
+    highs = np.where(parallel, np.where(inside, np.inf, -np.inf), highs)
+    t_near = lows.max(axis=1)
+    t_far = highs.min(axis=1)
+    t = np.where((t_near <= t_far) & (t_near > 1e-12), t_near, np.inf)
+    exit_hit = (t_near <= t_far) & (t_near <= 1e-12) & (t_far > 1e-12)
+    return np.where(exit_hit, t_far, t)
+
+
+def _ref_cast_rays(env, origin, dirs, t, max_range):
+    origin = np.asarray(origin, dtype=float)
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    best = np.full(len(dirs), np.inf)
+    for ob in env.obstacles:
+        o = origin - ob.offset_at(float(t))
+        sh = ob.shape
+        if isinstance(sh, Sphere):
+            hits = _ref_sphere(sh.center, sh.radius, o, dirs)
+        elif isinstance(sh, Capsule):
+            hits = _ref_capsule(sh.p0, sh.p1, sh.radius, o, dirs)
+        else:
+            hits = _ref_box(sh.lo, sh.hi, o, dirs)
+        best = np.minimum(best, hits)
+    best[best > max_range] = np.inf
+    return best
+
+
+def _bundled_env(name):
+    return load_scenario(resolve_scenario_path(name)).environment()
+
+
+def _telemetry_dirs(sensor, yaw):
+    u, w = _probe_disk_grid()
+    return disk_to_directions(u, w, sensor) @ yaw_rotation(yaw).T
+
+
+def _exactness_casts():
+    """(label, env, origin, dirs, t, max_range) for every cast the exactness
+    tests compare against the reference."""
+    sensor = SensorModel()
+    hill = _bundled_env("hillside")
+    indoor = _bundled_env("indoor_bar")
+    casts = []
+    # rosette scans from flight-like poses; ray 0 of frame 0 is level (its z
+    # component is exactly zero) and ray 0 of the telemetry grid is (1, 0, 0)
+    # at yaw 0: both take the slab-parallel branch of the boxes
+    poses = [([0.0, 0.0, 1.2], 0.0, 0), ([2.1, -0.4, 1.5], 0.3, 57),
+             ([6.2, 0.8, 2.0], -0.5, 301), ([12.0, -0.2, 3.0], 1.2, 640)]
+    for pos, yaw, frame in poses:
+        dirs = rosette_directions(sensor, frame) @ yaw_rotation(yaw).T
+        casts.append((f"hillside-frame{frame}", hill, pos, dirs, frame / 50.0, sensor.max_range))
+        casts.append((f"hillside-telemetry{frame}", hill, pos, _telemetry_dirs(sensor, yaw), frame / 50.0, 25.0))
+    assert rosette_directions(sensor, 0)[0, 2] == 0.0
+    assert np.array_equal(_telemetry_dirs(sensor, 0.0)[0], [1.0, 0.0, 0.0])
+    # the indoor bar is scheduled: cast before, during and after its rise
+    for t in (0.0, 1.9, 2.3, 4.0):
+        dirs = rosette_directions(sensor, int(t * 50)) @ yaw_rotation(0.0).T
+        casts.append((f"indoor-scheduled-t{t}", indoor, [1.0, 0.0, 1.0], dirs, t, sensor.max_range))
+    # origins inside each shape kind: every hit is an exit hit
+    rng = np.random.default_rng(8)
+    dirs = rng.normal(size=(3000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs[:6] = np.vstack([np.eye(3), -np.eye(3)])
+    cap = Capsule(p0=[3.0, -0.4, 0.7], p1=[3.2, 0.5, 2.1], radius=0.15)
+    inner = [
+        ("box", Box(lo=[2, -1, -1], hi=[3, 1, 1]), [2.5, 0.2, -0.3]),
+        ("sphere", Sphere(center=[4.0, 0.5, -0.3], radius=0.6), [4.1, 0.4, -0.2]),
+        ("capsule", cap, 0.5 * (cap.p0 + cap.p1) + [0.02, 0.0, 0.0]),
+    ]
+    for kind, shape, origin in inner:
+        casts.append((f"inside-{kind}", Environment([Obstacle(shape=shape)]), origin, dirs, 0.0, 100.0))
+    # origins on a box face plane, rays in that plane or nearly so: without the
+    # slab-parallel fix-up 0 * inf gives nan there and the face is missed
+    skim = np.array([[1.0, 0.0, 0.0], [1.0, 1e-14, 0.0], [1.0, -1e-14, 0.0], [1.0, 0.0, 1e-13]])
+    skim /= np.linalg.norm(skim, axis=1)[:, None]
+    slab = Environment([Obstacle(shape=Box(lo=[2, -1, -1], hi=[3, 1, 1]))])
+    for label, origin in (("hi-face", [0.0, 1.0, 0.0]), ("lo-face", [0.0, -1.0, 1.0]),
+                          ("outside", [0.0, 1.5, 0.0])):
+        casts.append((f"box-skim-{label}", slab, origin, skim, 0.0, 100.0))
+    # rays along the capsule axis, from beyond both ends and from inside it
+    a_hat = (cap.p1 - cap.p0) / np.linalg.norm(cap.p1 - cap.p0)
+    along = np.vstack([a_hat, -a_hat, a_hat + [0.0, 1e-9, 0.0], a_hat + [1e-3, 0.0, 0.0]])
+    along /= np.linalg.norm(along, axis=1)[:, None]
+    env = Environment([Obstacle(shape=cap)])
+    for label, origin in (("below", cap.p0 - 2.0 * a_hat), ("above", cap.p1 + 2.0 * a_hat),
+                          ("on-axis", cap.p0 + 0.3 * a_hat)):
+        casts.append((f"capsule-axis-{label}", env, origin, along, 0.0, 100.0))
+    return casts
+
+
+_CASTS = _exactness_casts()
+
+
+# "error": a numpy RuntimeWarning (say 0 * inf on a zero direction component
+# outside np.errstate) fails the cast
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _CASTS, ids=[c[0] for c in _CASTS])
+def test_cast_rays_bit_identical_to_reference(case):
+    label, env, origin, dirs, t, max_range = case
+    got = env.cast_rays(origin, dirs, t, max_range)
+    ref = _ref_cast_rays(env, origin, dirs, t, max_range)
+    assert np.array_equal(got, ref)
+    assert np.isfinite(got).any() or label == "box-skim-outside"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cast_ray_single_bit_identical_to_reference():
+    env = _bundled_env("hillside")
+    origin = np.array([0.0, 0.0, 1.2])
+    sensor = SensorModel()
+    dirs = rosette_directions(sensor, 0)[:200]
+    n_hits = 0
+    for d in dirs:
+        hit = env.cast_ray(origin, d, 0.0, sensor.max_range)
+        th = _ref_cast_rays(env, origin, d[None, :], 0.0, sensor.max_range)[0]
+        if np.isfinite(th):
+            n_hits += 1
+            assert np.array_equal(hit, origin + th * d)
+        else:
+            assert hit is None
+    assert n_hits > 0
+

@@ -178,6 +178,23 @@ def test_scenario_rejects_bad_schedule():
         )
 
 
+def test_scenario_rejects_configs_outside_planner_envelope():
+    def with_planner(**planner):
+        return mini_scenario(planner={"v_max": 2.0, "a_max": 2.0, "primitive_duration": 0.6, **planner})
+
+    # every primitive from rest would exceed v_max
+    with pytest.raises(ScenarioError, match=r"planner\.a_max.*planner\.v_max"):
+        with_planner(a_max=5.0)
+    # the first hop from rest (0.09 m) stays inside the 0.225 m dedup cell
+    with pytest.raises(ScenarioError, match=r"planner\.primitive_duration.*planner\.prune_cell"):
+        with_planner(primitive_duration=0.3)
+    with pytest.raises(ScenarioError, match=r"planner\.prune_cell"):
+        with_planner(prune_cell=0.36)
+    # both edges of the envelope are inside it
+    with_planner(a_max=2.5, primitive_duration=0.8)  # a_max*tau == v_max
+    with_planner(prune_cell=0.3599)
+
+
 def test_overrides_apply_by_dotted_path():
     raw = {
         "duration": 1.0,
