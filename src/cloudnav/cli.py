@@ -1,15 +1,17 @@
-"""Scenario runner, benchmark harness, and map-comparison driver.
+"""Scenario runner and map-comparison driver.
 
 Usage:
     cloudnav SCENARIO [--seed N] [--out DIR] [--set key=value ...]
-    cloudnav SCENARIO --bench N [--out DIR]
     cloudnav SCENARIO --compare-maps [--out DIR]
 
 SCENARIO is a YAML file path or the name of a bundled scenario
 (indoor_bar, forest_branch, hillside, thin_bar_compare).
 
 Exit codes: 0 goal reached / command succeeded, 2 ground-truth collision,
-3 planner failure, 4 timeout, 5 scenario error.
+3 planner failure, 4 timeout, 5 scenario or usage error.
+
+Timing lives in `perfbench/`, the benchmark; a run's report.json carries the
+per-stage wall-time statistics of that run.
 """
 
 from __future__ import annotations
@@ -141,41 +143,6 @@ def run(scenario_path, seed: int | None, out_dir, overrides: list[str] | None = 
     return report
 
 
-def bench(scenario_path, repetitions: int, overrides: list[str] | None = None):
-    """Run the scenario `repetitions` times and aggregate per-stage timings.
-
-    Repetitions run sequentially for timing isolation. Returns (rows, reports)
-    where rows is a list of (stage, stats) in table order.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    scenario = load_scenario(scenario_path, overrides=overrides)
-    stages = {"map_update": [], "tree_build": [], "plan": []}
-    reports = []
-    for _ in range(repetitions):
-        log = simulate(scenario)
-        stages["map_update"].extend(log.map_update_seconds)
-        stages["tree_build"].extend(log.tree_build_seconds)
-        stages["plan"].extend(log.plan_seconds)
-        reports.append(build_report(log, scenario))
-    rows = [(stage, _stats(samples)) for stage, samples in stages.items()]
-    return rows, reports
-
-
-def format_bench_table(rows) -> str:
-    header = "stage\tcount\tmin_ms\tmean_ms\tp95_ms\tmax_ms"
-    lines = [header]
-    for stage, st in rows:
-        if st["count"] == 0:
-            lines.append(f"{stage}\t0\t-\t-\t-\t-")
-        else:
-            lines.append(
-                f"{stage}\t{st['count']}\t{st['min_ms']:.3f}\t{st['mean_ms']:.3f}"
-                f"\t{st['p95_ms']:.3f}\t{st['max_ms']:.3f}"
-            )
-    return "\n".join(lines)
-
-
 def compare_maps(scenario_path, out_dir=None, overrides: list[str] | None = None) -> dict:
     """Drive the thin-object occupancy-grid comparison and write its report
     plus grid/point-cloud exports for plotting."""
@@ -192,7 +159,7 @@ def compare_maps(scenario_path, out_dir=None, overrides: list[str] | None = None
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cloudnav",
-        description="Point-cloud navigation simulator: run scenarios, benchmark, compare maps.",
+        description="Point-cloud navigation simulator: run scenarios, compare maps.",
     )
     parser.add_argument("scenario", help="scenario YAML path or bundled scenario name")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
@@ -205,22 +172,16 @@ def main(argv=None) -> int:
         metavar="KEY=VALUE",
         help="override a scenario key by dotted path, e.g. planner.v_max=1.5",
     )
-    parser.add_argument("--bench", type=int, metavar="N", help="run N timing repetitions")
     parser.add_argument(
         "--compare-maps", action="store_true", help="run the occupancy-grid comparison"
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage; exit 2 means a collision here
+        return EXIT_SCENARIO_ERROR if e.code else EXIT_OK
 
     try:
         path = resolve_scenario_path(args.scenario)
-        if args.bench is not None:
-            rows, reports = bench(path, args.bench, overrides=args.overrides)
-            table = format_bench_table(rows)
-            print(table)
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "bench.tsv"), "w") as f:
-                f.write(table + "\n")
-            return EXIT_OK
         if args.compare_maps:
             report = compare_maps(path, out_dir=args.out, overrides=args.overrides)
             print(json.dumps(report, indent=2, sort_keys=True))

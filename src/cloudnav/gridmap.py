@@ -227,8 +227,9 @@ def export_grid_rows(grid: OccupancyGrid, path) -> None:
 
 
 def thin_object_experiment(scenario, frames: int | None = None, export_dir=None) -> dict:
-    """Feed identical scans to a ray-cast occupancy grid and the temporal
-    point-cloud map, then compare how each represents a thin bar.
+    """Feed identical scans, cast once per obstacle set, to a ray-cast occupancy
+    grid and the temporal point-cloud map, then compare how each represents a
+    thin bar.
 
     Reports the fraction of ground-truth bar cells that end up occupied, the
     number of bar-surface points held by the point-cloud map, the same fraction
@@ -246,38 +247,39 @@ def thin_object_experiment(scenario, frames: int | None = None, export_dir=None)
     pose_p = scenario.start_position
     R = yaw_rotation(scenario.start_yaw)
 
-    def run_grid(resolution: float, obstacles: list) -> tuple:
+    def cast(obstacles: list) -> list:
         env = Environment(obstacles)
+        rng = np.random.default_rng(scenario.seed)
+        return [
+            generate_scan(env, sensor, pose_p, R, k * sensor.frame_dt, rng, frame_index=k)
+            for k in range(n_frames)
+        ]
+
+    t_end = (n_frames - 1) * sensor.frame_dt
+
+    def run_grid(resolution: float, scans: list) -> tuple:
         grid = OccupancyGrid(
             GridConfig(resolution=resolution, origin=comp.origin, size=comp.size)
         )
-        rng = np.random.default_rng(scenario.seed)
-        for k in range(n_frames):
-            t = k * sensor.frame_dt
-            scan = generate_scan(env, sensor, pose_p, R, t, rng, frame_index=k)
+        for scan in scans:
             grid.integrate_scan(pose_p, scan)
-        t_end = (n_frames - 1) * sensor.frame_dt
         cells = bar_cells(grid, bar, t_end)
         occ = grid.occupied_mask()
         occupied = sum(1 for c in cells if occ[c])
         fraction = occupied / len(cells) if cells else 0.0
         return fraction, grid
 
-    full = list(scenario.obstacles)
-    no_wall = [ob for ob in full if ob.name != wall.name]
+    full = cast(list(scenario.obstacles))
+    no_wall = cast([ob for ob in scenario.obstacles if ob.name != wall.name])
 
     main_fraction, main_grid = run_grid(comp.grid_resolution, full)
     no_wall_fraction, _ = run_grid(comp.grid_resolution, no_wall)
     sweep = {res: run_grid(res, full)[0] for res in comp.sweep}
 
-    # point-cloud side: same scans through the temporal local map
-    env = Environment(full)
+    # point-cloud side: the same scans through the temporal local map
     local_map = TemporalLocalMap(scenario.map_config)
-    rng = np.random.default_rng(scenario.seed)
-    for k in range(n_frames):
-        t = k * sensor.frame_dt
-        local_map.update(generate_scan(env, sensor, pose_p, R, t, rng, frame_index=k))
-    t_end = (n_frames - 1) * sensor.frame_dt
+    for scan in full:
+        local_map.update(scan)
     tol = 3.0 * sensor.range_noise_sigma + scenario.map_config.resolution * math.sqrt(3) / 2
     union = np.concatenate([tree.points for tree in local_map.trees if tree.size])
     bar_points = int((np.abs(bar.distances(union, t_end)) <= tol).sum()) if len(union) else 0

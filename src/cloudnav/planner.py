@@ -15,7 +15,7 @@ import itertools
 import math
 import time
 from functools import lru_cache
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .core import (
     sample_times,
 )
 from .spatial import TemporalLocalMap, check_trajectory
+
+# Weight on the heuristic in the open-set ordering only; heuristic() stays admissible.
+HEURISTIC_WEIGHT = 5.0
 
 
 class PlannerError(Exception):
@@ -61,7 +64,6 @@ class PlannerConfig:
     max_expansions: int = 20000
     velocity_bound: str = "per_axis"  # or "norm"
     plan_budget: float = 0.03  # replan handover horizon, seconds
-    heuristic_weight: float = 5.0  # open-set ordering only; heuristic() stays admissible
 
     def __post_init__(self):
         if self.clearance <= 0 or self.goal_tolerance <= 0 or self.time_weight <= 0:
@@ -74,8 +76,6 @@ class PlannerConfig:
             raise ValueError("velocity_bound must be 'per_axis' or 'norm'")
         if self.plan_budget < 0:
             raise ValueError("plan_budget must be >= 0")
-        if self.heuristic_weight < 1.0:
-            raise ValueError("heuristic_weight must be >= 1")
 
     @property
     def effective_prune_cell(self) -> float:
@@ -106,9 +106,6 @@ class SearchReport:
     analytic_connection: bool = False
     cost: float = math.nan
     primitive_count: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @lru_cache(maxsize=16)
@@ -193,7 +190,7 @@ def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, go
         h = np.linalg.norm(P_end - np.asarray(goal, dtype=float), axis=1) * (
             cfg.time_weight / limits.v_max
         )
-        F = G + cfg.heuristic_weight * h
+        F = G + HEURISTIC_WEIGHT * h
     t_child = node.state.t + tau
     children = []
     for j, i in enumerate(surv):
@@ -282,7 +279,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
         raise StartInCollision(dist, pt)
 
     cell = cfg.effective_prune_cell
-    h0 = cfg.heuristic_weight * heuristic(start, goal, cfg)
+    h0 = HEURISTIC_WEIGHT * heuristic(start, goal, cfg)
     root = SearchNode(state=start, g=0.0, f=h0)
     counter = itertools.count()
     open_heap: list = [(root.f, h0, next(counter), root)]

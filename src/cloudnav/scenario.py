@@ -67,16 +67,17 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def _num(d: dict, key: str, path: str, default=None):
-    v = d.get(key, default)
+def _num(d: dict, key: str, path: str):
+    v = d.get(key)
     if v is None:
         raise ScenarioError(f"{path}.{key}: missing required number")
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ScenarioError(f"{path}.{key}: expected a number, got {v!r}")
     return float(v)
 
-def _vec(d: dict, key: str, path: str, default=None):
-    v = d.get(key, default)
+
+def _vec(d: dict, key: str, path: str):
+    v = d.get(key)
     if v is None:
         raise ScenarioError(f"{path}.{key}: missing required 3-vector")
     if not isinstance(v, (list, tuple)) or len(v) != 3 or not all(
@@ -159,14 +160,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"map: {e}") from e
 
-    pl = dict(raw.get("planner", {}))
+    pl = raw.get("planner", {})
+    if not isinstance(pl, dict):
+        raise ScenarioError("scenario.planner: expected a mapping")
+    limits = {k: _num(pl, k, "planner") for k in ("v_max", "a_max", "primitive_duration") if k in pl}
     try:
-        limits = KinodynamicLimits(
-            v_max=pl.pop("v_max", 2.0),
-            a_max=pl.pop("a_max", 2.0),
-            primitive_duration=pl.pop("primitive_duration", 0.6),
+        planner_config = PlannerConfig(
+            limits=KinodynamicLimits(**limits), **{k: v for k, v in pl.items() if k not in limits}
         )
-        planner_config = PlannerConfig(limits=limits, clearance=map_config.clearance, **pl)
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"planner: {e}") from e
     # planner envelope: primitives from rest keep to v_max and leave the dedup cell
@@ -177,7 +178,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if 0.5 * lim.a_max * lim.primitive_duration**2 <= cell:
         raise ScenarioError(f"planner.a_max, planner.primitive_duration: 0.5*a_max*primitive_duration^2 = "
                             f"{0.5 * lim.a_max * lim.primitive_duration**2:g} must exceed the dedup cell "
-                            f"planner.prune_cell = {cell:g} (default: half of map.clearance)")
+                            f"planner.prune_cell = {cell:g} (default: half of planner.clearance)")
 
     obstacles_raw = raw.get("obstacles", [])
     if not isinstance(obstacles_raw, list):
@@ -189,20 +190,19 @@ def scenario_from_dict(raw: dict) -> Scenario:
         c = raw["compare"]
         if not isinstance(c, dict):
             raise ScenarioError("scenario.compare: expected a mapping")
-        sweep = c.get("sweep", [0.3, 0.2, 0.1, 0.05])
-        if not isinstance(sweep, list) or not all(
-            isinstance(x, (int, float)) and x > 0 for x in sweep
-        ):
-            raise ScenarioError("compare.sweep: expected a list of positive numbers")
-        compare = CompareConfig(
-            frames=int(_num(c, "frames", "compare", default=50)),
-            grid_resolution=_num(c, "grid_resolution", "compare", default=0.3),
-            sweep=tuple(float(x) for x in sweep),
-            origin=_vec(c, "origin", "compare", default=[-0.5, -4.0, -0.5]),
-            size=_vec(c, "size", "compare", default=[7.0, 8.0, 4.5]),
-            bar=str(c.get("bar", "bar")),
-            wall=str(c.get("wall", "wall")),
-        )
+        kw = {k: _num(c, k, "compare") for k in ("frames", "grid_resolution") if k in c}
+        kw |= {k: _vec(c, k, "compare") for k in ("origin", "size") if k in c}
+        kw |= {k: str(c[k]) for k in ("bar", "wall") if k in c}
+        if "frames" in kw:
+            kw["frames"] = int(kw["frames"])
+        if "sweep" in c:
+            sweep = c["sweep"]
+            if not isinstance(sweep, list) or not all(
+                isinstance(x, (int, float)) and x > 0 for x in sweep
+            ):
+                raise ScenarioError("compare.sweep: expected a list of positive numbers")
+            kw["sweep"] = tuple(float(x) for x in sweep)
+        compare = CompareConfig(**kw)
         names = {ob.name for ob in obstacles}
         if compare.bar not in names:
             raise ScenarioError(f"compare.bar: no obstacle named {compare.bar!r}")

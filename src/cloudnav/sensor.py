@@ -2,8 +2,8 @@
 
 Obstacles are spheres, capsules (thin bars and branches) and axis-aligned
 boxes, optionally translated over time by a piecewise-linear schedule. Scans
-are produced by closed-form ray casting along either a Risley-style rosette
-sweep or uniform random directions inside the elliptical field of view.
+are produced by closed-form ray casting along a Risley-style rosette sweep
+inside the elliptical field of view.
 
 Each obstacle casts with its own matvecs (`dirs @ v` on the full ray block):
 a gemm over all obstacles, `einsum`, a written-out dot product or a matvec on
@@ -239,7 +239,6 @@ class SensorModel:
     frame_rate: float = 50.0
     max_range: float = 450.0
     range_noise_sigma: float = 0.02
-    pattern: str = "rosette"
 
     def __post_init__(self):
         if not (0 < self.fov_h_deg <= 180 and 0 < self.fov_v_deg <= 180):
@@ -248,8 +247,6 @@ class SensorModel:
             raise ValueError("rates must be > 0")
         if self.max_range <= 0 or self.range_noise_sigma < 0:
             raise ValueError("max_range must be > 0 and noise sigma >= 0")
-        if self.pattern not in ("rosette", "uniform"):
-            raise ValueError("pattern must be 'rosette' or 'uniform'")
 
     @property
     def points_per_frame(self) -> int:
@@ -288,13 +285,6 @@ def rosette_directions(sensor: SensorModel, frame_index: int) -> np.ndarray:
     return disk_to_directions(u, w, sensor)
 
 
-def uniform_directions(sensor: SensorModel, rng: np.random.Generator) -> np.ndarray:
-    n = sensor.points_per_frame
-    r = np.sqrt(rng.uniform(0.0, 1.0, n))
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    return disk_to_directions(r * np.cos(phi), r * np.sin(phi), sensor)
-
-
 def yaw_rotation(yaw: float) -> np.ndarray:
     """World-from-sensor rotation for a level sensor with the given heading."""
     c, s = math.cos(yaw), math.sin(yaw)
@@ -320,11 +310,7 @@ def generate_scan(
     position = np.asarray(position, dtype=float)
     if frame_index is None:
         frame_index = int(round(t * sensor.frame_rate))
-    if sensor.pattern == "rosette":
-        dirs_s = rosette_directions(sensor, frame_index)
-    else:
-        dirs_s = uniform_directions(sensor, rng)
-    dirs_w = dirs_s @ rotation.T
+    dirs_w = rosette_directions(sensor, frame_index) @ rotation.T
     # draw noise for every ray regardless of hits to keep the stream aligned
     sigma = sensor.range_noise_sigma
     noise = np.clip(rng.normal(0.0, sigma, len(dirs_w)), -3.0 * sigma, 3.0 * sigma) if sigma > 0 else 0.0

@@ -284,7 +284,6 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
 @dataclass
 class AuditResult:
     min_distance: float
-    min_distance_active: float
     per_obstacle: dict
 
     @property
@@ -296,20 +295,16 @@ def audit_ground_truth(log: RunLog, scenario: Scenario) -> AuditResult:
     """Post-run safety audit against the analytic obstacle geometry.
 
     Independent of the map: every logged UAV position is checked against the
-    obstacles at the matching time. Frames flagged as planner-failure hover are
-    excluded from the 'active' minimum but still count for interpenetration.
+    obstacles at the matching time, planner-failure hover frames included.
     """
     env = scenario.environment()
     P = np.array([fr.p for fr in log.frames])
     T = np.array([fr.t for fr in log.frames])
-    active = np.array([fr.flag != "planner_failure" for fr in log.frames])
     d = env.min_distances_over_time(P, T)
     per_obstacle = {
         ob.name: float(ob.distances(P, T).min()) for ob in env.obstacles if ob.name
     }
-    min_active = float(d[active].min()) if active.any() else math.inf
     return AuditResult(
         min_distance=float(d.min()) if len(d) else math.inf,
-        min_distance_active=min_active,
         per_obstacle=per_obstacle,
     )

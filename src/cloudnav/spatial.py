@@ -88,15 +88,14 @@ class MapConfig:
     scans_per_tree: int = 50
     tree_count: int = 2
     resolution: float = 0.1
-    clearance: float = 0.45
 
     def __post_init__(self):
         if self.scans_per_tree < 1:
             raise ValueError("scans_per_tree must be >= 1")
         if self.tree_count < 2:
             raise ValueError("tree_count must be >= 2")
-        if self.resolution <= 0 or self.clearance <= 0:
-            raise ValueError("resolution and clearance must be > 0")
+        if self.resolution <= 0:
+            raise ValueError("resolution must be > 0")
 
 
 @dataclass

@@ -8,8 +8,6 @@ from cloudnav.cli import (
     BUNDLED_SCENARIOS,
     EXIT_OK,
     EXIT_SCENARIO_ERROR,
-    bench,
-    format_bench_table,
     main,
     resolve_scenario_path,
     run,
@@ -23,7 +21,8 @@ MINI = {
     "goal": [8.0, 0.0, 1.0],
     "start": {"position": [0.0, 0.0, 1.0]},
     "sensor": {"points_per_second": 50000, "frame_rate": 50.0},
-    "map": {"scans_per_tree": 25, "tree_count": 2, "resolution": 0.1, "clearance": 0.45},
+    "map": {"scans_per_tree": 25, "tree_count": 2, "resolution": 0.1},
+    "planner": {"clearance": 0.45},
     "obstacles": [
         {"name": "pillar", "shape": "capsule", "p0": [4.0, 0.3, -1.0], "p1": [4.0, 0.3, 3.0], "radius": 0.15},
     ],
@@ -100,6 +99,15 @@ def test_cli_main_exit_codes(mini_path, tmp_path):
     too_hard = ["--set", "planner.a_max=5"]
     assert main([mini_path, "--out", str(tmp_path / "w"), *too_hard]) == EXIT_SCENARIO_ERROR
     assert not (tmp_path / "w").exists()
+    # removed settings are unknown keys now
+    for removed in ("sensor.pattern=uniform", "planner.heuristic_weight=2", "map.clearance=0.3"):
+        out = tmp_path / removed.split("=")[0]
+        assert main([mini_path, "--out", str(out), "--set", removed]) == EXIT_SCENARIO_ERROR
+        assert not out.exists()
+    # usage errors are bad inputs too, not exit 2 (ground-truth collision)
+    assert main([mini_path, "--out", str(tmp_path / "v"), "--bench", "3"]) == EXIT_SCENARIO_ERROR
+    assert main([]) == EXIT_SCENARIO_ERROR
+    assert not (tmp_path / "v").exists()
 
 
 def test_cli_override_flag(mini_path, tmp_path, capsys):
@@ -113,23 +121,6 @@ def test_cli_override_flag(mini_path, tmp_path, capsys):
     assert report["seed"] == 4
     # weaker acceleration: the flight takes longer than the default-config run
     assert report["flight_duration"] > base.flight_duration
-
-
-def test_bench_single_repetition(mini_path):
-    rows, reports = bench(mini_path, repetitions=1)
-    stages = dict(rows)
-    assert set(stages) == {"map_update", "tree_build", "plan"}
-    assert stages["map_update"]["count"] > 0
-    assert stages["plan"]["count"] >= 1
-    table = format_bench_table(rows)
-    assert table.splitlines()[0].startswith("stage\tcount")
-    assert len(table.splitlines()) == 4
-    assert len(reports) == 1
-
-
-def test_bench_rejects_zero_repetitions(mini_path):
-    with pytest.raises(ValueError):
-        bench(mini_path, repetitions=0)
 
 
 def test_cli_compare_maps(tmp_path, capsys):

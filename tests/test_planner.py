@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -320,7 +322,7 @@ def test_replan_step_propagates_failure():
 def test_search_report_dict_roundtrip():
     cfg = default_cfg()
     _, report = plan(UavState.hover([0, 0, 0]), [3, 0, 0], cfg, make_map())
-    d = report.as_dict()
+    d = dataclasses.asdict(report)
     for key in ("outcome", "expansions", "wall_seconds", "analytic_connection", "cost"):
         assert key in d
 

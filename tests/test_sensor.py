@@ -16,7 +16,6 @@ from cloudnav.sensor import (
     disk_to_directions,
     generate_scan,
     rosette_directions,
-    uniform_directions,
     yaw_rotation,
 )
 from cloudnav.sim import _probe_disk_grid
@@ -157,10 +156,9 @@ def _bar_env():
     return Environment([Obstacle(shape=Capsule(p0=[3, 0, 0.2], p1=[3, 0, 2.2], radius=0.01), name="bar")])
 
 
-@pytest.mark.parametrize("pattern", ["rosette", "uniform"])
-def test_thin_bar_hit_in_single_frame_over_seeds(pattern):
+def test_thin_bar_hit_in_single_frame_over_seeds():
     # 20 mm bar 3 m ahead, one 20 ms frame: >= 1 hit with probability >= 0.99
-    sensor = SensorModel(pattern=pattern)
+    sensor = SensorModel()
     env = _bar_env()
     R = yaw_rotation(0.0)
     frames_with_hit = 0
@@ -184,13 +182,13 @@ def test_rosette_consecutive_frames_share_few_directions():
 
 def test_directions_inside_elliptical_fov():
     sensor = SensorModel()
-    for dirs in (rosette_directions(sensor, 3), uniform_directions(sensor, np.random.default_rng(0))):
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-        th_h = np.arctan2(dirs[:, 1], dirs[:, 0])
-        th_v = np.arcsin(np.clip(dirs[:, 2], -1, 1))
-        a = math.radians(sensor.fov_h_deg) / 2
-        b = math.radians(sensor.fov_v_deg) / 2
-        assert np.all((th_h / a) ** 2 + (th_v / b) ** 2 <= 1.0 + 1e-9)
+    dirs = rosette_directions(sensor, 3)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+    th_h = np.arctan2(dirs[:, 1], dirs[:, 0])
+    th_v = np.arcsin(np.clip(dirs[:, 2], -1, 1))
+    a = math.radians(sensor.fov_h_deg) / 2
+    b = math.radians(sensor.fov_v_deg) / 2
+    assert np.all((th_h / a) ** 2 + (th_v / b) ** 2 <= 1.0 + 1e-9)
 
 
 def test_scan_conservation_no_phantom_points():
@@ -213,7 +211,7 @@ def test_scan_conservation_no_phantom_points():
 
 def test_scan_deterministic_for_seed_and_frame():
     env = _bar_env()
-    sensor = SensorModel(pattern="uniform")
+    sensor = SensorModel()
     a = generate_scan(env, sensor, [0, 0, 1], yaw_rotation(0.0), 0.0, np.random.default_rng(9), frame_index=0)
     b = generate_scan(env, sensor, [0, 0, 1], yaw_rotation(0.0), 0.0, np.random.default_rng(9), frame_index=0)
     assert np.array_equal(a.points, b.points)

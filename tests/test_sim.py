@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cloudnav.scenario import ScenarioError, apply_overrides, scenario_from_dict
+from cloudnav.core import KinodynamicLimits
+from cloudnav.scenario import CompareConfig, ScenarioError, apply_overrides, scenario_from_dict
 from cloudnav.sim import audit_ground_truth, simulate
 
 
@@ -14,8 +17,8 @@ def mini_scenario(obstacles=None, goal=(9.0, 0.0, 1.0), duration=30.0, seed=5, *
         "goal": list(goal),
         "start": {"position": [0.0, 0.0, 1.0]},
         "sensor": {"points_per_second": 50000, "frame_rate": 50.0},
-        "map": {"scans_per_tree": 25, "tree_count": 2, "resolution": 0.1, "clearance": 0.45},
-        "planner": {"v_max": 2.0, "a_max": 2.0, "primitive_duration": 0.6},
+        "map": {"scans_per_tree": 25, "tree_count": 2, "resolution": 0.1},
+        "planner": {"v_max": 2.0, "a_max": 2.0, "primitive_duration": 0.6, "clearance": 0.45},
         "obstacles": obstacles or [],
     }
     raw.update(extra)
@@ -207,6 +210,49 @@ def test_overrides_apply_by_dotted_path():
     assert s.planner_config.limits.v_max == 1.5
     assert s.sensor.points_per_second == 10000
     assert s.seed == 9
+
+
+def test_planner_clearance_lives_under_planner():
+    raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}}
+    apply_overrides(raw, ["planner.clearance=0.4"])
+    cfg = scenario_from_dict(raw).planner_config
+    assert cfg.clearance == 0.4
+    assert cfg.effective_prune_cell == 0.2
+
+
+# the obstacles a compare section names by default
+BAR_AND_WALL = [
+    {"name": "bar", "shape": "sphere", "center": [3.0, 0.0, 1.0], "radius": 0.1},
+    {"name": "wall", "shape": "box", "lo": [5.0, -1.0, 0.0], "hi": [5.3, 1.0, 2.0]},
+]
+
+
+def test_omitted_limits_and_compare_keys_take_dataclass_defaults():
+    s = mini_scenario(obstacles=BAR_AND_WALL, planner={}, compare={})
+    assert s.planner_config.limits == KinodynamicLimits()
+    want = CompareConfig()
+    for f in dataclasses.fields(CompareConfig):
+        assert np.array_equal(getattr(s.compare, f.name), getattr(want, f.name)), f.name
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("planner", "v_max", "fast"),
+    ("planner", "a_max", True),
+    ("planner", "primitive_duration", None),
+    ("compare", "frames", "many"),
+    ("compare", "grid_resolution", [0.3]),
+    ("compare", "origin", [1.0, 2.0]),
+    ("compare", "size", "big"),
+    ("compare", "sweep", [0.3, -0.1]),
+])
+def test_malformed_limits_and_compare_values_name_their_key(section, key, value):
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: "):
+        mini_scenario(obstacles=BAR_AND_WALL, **{section: {key: value}})
+
+
+def test_non_mapping_planner_section_is_refused():
+    with pytest.raises(ScenarioError, match=r"^scenario\.planner: expected a mapping"):
+        mini_scenario(planner=5)
 
 
 def test_override_bad_format_rejected():
