@@ -16,8 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PointCloud
-from .sensor import Environment, generate_scan, yaw_rotation
+from .sensor import FRAME_DT, RANGE_NOISE_SIGMA, Environment, generate_scan, yaw_rotation
 from .spatial import TemporalLocalMap, dump_map
+
+# OctoMap's default sensor model: hit and miss updates for p = 0.7 and 0.4,
+# clamping at p = 0.12 and 0.97; a cell is occupied above p = 0.5 (log-odds 0).
+LOG_ODDS_HIT = 0.85
+LOG_ODDS_MISS = -0.4
+CLAMP_MIN = -2.0
+CLAMP_MAX = 3.5
 
 
 @dataclass(frozen=True)
@@ -25,11 +32,6 @@ class GridConfig:
     resolution: float
     origin: np.ndarray  # world position of the (0,0,0) cell corner
     size: np.ndarray  # extent in meters, grid covers [origin, origin + size)
-    log_odds_hit: float = 0.85
-    log_odds_miss: float = -0.4
-    occupied_probability: float = 0.5
-    clamp_min: float = -2.0
-    clamp_max: float = 3.5
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
@@ -38,17 +40,10 @@ class GridConfig:
             raise ValueError("resolution must be > 0")
         if not np.all(self.size > 0):
             raise ValueError("size must be positive on every axis")
-        if not (0 < self.occupied_probability < 1):
-            raise ValueError("occupied_probability must be in (0, 1)")
 
     @property
     def shape(self) -> tuple:
         return tuple(int(math.ceil(s / self.resolution)) for s in self.size)
-
-    @property
-    def occupied_log_odds(self) -> float:
-        p = self.occupied_probability
-        return math.log(p / (1.0 - p))
 
 
 @dataclass
@@ -80,7 +75,7 @@ class OccupancyGrid:
         return ((cells >= 0) & (cells < shape)).all(axis=-1)
 
     def occupied_mask(self) -> np.ndarray:
-        return self.log_odds > self.config.occupied_log_odds
+        return self.log_odds > 0.0
 
     def probabilities(self) -> np.ndarray:
         return 1.0 - 1.0 / (1.0 + np.exp(self.log_odds))
@@ -177,12 +172,10 @@ class OccupancyGrid:
         flat = np.ravel_multi_index(tuple(cells.T), cfg.shape)
         hit_counts = np.bincount(flat[is_hit], minlength=self.log_odds.size)
         miss_counts = np.bincount(flat[~is_hit], minlength=self.log_odds.size)
-        delta = hit_counts * cfg.log_odds_hit + miss_counts * cfg.log_odds_miss
+        delta = hit_counts * LOG_ODDS_HIT + miss_counts * LOG_ODDS_MISS
         flat_lo = self.log_odds.reshape(-1)
         touched = delta != 0
-        flat_lo[touched] = np.clip(
-            flat_lo[touched] + delta[touched], cfg.clamp_min, cfg.clamp_max
-        )
+        flat_lo[touched] = np.clip(flat_lo[touched] + delta[touched], CLAMP_MIN, CLAMP_MAX)
         stats.traversed_cells = len(cells)
         stats.hit_cells = int(is_hit.sum())
         return stats
@@ -197,15 +190,15 @@ class OccupancyGrid:
         ]
 
 
-def bar_cells(grid: OccupancyGrid, bar_obstacle, t: float, samples_per_cell: int = 10) -> set:
+def bar_cells(grid: OccupancyGrid, bar_obstacle, t: float) -> set:
     """Ground-truth set of grid cells overlapping the bar at time t, computed by
-    dense sampling of the capsule axis and surface."""
+    sampling the capsule axis and surface ten times per cell."""
     shape = bar_obstacle.shape
     off = bar_obstacle.offset_at(float(t))
     p0 = shape.p0 + off
     p1 = shape.p1 + off
     r = shape.radius
-    step = grid.config.resolution / samples_per_cell
+    step = grid.config.resolution / 10
     n = max(int(math.ceil(np.linalg.norm(p1 - p0) / step)), 1)
     u = np.linspace(0.0, 1.0, n + 1)
     axis_pts = p0 + u[:, None] * (p1 - p0)
@@ -226,7 +219,7 @@ def export_grid_rows(grid: OccupancyGrid, path) -> None:
             f.write(f"{i} {j} {k} {p:.6f}\n")
 
 
-def thin_object_experiment(scenario, frames: int | None = None, export_dir=None) -> dict:
+def thin_object_experiment(scenario, export_dir=None) -> dict:
     """Feed identical scans, cast once per obstacle set, to a ray-cast occupancy
     grid and the temporal point-cloud map, then compare how each represents a
     thin bar.
@@ -240,7 +233,6 @@ def thin_object_experiment(scenario, frames: int | None = None, export_dir=None)
     if scenario.compare is None:
         raise ValueError("scenario has no 'compare' section")
     comp = scenario.compare
-    n_frames = comp.frames if frames is None else frames
     sensor = scenario.sensor
     bar = scenario.obstacle_by_name(comp.bar)
     wall = scenario.obstacle_by_name(comp.wall)
@@ -251,11 +243,11 @@ def thin_object_experiment(scenario, frames: int | None = None, export_dir=None)
         env = Environment(obstacles)
         rng = np.random.default_rng(scenario.seed)
         return [
-            generate_scan(env, sensor, pose_p, R, k * sensor.frame_dt, rng, frame_index=k)
-            for k in range(n_frames)
+            generate_scan(env, sensor, pose_p, R, k * FRAME_DT, rng, frame_index=k)
+            for k in range(comp.frames)
         ]
 
-    t_end = (n_frames - 1) * sensor.frame_dt
+    t_end = (comp.frames - 1) * FRAME_DT
 
     def run_grid(resolution: float, scans: list) -> tuple:
         grid = OccupancyGrid(
@@ -280,9 +272,9 @@ def thin_object_experiment(scenario, frames: int | None = None, export_dir=None)
     local_map = TemporalLocalMap(scenario.map_config)
     for scan in full:
         local_map.update(scan)
-    tol = 3.0 * sensor.range_noise_sigma + scenario.map_config.resolution * math.sqrt(3) / 2
-    union = np.concatenate([tree.points for tree in local_map.trees if tree.size])
-    bar_points = int((np.abs(bar.distances(union, t_end)) <= tol).sum()) if len(union) else 0
+    tol = 3.0 * RANGE_NOISE_SIGMA + scenario.map_config.resolution * math.sqrt(3) / 2
+    union = np.concatenate([tree.points for tree in local_map.trees])  # empty trees are (0, 3)
+    bar_points = int((np.abs(bar.distances(union, t_end)) <= tol).sum())
 
     if export_dir is not None:
         os.makedirs(export_dir, exist_ok=True)
@@ -290,7 +282,7 @@ def thin_object_experiment(scenario, frames: int | None = None, export_dir=None)
         dump_map(local_map, os.path.join(export_dir, "pointcloud_map"))
 
     return {
-        "frames": n_frames,
+        "frames": comp.frames,
         "grid_resolution": comp.grid_resolution,
         "bar_cell_occupied_fraction": main_fraction,
         "pointcloud_bar_points": bar_points,

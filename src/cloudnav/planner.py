@@ -31,6 +31,13 @@ from .spatial import TemporalLocalMap, check_trajectory
 
 # Weight on the heuristic in the open-set ordering only; heuristic() stays admissible.
 HEURISTIC_WEIGHT = 5.0
+# rho: weight of flight time against control effort in the edge cost.
+TIME_WEIGHT = 1.0
+# Replan handover horizon (s): a replacement starts this far ahead on the old plan.
+PLAN_BUDGET = 0.03
+# Emergency relaxation: shrink the clearance by this factor, down to this floor.
+RELAX_STEP = 0.8
+RELAX_FLOOR = 0.10
 
 
 class PlannerError(Exception):
@@ -60,22 +67,18 @@ class PlannerConfig:
     clearance: float = 0.45
     goal_tolerance: float = 0.3
     prune_cell: float | None = None  # default: half the clearance
-    time_weight: float = 1.0
     max_expansions: int = 20000
     velocity_bound: str = "per_axis"  # or "norm"
-    plan_budget: float = 0.03  # replan handover horizon, seconds
 
     def __post_init__(self):
-        if self.clearance <= 0 or self.goal_tolerance <= 0 or self.time_weight <= 0:
-            raise ValueError("clearance, goal_tolerance and time_weight must be > 0")
+        if self.clearance <= 0 or self.goal_tolerance <= 0:
+            raise ValueError("clearance and goal_tolerance must be > 0")
         if self.prune_cell is not None and self.prune_cell <= 0:
             raise ValueError("prune_cell must be > 0")
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
         if self.velocity_bound not in ("per_axis", "norm"):
             raise ValueError("velocity_bound must be 'per_axis' or 'norm'")
-        if self.plan_budget < 0:
-            raise ValueError("plan_budget must be >= 0")
 
     @property
     def effective_prune_cell(self) -> float:
@@ -109,16 +112,12 @@ class SearchReport:
 
 
 @lru_cache(maxsize=16)
-def _control_set_cached(a_max: float):
-    axis = (-a_max, 0.0, a_max)
-    u = np.array(list(itertools.product(axis, axis, axis)))
-    u.setflags(write=False)
-    return u
-
-
 def control_set(a_max: float) -> np.ndarray:
     """All 27 per-axis control combinations, in a fixed deterministic order."""
-    return _control_set_cached(float(a_max))
+    axis = (-a_max, 0.0, a_max)
+    u = np.array(list(itertools.product(axis, axis, axis)), dtype=float)
+    u.setflags(write=False)
+    return u
 
 
 @lru_cache(maxsize=64)
@@ -129,9 +128,9 @@ def _sample_grid_cached(tau: float, dt: float):
 
 
 @lru_cache(maxsize=16)
-def _edge_costs_cached(a_max: float, tau: float, rho: float):
+def _edge_costs_cached(a_max: float, tau: float):
     U = control_set(a_max)
-    costs = ((U * U).sum(axis=1) + rho) * tau
+    costs = ((U * U).sum(axis=1) + TIME_WEIGHT) * tau
     costs.setflags(write=False)
     return costs
 
@@ -139,7 +138,7 @@ def _edge_costs_cached(a_max: float, tau: float, rho: float):
 def heuristic(state: UavState, goal, cfg: PlannerConfig) -> float:
     """Admissible time lower bound scaled by the time weight."""
     d = float(np.linalg.norm(state.p - np.asarray(goal, dtype=float)))
-    return cfg.time_weight * d / cfg.limits.v_max
+    return TIME_WEIGHT * d / cfg.limits.v_max
 
 
 def _velocity_ok(V: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
@@ -152,12 +151,12 @@ def _velocity_ok(V: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
     return ok.all(axis=-1)
 
 
-def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, goal=None) -> list[SearchNode]:
+def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, goal) -> list[SearchNode]:
     """All feasible children of `node` under the 27 motion primitives.
 
     A primitive survives if every sampled velocity respects the configured
     velocity bound and no sampled position lies within the clearance of any
-    map point. Children are returned in control order.
+    map point. Children are returned in control order, ranked toward `goal`.
     """
     limits = cfg.limits
     U = control_set(limits.a_max)
@@ -183,14 +182,9 @@ def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, go
         return []
     P_end = P[surv, -1]
     V_end = V[surv, -1]
-    G = node.g + _edge_costs_cached(limits.a_max, tau, cfg.time_weight)[surv]
-    if goal is None:
-        F = G
-    else:
-        h = np.linalg.norm(P_end - np.asarray(goal, dtype=float), axis=1) * (
-            cfg.time_weight / limits.v_max
-        )
-        F = G + HEURISTIC_WEIGHT * h
+    G = node.g + _edge_costs_cached(limits.a_max, tau)[surv]
+    h = np.linalg.norm(P_end - np.asarray(goal, dtype=float), axis=1) * (TIME_WEIGHT / limits.v_max)
+    F = G + HEURISTIC_WEIGHT * h
     t_child = node.state.t + tau
     children = []
     for j, i in enumerate(surv):
@@ -257,7 +251,7 @@ def _build_trajectory(node: SearchNode, start: UavState, tail: QuinticSegment | 
     cost = node.g
     if tail is not None:
         segments.append(tail)
-        cost += cfg.time_weight * tail.duration + _segment_effort(tail, cfg.check_dt)
+        cost += TIME_WEIGHT * tail.duration + _segment_effort(tail, cfg.check_dt)
     return Trajectory(segments=tuple(segments), t0=start.t), cost, len(chain)
 
 
@@ -313,7 +307,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
             outcome = "expansion_budget_exhausted"
             break
         report.expansions += 1
-        for child in expand(node, cfg, local_map, goal=goal):
+        for child in expand(node, cfg, local_map, goal):
             ckey = _prune_key(child.state.p, cell)
             cbest = closed.get(ckey)
             if cbest is not None and cbest <= child.g:
@@ -360,7 +354,7 @@ def replan_step(
     col_t = check_trajectory(local_map, traj, cfg.clearance, cfg.check_dt, t_from=tracking_time)
     if col_t is None:
         return ReplanDecision(action="keep", trajectory=traj)
-    handover = min(tracking_time + cfg.plan_budget, traj.t_end)
+    handover = min(tracking_time + PLAN_BUDGET, traj.t_end)
     start = traj.state_at(handover)
     new_traj, report = plan(start, goal, cfg, local_map)
     return ReplanDecision(
@@ -368,8 +362,7 @@ def replan_step(
     )
 
 
-def relaxed_replan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap,
-                   floor: float = 0.10, step: float = 0.8):
+def relaxed_replan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap):
     """Emergency fallback: retry planning with a progressively reduced clearance
     until the start state is feasible. Returns (trajectory, report, clearance_used).
     """
@@ -381,6 +374,6 @@ def relaxed_replan(start: UavState, goal, cfg: PlannerConfig, local_map: Tempora
             traj, report = plan(start, goal, relaxed, local_map)
             return traj, report, clearance
         except StartInCollision:
-            if clearance <= floor:
+            if clearance <= RELAX_FLOOR:
                 raise
-            clearance = max(floor, clearance * step)
+            clearance = max(RELAX_FLOOR, clearance * RELAX_STEP)

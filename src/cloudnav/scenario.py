@@ -1,15 +1,16 @@
 """Scenario files: human-editable YAML describing one closed-loop run.
 
 A scenario bundles the environment geometry and obstacle schedules, the
-start/goal pair, and every tunable of the sensor, the local map, and the
-planner. `load_scenario` validates the file and reports offending keys by
-dotted path; CLI overrides use the same dotted paths.
+start/goal pair, and the sensor, map and planner settings that runs vary
+(what none varies is a module constant). `load_scenario` validates the file
+and reports offending and unknown keys by dotted path; CLI overrides use the
+same dotted paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -59,6 +60,12 @@ class Scenario:
             if ob.name == name:
                 return ob
         raise ScenarioError(f"no obstacle named {name!r}")
+
+
+def _only(d: dict, known, path: str) -> None:
+    for key in d:
+        if key not in known:
+            raise ScenarioError(f"{path}.{key}: unknown key")
 
 
 def _need(d: dict, key: str, path: str):
@@ -133,6 +140,8 @@ def _parse_obstacle(entry: dict, index: int) -> Obstacle:
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a mapping")
+    _only(raw, ("name", "duration", "seed", "goal", "start", "sensor", "map", "planner", "obstacles",
+                "compare"), "scenario")
     name = str(raw.get("name", "unnamed"))
     duration = _num(raw, "duration", "scenario")
     if duration <= 0:
@@ -145,6 +154,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     start = raw.get("start", {})
     if not isinstance(start, dict):
         raise ScenarioError("scenario.start: expected a mapping")
+    _only(start, ("position", "yaw"), "start")
     start_p = _vec(start, "position", "start")
     if "yaw" in start:
         yaw = _num(start, "yaw", "start")
@@ -190,6 +200,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         c = raw["compare"]
         if not isinstance(c, dict):
             raise ScenarioError("scenario.compare: expected a mapping")
+        _only(c, {f.name for f in fields(CompareConfig)}, "compare")
         kw = {k: _num(c, k, "compare") for k in ("frames", "grid_resolution") if k in c}
         kw |= {k: _vec(c, k, "compare") for k in ("origin", "size") if k in c}
         kw |= {k: str(c[k]) for k in ("bar", "wall") if k in c}

@@ -231,30 +231,27 @@ class Environment:
         return d
 
 
+# The Livox Avia the paper flies: elliptical field of view, frame rate,
+# maximum range and one-sigma range noise. Only the point rate is a setting.
+FOV_H_DEG = 70.4
+FOV_V_DEG = 77.2
+FRAME_RATE = 50.0
+FRAME_DT = 1.0 / FRAME_RATE
+MAX_RANGE = 450.0
+RANGE_NOISE_SIGMA = 0.02
+
+
 @dataclass(frozen=True)
 class SensorModel:
-    fov_h_deg: float = 70.4
-    fov_v_deg: float = 77.2
     points_per_second: float = 240000.0
-    frame_rate: float = 50.0
-    max_range: float = 450.0
-    range_noise_sigma: float = 0.02
 
     def __post_init__(self):
-        if not (0 < self.fov_h_deg <= 180 and 0 < self.fov_v_deg <= 180):
-            raise ValueError("FoV must be in (0, 180] degrees")
-        if self.points_per_second <= 0 or self.frame_rate <= 0:
-            raise ValueError("rates must be > 0")
-        if self.max_range <= 0 or self.range_noise_sigma < 0:
-            raise ValueError("max_range must be > 0 and noise sigma >= 0")
+        if self.points_per_second <= 0:
+            raise ValueError("points_per_second must be > 0")
 
     @property
     def points_per_frame(self) -> int:
-        return int(round(self.points_per_second / self.frame_rate))
-
-    @property
-    def frame_dt(self) -> float:
-        return 1.0 / self.frame_rate
+        return int(round(self.points_per_second / FRAME_RATE))
 
 
 # Risley-style counter-rotating sweep rates (Hz). The irrational-looking ratio
@@ -263,11 +260,11 @@ _ROSETTE_RATE_1 = 128.3
 _ROSETTE_RATE_2 = 128.3 * 1.6180339887498949
 
 
-def disk_to_directions(u: np.ndarray, w: np.ndarray, sensor: SensorModel) -> np.ndarray:
+def disk_to_directions(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Map unit-disk coordinates to unit direction vectors in the sensor frame
     (x forward, y left, z up) filling the elliptical FoV."""
-    th_h = u * math.radians(sensor.fov_h_deg) / 2.0
-    th_v = w * math.radians(sensor.fov_v_deg) / 2.0
+    th_h = u * math.radians(FOV_H_DEG) / 2.0
+    th_v = w * math.radians(FOV_V_DEG) / 2.0
     cv = np.cos(th_v)
     return np.column_stack([cv * np.cos(th_h), cv * np.sin(th_h), np.sin(th_v)])
 
@@ -282,7 +279,7 @@ def rosette_directions(sensor: SensorModel, frame_index: int) -> np.ndarray:
     a2 = -2.0 * math.pi * _ROSETTE_RATE_2 * t
     u = 0.5 * (np.cos(a1) + np.cos(a2))
     w = 0.5 * (np.sin(a1) + np.sin(a2))
-    return disk_to_directions(u, w, sensor)
+    return disk_to_directions(u, w)
 
 
 def yaw_rotation(yaw: float) -> np.ndarray:
@@ -298,7 +295,7 @@ def generate_scan(
     rotation: np.ndarray,
     t: float,
     rng: np.random.Generator,
-    frame_index: int | None = None,
+    frame_index: int,
 ) -> PointCloud:
     """One lidar frame: cast the frame's rays, apply range noise to the hits,
     drop the misses, and return world-frame points stamped with `t`.
@@ -308,16 +305,14 @@ def generate_scan(
     as zero). Deterministic for a fixed rng state and frame index.
     """
     position = np.asarray(position, dtype=float)
-    if frame_index is None:
-        frame_index = int(round(t * sensor.frame_rate))
     dirs_w = rosette_directions(sensor, frame_index) @ rotation.T
     # draw noise for every ray regardless of hits to keep the stream aligned
-    sigma = sensor.range_noise_sigma
-    noise = np.clip(rng.normal(0.0, sigma, len(dirs_w)), -3.0 * sigma, 3.0 * sigma) if sigma > 0 else 0.0
-    t_hit = env.cast_rays(position, dirs_w, t, sensor.max_range)
+    bound = 3.0 * RANGE_NOISE_SIGMA
+    noise = np.clip(rng.normal(0.0, RANGE_NOISE_SIGMA, len(dirs_w)), -bound, bound)
+    t_hit = env.cast_rays(position, dirs_w, t, MAX_RANGE)
     mask = np.isfinite(t_hit)
     if not mask.any():
         return PointCloud.empty(stamp=t)
-    ranges = np.maximum(t_hit[mask] + (noise[mask] if sigma > 0 else 0.0), 1e-9)
+    ranges = np.maximum(t_hit[mask] + noise[mask], 1e-9)
     pts = position + dirs_w[mask] * ranges[:, None]
     return PointCloud(points=pts, stamp=t)

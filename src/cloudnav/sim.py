@@ -10,13 +10,13 @@ replanning step, and moves the UAV one step along the tracked trajectory
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import Trajectory, UavState, sample_times, voxel_keys
 from .planner import (
+    PLAN_BUDGET,
     PlannerConfig,
     PlannerError,
     SearchReport,
@@ -26,7 +26,7 @@ from .planner import (
     replan_step,
 )
 from .scenario import Scenario
-from .sensor import Environment, disk_to_directions, generate_scan, yaw_rotation
+from .sensor import FRAME_DT, Environment, disk_to_directions, generate_scan, yaw_rotation
 from .spatial import TemporalLocalMap
 
 # Sensed-space telemetry: coarse cells swept by a fixed probe-ray grid. Plans
@@ -36,14 +36,14 @@ _COVERAGE_RANGE = 25.0
 _COVERAGE_STEP = 0.25
 
 
-@lru_cache(maxsize=8)
-def _probe_disk_grid(n_rings: int = 4, per_ring: int = 14):
+def _probe_disk_grid():
+    """Unit-disk coordinates of the 57 probe rays: the centre and 4 rings of 14."""
     u = [0.0]
     w = [0.0]
-    for i in range(1, n_rings + 1):
-        r = i / n_rings
-        for j in range(per_ring):
-            a = 2.0 * math.pi * (j + 0.5 * (i % 2)) / per_ring
+    for i in range(1, 5):
+        r = i / 4
+        for j in range(14):
+            a = 2.0 * math.pi * (j + 0.5 * (i % 2)) / 14
             u.append(r * math.cos(a))
             w.append(r * math.sin(a))
     return np.array(u), np.array(w)
@@ -52,9 +52,9 @@ def _probe_disk_grid(n_rings: int = 4, per_ring: int = 14):
 class _SensedSpace:
     """Approximate record of space covered by the sensor so far."""
 
-    def __init__(self, sensor):
+    def __init__(self):
         u, w = _probe_disk_grid()
-        self._dirs_sensor = disk_to_directions(u, w, sensor)
+        self._dirs_sensor = disk_to_directions(u, w)
         self._steps = np.arange(_COVERAGE_STEP, _COVERAGE_RANGE + 1e-9, _COVERAGE_STEP)
         self._cells: set = set()
 
@@ -120,6 +120,7 @@ class _TrackingState:
     def __init__(self, start: UavState):
         self.current: Trajectory | None = None
         self.pending: Trajectory | None = None
+        self.clearance = math.inf  # the clearance active() was planned with
         self.hover_p = start.p
 
     def promote(self, t: float):
@@ -145,9 +146,8 @@ class _TrackingState:
         return st
 
 
-def _handover_time(t: float, budget: float, frame_dt: float) -> float:
-    """Next frame-aligned time at least one planning budget ahead."""
-    return t + math.ceil(max(budget, 0.0) / frame_dt - 1e-9) * frame_dt
+# Plans start at the first frame at least one planning budget ahead.
+_HANDOVER_DELAY = math.ceil(PLAN_BUDGET / FRAME_DT - 1e-9) * FRAME_DT
 
 
 def _search_event(report: SearchReport, traj: Trajectory, sensed: _SensedSpace,
@@ -168,20 +168,25 @@ def _next_plan(
     t: float,
     uav: UavState,
     active: Trajectory | None,
+    active_clearance: float,
 ):
     """The plan this frame needs, as (event kind, trajectory, report, event
-    data), or None while the tracked trajectory stays clear.
+    data, planned clearance), or None while the tracked trajectory stays clear.
 
     Raises PlannerError when no plan can be found.
     """
     cfg = scenario.planner_config
     goal = scenario.goal
-    handover = _handover_time(t, cfg.plan_budget, scenario.sensor.frame_dt)
+    handover = t + _HANDOVER_DELAY
     try:
         if active is None:
             traj, report = plan(UavState.hover(uav.p, t=handover), goal, cfg, local_map)
-            return "plan", traj, report, _search_event(report, traj, sensed, cfg)
-        decision = replan_step(active, max(t, active.t0), local_map, cfg, goal)
+            return "plan", traj, report, _search_event(report, traj, sensed, cfg), cfg.clearance
+        check = cfg
+        if active_clearance < cfg.clearance and local_map.any_within(uav.p, cfg.clearance)[0]:
+            # a relaxed plan keeps its own clearance while the UAV is inside the full band
+            check = replace(cfg, clearance=active_clearance, prune_cell=cfg.effective_prune_cell)
+        decision = replan_step(active, max(t, active.t0), local_map, check, goal)
         if decision.action == "keep":
             return None
     except StartInCollision:
@@ -194,11 +199,11 @@ def _next_plan(
         traj, report, used = relaxed_replan(start, goal, cfg, local_map)
         return "emergency_relax", traj, report, {
             "clearance": round(used, 9), "expansions": report.expansions
-        }
+        }, used
     traj, report = decision.trajectory, decision.report
     data = {"collision_time": round(decision.collision_time, 9)}
     data.update(_search_event(report, traj, sensed, cfg))
-    return "replan", traj, report, data
+    return "replan", traj, report, data, check.clearance
 
 
 def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
@@ -209,14 +214,13 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
     cfg = scenario.planner_config
     sensor = scenario.sensor
     goal = scenario.goal
-    dt = sensor.frame_dt
-    n_frames = int(round(scenario.duration / dt))
+    n_frames = int(round(scenario.duration / FRAME_DT))
 
     log = RunLog(scenario_name=scenario.name, seed=seed, local_map=local_map)
     uav = UavState.hover(scenario.start_position, t=0.0)
     yaw = scenario.start_yaw
     tracking = _TrackingState(uav)
-    sensed = _SensedSpace(sensor)
+    sensed = _SensedSpace()
 
     def record(k: int, state: UavState, scan_size: int, flag: str):
         log.frames.append(
@@ -234,12 +238,12 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
 
     def _terminate(outcome: str, k: int, state: UavState, scan_size: int = 0) -> RunLog:
         log.outcome = outcome
-        log.final_time = k * dt
+        log.final_time = k * FRAME_DT
         record(k, state, scan_size, outcome)
         return log
 
     for k in range(n_frames):
-        t = k * dt
+        t = k * FRAME_DT
         tracking.promote(t)
 
         speed_xy = math.hypot(uav.v[0], uav.v[1])
@@ -257,13 +261,13 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
             )
 
         try:
-            step = _next_plan(scenario, local_map, sensed, t, uav, tracking.active())
+            step = _next_plan(scenario, local_map, sensed, t, uav, tracking.active(), tracking.clearance)
         except PlannerError as e:
             log.events.append(SimEvent(t=t, kind="planner_failure", data={"reason": str(e)}))
             return _terminate("planner_failure", k, uav, len(scan))
         flag = ""
         if step is not None:
-            flag, traj, report, data = step
+            flag, traj, report, data, tracking.clearance = step
             tracking.pending = traj
             log.plan_seconds.append(report.wall_seconds)
             if flag != "plan":
@@ -271,7 +275,7 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
             log.events.append(SimEvent(t=t, kind=flag, data=data))
         record(k, uav, len(scan), flag)
 
-        t_next = (k + 1) * dt
+        t_next = (k + 1) * FRAME_DT
         uav = tracking.state_at(t_next)
         if np.linalg.norm(uav.p - goal) <= cfg.goal_tolerance:
             return _terminate("goal_reached", k + 1, uav)

@@ -1,6 +1,6 @@
 """KD-trees over point clouds and the dual time-accumulated local map.
 
-The local map cycles a fixed number of KD-trees: each tree holds the
+The local map cycles `TREE_COUNT` KD-trees: each tree holds the
 voxel-filtered accumulation of up to `scans_per_tree` consecutive scans, so
 together the trees cover a bounded window of recent sensor history and space
 vacated by moving obstacles becomes free again once the window rolls past.
@@ -83,17 +83,18 @@ class KdTree:
         return np.isfinite(self.min_distances(pts, r))
 
 
+# The paper's two trees: one filling while the other still holds the window before it.
+TREE_COUNT = 2
+
+
 @dataclass(frozen=True)
 class MapConfig:
     scans_per_tree: int = 50
-    tree_count: int = 2
     resolution: float = 0.1
 
     def __post_init__(self):
         if self.scans_per_tree < 1:
             raise ValueError("scans_per_tree must be >= 1")
-        if self.tree_count < 2:
-            raise ValueError("tree_count must be >= 2")
         if self.resolution <= 0:
             raise ValueError("resolution must be > 0")
 
@@ -110,7 +111,7 @@ class MapUpdateInfo:
 
 
 class TemporalLocalMap:
-    """Rolling local map of `tree_count` KD-trees fed by consecutive scans.
+    """Rolling local map of `TREE_COUNT` KD-trees fed by consecutive scans.
 
     Update rule per new scan: once every tree has received its quota of scans
     the counters reset and tree 0 is overwritten; otherwise the target tree is
@@ -133,8 +134,8 @@ class TemporalLocalMap:
         self.config = config
         self.scan_input_num = 0
         self.total_scans = 0
-        self.trees: list[KdTree] = [KdTree() for _ in range(config.tree_count)]
-        self._tree_clouds: list[PointCloud] = [PointCloud.empty() for _ in range(config.tree_count)]
+        self.trees: list[KdTree] = [KdTree() for _ in range(TREE_COUNT)]
+        self._tree_clouds: list[PointCloud] = [PointCloud.empty() for _ in range(TREE_COUNT)]
         self._reset_accumulation()
 
     def _reset_accumulation(self) -> None:
@@ -168,7 +169,7 @@ class TemporalLocalMap:
         t_start = time.perf_counter()
         # validated before any state changes: a rejected scan leaves the map as it was
         keys = voxel_keys(new_scan.points, cfg.resolution)
-        window = cfg.scans_per_tree * cfg.tree_count
+        window = cfg.scans_per_tree * TREE_COUNT
         # the scan that starts a new cycle overwrites tree 0 wholesale
         wrapped = self.scan_input_num == 0 and self.total_scans > 0
         tree_index = self.scan_input_num // cfg.scans_per_tree
@@ -255,7 +256,7 @@ def check_trajectory(
 def dump_map(local_map: TemporalLocalMap, out_dir) -> None:
     """Per-tree cloud files in the columnar text format plus a counters line."""
     os.makedirs(out_dir, exist_ok=True)
-    for i in range(local_map.config.tree_count):
+    for i in range(TREE_COUNT):
         save_cloud_txt(local_map.tree_cloud(i), os.path.join(out_dir, f"tree{i}.txt"))
     sizes = " ".join(str(s) for s in local_map.tree_sizes)
     with open(os.path.join(out_dir, "counters.txt"), "w") as f:

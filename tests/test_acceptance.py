@@ -47,7 +47,7 @@ def test_criterion_1_algorithm_oracle_equivalence():
     rng = np.random.default_rng(1001)
     scans = random_scan_log(rng, 300)
     for h, n in ((50, 2), (2, 2)):
-        cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.1)
+        cfg = MapConfig(scans_per_tree=h, resolution=0.1)
         m = TemporalLocalMap(cfg)
         for i, scan in enumerate(scans):
             m.update(scan)
@@ -65,7 +65,7 @@ def test_criterion_2_query_exactness():
     rng = np.random.default_rng(1002)
     pts = rng.uniform(-4.0, 4.0, (5000, 3))
     tree = KdTree(pts)
-    m = TemporalLocalMap(MapConfig(scans_per_tree=1, tree_count=2, resolution=1e-4))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=1, resolution=1e-4))
     half = len(pts) // 2
     m.update(PointCloud(points=pts[:half], stamp=0.0))
     m.update(PointCloud(points=pts[half:], stamp=1.0))
@@ -226,7 +226,7 @@ def corridor_scan(rng, n_points=4800):
 def test_criterion_7_timing():
     # temporal-map update: ~4800 raw points per frame at 10 cm resolution
     rng = np.random.default_rng(1007)
-    m = TemporalLocalMap(MapConfig(scans_per_tree=50, tree_count=2, resolution=0.1))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=50, resolution=0.1))
     times = []
     for i in range(150):
         scan = PointCloud(points=corridor_scan(rng), stamp=i * 0.02)

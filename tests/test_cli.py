@@ -20,8 +20,8 @@ MINI = {
     "seed": 2,
     "goal": [8.0, 0.0, 1.0],
     "start": {"position": [0.0, 0.0, 1.0]},
-    "sensor": {"points_per_second": 50000, "frame_rate": 50.0},
-    "map": {"scans_per_tree": 25, "tree_count": 2, "resolution": 0.1},
+    "sensor": {"points_per_second": 50000},
+    "map": {"scans_per_tree": 25, "resolution": 0.1},
     "planner": {"clearance": 0.45},
     "obstacles": [
         {"name": "pillar", "shape": "capsule", "p0": [4.0, 0.3, -1.0], "p1": [4.0, 0.3, 3.0], "radius": 0.15},
@@ -99,10 +99,12 @@ def test_cli_main_exit_codes(mini_path, tmp_path):
     too_hard = ["--set", "planner.a_max=5"]
     assert main([mini_path, "--out", str(tmp_path / "w"), *too_hard]) == EXIT_SCENARIO_ERROR
     assert not (tmp_path / "w").exists()
-    # removed settings are unknown keys now
-    for removed in ("sensor.pattern=uniform", "planner.heuristic_weight=2", "map.clearance=0.3"):
-        out = tmp_path / removed.split("=")[0]
-        assert main([mini_path, "--out", str(out), "--set", removed]) == EXIT_SCENARIO_ERROR
+    # removed settings are unknown keys now, as are typos at the top level,
+    # under start and under compare
+    for override in ("sensor.pattern=uniform", "planner.heuristic_weight=2", "map.clearance=0.3",
+                     "sensor.frame_rate=50", "durations=0.1", "start.yawn=1", "compare.frame=2"):
+        out = tmp_path / override.split("=")[0]
+        assert main([mini_path, "--out", str(out), "--set", override]) == EXIT_SCENARIO_ERROR
         assert not out.exists()
     # usage errors are bad inputs too, not exit 2 (ground-truth collision)
     assert main([mini_path, "--out", str(tmp_path / "v"), "--bench", "3"]) == EXIT_SCENARIO_ERROR
@@ -130,7 +132,7 @@ def test_cli_compare_maps(tmp_path, capsys):
         "seed": 3,
         "goal": [4.0, 0.0, 1.0],
         "start": {"position": [0.0, 0.0, 1.0], "yaw": 0.0},
-        "sensor": {"points_per_second": 60000, "frame_rate": 50.0},
+        "sensor": {"points_per_second": 60000},
         "obstacles": [
             {"name": "bar", "shape": "capsule", "p0": [3.0, 0.0, 0.2], "p1": [3.0, 0.0, 2.2], "radius": 0.01},
             {"name": "wall", "shape": "box", "lo": [5.0, -3.8, -0.6], "hi": [5.3, 3.8, 4.6]},
@@ -148,3 +150,13 @@ def test_cli_compare_maps(tmp_path, capsys):
     rows = (tmp_path / "out" / "grid_occupancy.txt").read_text().splitlines()
     assert rows[0] == "i j k probability" and len(rows) > 1
     assert (tmp_path / "out" / "pointcloud_map" / "tree0.txt").exists()
+
+
+def test_cli_compare_maps_without_returns(tmp_path, capsys):
+    # the sensor faces away from the bar and the wall: no scan returns a point
+    overrides = ["start.yaw=3.14159", "sensor.points_per_second=6000", "compare.frames=2"]
+    argv = ["thin_bar_compare", "--compare-maps", "--out", str(tmp_path / "out")]
+    assert main(argv + [a for o in overrides for a in ("--set", o)]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "compare_maps.json").read_text())
+    assert report["pointcloud_bar_points"] == 0
+    assert report["map_tree_sizes"] == [0, 0]

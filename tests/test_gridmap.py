@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from cloudnav.core import PointCloud
-from cloudnav.gridmap import GridConfig, OccupancyGrid, bar_cells, thin_object_experiment
+from cloudnav.gridmap import (
+    CLAMP_MAX,
+    CLAMP_MIN,
+    LOG_ODDS_HIT,
+    LOG_ODDS_MISS,
+    GridConfig,
+    OccupancyGrid,
+    bar_cells,
+    thin_object_experiment,
+)
 from cloudnav.scenario import scenario_from_dict
 
 
@@ -49,13 +58,12 @@ def test_single_ray_bookkeeping():
     grid = make_grid(resolution=0.3)
     scan = PointCloud(points=np.array([[1.0, 0.0, 0.0]]))
     grid.integrate_scan([0, 0, 0], scan)
-    cfg = grid.config
     end_cell = grid.cell_of([1.0, 0, 0])
-    assert grid.log_odds[end_cell] == pytest.approx(cfg.log_odds_hit)
+    assert grid.log_odds[end_cell] == pytest.approx(LOG_ODDS_HIT)
     decreased = np.argwhere(grid.log_odds < 0)
     assert len(decreased) == 3  # cells strictly before the endpoint on the ray
     for c in decreased:
-        assert grid.log_odds[tuple(c)] == pytest.approx(cfg.log_odds_miss)
+        assert grid.log_odds[tuple(c)] == pytest.approx(LOG_ODDS_MISS)
 
 
 def test_axis_aligned_ray_cell_count():
@@ -105,11 +113,10 @@ def test_log_odds_clamped_after_arbitrary_updates():
     scan = PointCloud(points=np.array([[1.0, 0.0, 0.0]]))
     for _ in range(40):
         grid.integrate_scan([0, 0, 0], scan)
-    cfg = grid.config
-    assert grid.log_odds.max() <= cfg.clamp_max + 1e-12
-    assert grid.log_odds.min() >= cfg.clamp_min - 1e-12
+    assert grid.log_odds.max() <= CLAMP_MAX + 1e-12
+    assert grid.log_odds.min() >= CLAMP_MIN - 1e-12
     end_cell = grid.cell_of([1.0, 0, 0])
-    assert grid.log_odds[end_cell] == pytest.approx(cfg.clamp_max)
+    assert grid.log_odds[end_cell] == pytest.approx(CLAMP_MAX)
 
 
 def test_update_cost_scales_with_ray_length():
@@ -143,7 +150,7 @@ def _mini_compare_scenario(frames=8):
             "seed": 3,
             "goal": [4.0, 0.0, 1.0],
             "start": {"position": [0.0, 0.0, 1.0], "yaw": 0.0},
-            "sensor": {"points_per_second": 60000, "frame_rate": 50.0},
+            "sensor": {"points_per_second": 60000},
             "obstacles": [
                 {"name": "bar", "shape": "capsule", "p0": [3.0, 0.0, 0.2], "p1": [3.0, 0.0, 2.2], "radius": 0.01},
                 {"name": "wall", "shape": "box", "lo": [5.0, -3.8, -0.6], "hi": [5.3, 3.8, 4.6]},

@@ -5,6 +5,8 @@ import pytest
 
 from cloudnav.core import KinodynamicLimits, PointCloud, UavState
 from cloudnav.planner import (
+    PLAN_BUDGET,
+    TIME_WEIGHT,
     PlannerConfig,
     PlanningFailed,
     SearchNode,
@@ -55,7 +57,7 @@ def test_control_set_is_27_deterministic():
 
 
 def test_expand_from_rest_in_free_space_yields_27():
-    children = expand(rest_node(), default_cfg(), make_map())
+    children = expand(rest_node(), default_cfg(), make_map(), [5, 0, 0])
     assert len(children) == 27
     # velocity after 0.6 s at a_max=2 is 1.2 <= 2 on every axis
     for c in children:
@@ -65,7 +67,7 @@ def test_expand_from_rest_in_free_space_yields_27():
 
 def test_expand_enclosed_by_point_shell_yields_zero():
     m = make_map(sphere_shell([0, 0, 0], 0.3))
-    children = expand(rest_node(), default_cfg(), m)
+    children = expand(rest_node(), default_cfg(), m, [5, 0, 0])
     assert children == []
 
 
@@ -73,7 +75,7 @@ def test_expand_velocity_saturated_axis_yields_18():
     node = SearchNode(
         state=UavState(t=0.0, p=[0, 0, 0], v=[2.0, 0, 0], a=[0, 0, 0]), g=0.0, f=0.0
     )
-    children = expand(node, default_cfg(), make_map())
+    children = expand(node, default_cfg(), make_map(), [5, 0, 0])
     assert len(children) == 18
     assert all(c.control[0] <= 0.0 for c in children)
 
@@ -83,7 +85,7 @@ def test_expand_norm_mode_bounds_speed():
         state=UavState(t=0.0, p=[0, 0, 0], v=[2.0, 0, 0], a=[0, 0, 0]), g=0.0, f=0.0
     )
     cfg = default_cfg(velocity_bound="norm")
-    children = expand(node, cfg, make_map())
+    children = expand(node, cfg, make_map(), [5, 0, 0])
     assert 0 < len(children) < 18
     for c in children:
         assert np.linalg.norm(c.state.v) <= 2.0 + 1e-12
@@ -91,10 +93,10 @@ def test_expand_norm_mode_bounds_speed():
 
 def test_expand_costs_accumulate():
     cfg = default_cfg()
-    children = expand(rest_node(), cfg, make_map(), goal=[5, 0, 0])
+    children = expand(rest_node(), cfg, make_map(), [5, 0, 0])
     for c in children:
         u = c.control
-        assert c.g == pytest.approx((np.dot(u, u) + cfg.time_weight) * 0.6)
+        assert c.g == pytest.approx((np.dot(u, u) + TIME_WEIGHT) * 0.6)
         assert c.f >= c.g >= 0
 
 
@@ -260,7 +262,7 @@ def test_plan_cost_monotone_along_chain():
 
     for seg in traj.segments:
         if isinstance(seg, ConstantAccelSegment):
-            step = (np.dot(seg.u, seg.u) + cfg.time_weight) * seg.tau
+            step = (np.dot(seg.u, seg.u) + TIME_WEIGHT) * seg.tau
             assert step > 0
             g += step
     assert g <= report.cost + 1e-9
@@ -301,7 +303,7 @@ def test_replan_step_replaces_on_new_obstacle():
     assert decision.collision_time is not None
     new = decision.trajectory
     # handover continuity: new trajectory starts on the old one, one budget ahead
-    handover = t_now + cfg.plan_budget
+    handover = t_now + PLAN_BUDGET
     assert new.t0 == pytest.approx(handover)
     old_state = traj.state_at(handover)
     assert np.max(np.abs(new.start_state.p - old_state.p)) <= 1e-9

@@ -6,6 +6,11 @@ import pytest
 from cloudnav.cli import resolve_scenario_path
 from cloudnav.scenario import load_scenario
 from cloudnav.sensor import (
+    FOV_H_DEG,
+    FOV_V_DEG,
+    FRAME_DT,
+    MAX_RANGE,
+    RANGE_NOISE_SIGMA,
     Box,
     Capsule,
     Environment,
@@ -140,16 +145,16 @@ def test_moving_obstacle_ray_uses_pose_at_time():
 def test_generate_scan_empty_environment():
     scan = generate_scan(
         Environment([]), SensorModel(), [0, 0, 1], yaw_rotation(0.0), 0.0,
-        np.random.default_rng(0),
+        np.random.default_rng(0), frame_index=0,
     )
     assert len(scan) == 0
     assert scan.stamp == 0.0
 
 
 def test_points_per_frame():
-    s = SensorModel(points_per_second=240000, frame_rate=50.0)
+    s = SensorModel(points_per_second=240000)
     assert s.points_per_frame == 4800
-    assert s.frame_dt == pytest.approx(0.02)
+    assert FRAME_DT == pytest.approx(0.02)
 
 
 def _bar_env():
@@ -186,8 +191,8 @@ def test_directions_inside_elliptical_fov():
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
     th_h = np.arctan2(dirs[:, 1], dirs[:, 0])
     th_v = np.arcsin(np.clip(dirs[:, 2], -1, 1))
-    a = math.radians(sensor.fov_h_deg) / 2
-    b = math.radians(sensor.fov_v_deg) / 2
+    a = math.radians(FOV_H_DEG) / 2
+    b = math.radians(FOV_V_DEG) / 2
     assert np.all((th_h / a) ** 2 + (th_v / b) ** 2 <= 1.0 + 1e-9)
 
 
@@ -201,12 +206,12 @@ def test_scan_conservation_no_phantom_points():
     env = Environment(obstacles)
     sensor = SensorModel()
     rng = np.random.default_rng(11)
-    scan = generate_scan(env, sensor, [0, 0, 1], yaw_rotation(0.0), 0.0, rng)
+    scan = generate_scan(env, sensor, [0, 0, 1], yaw_rotation(0.0), 0.0, rng, frame_index=0)
     assert len(scan) > 0
     d = np.full(len(scan), np.inf)
     for ob in obstacles:
         d = np.minimum(d, np.abs(ob.distances(scan.points, 0.0)))
-    assert d.max() <= 3.0 * sensor.range_noise_sigma + 1e-9
+    assert d.max() <= 3.0 * RANGE_NOISE_SIGMA + 1e-9
 
 
 def test_scan_deterministic_for_seed_and_frame():
@@ -221,7 +226,7 @@ def test_scan_points_in_world_frame():
     # sensor yawed 90 degrees: the bar ahead of the sensor sits on +y in world
     env = Environment([Obstacle(shape=Box(lo=[-1, 2.8, -1], hi=[1, 3.1, 3]))])
     rng = np.random.default_rng(3)
-    scan = generate_scan(env, SensorModel(), [0, 0, 1], yaw_rotation(math.pi / 2), 0.0, rng)
+    scan = generate_scan(env, SensorModel(), [0, 0, 1], yaw_rotation(math.pi / 2), 0.0, rng, frame_index=0)
     assert len(scan) > 0
     assert scan.points[:, 1].min() > 2.0
 
@@ -318,9 +323,9 @@ def _bundled_env(name):
     return load_scenario(resolve_scenario_path(name)).environment()
 
 
-def _telemetry_dirs(sensor, yaw):
+def _telemetry_dirs(yaw):
     u, w = _probe_disk_grid()
-    return disk_to_directions(u, w, sensor) @ yaw_rotation(yaw).T
+    return disk_to_directions(u, w) @ yaw_rotation(yaw).T
 
 
 def _exactness_casts():
@@ -337,14 +342,14 @@ def _exactness_casts():
              ([6.2, 0.8, 2.0], -0.5, 301), ([12.0, -0.2, 3.0], 1.2, 640)]
     for pos, yaw, frame in poses:
         dirs = rosette_directions(sensor, frame) @ yaw_rotation(yaw).T
-        casts.append((f"hillside-frame{frame}", hill, pos, dirs, frame / 50.0, sensor.max_range))
-        casts.append((f"hillside-telemetry{frame}", hill, pos, _telemetry_dirs(sensor, yaw), frame / 50.0, 25.0))
+        casts.append((f"hillside-frame{frame}", hill, pos, dirs, frame / 50.0, MAX_RANGE))
+        casts.append((f"hillside-telemetry{frame}", hill, pos, _telemetry_dirs(yaw), frame / 50.0, 25.0))
     assert rosette_directions(sensor, 0)[0, 2] == 0.0
-    assert np.array_equal(_telemetry_dirs(sensor, 0.0)[0], [1.0, 0.0, 0.0])
+    assert np.array_equal(_telemetry_dirs(0.0)[0], [1.0, 0.0, 0.0])
     # the indoor bar is scheduled: cast before, during and after its rise
     for t in (0.0, 1.9, 2.3, 4.0):
         dirs = rosette_directions(sensor, int(t * 50)) @ yaw_rotation(0.0).T
-        casts.append((f"indoor-scheduled-t{t}", indoor, [1.0, 0.0, 1.0], dirs, t, sensor.max_range))
+        casts.append((f"indoor-scheduled-t{t}", indoor, [1.0, 0.0, 1.0], dirs, t, MAX_RANGE))
     # origins inside each shape kind: every hit is an exit hit
     rng = np.random.default_rng(8)
     dirs = rng.normal(size=(3000, 3))
@@ -400,8 +405,8 @@ def test_cast_ray_single_bit_identical_to_reference():
     dirs = rosette_directions(sensor, 0)[:200]
     n_hits = 0
     for d in dirs:
-        hit = env.cast_ray(origin, d, 0.0, sensor.max_range)
-        th = _ref_cast_rays(env, origin, d[None, :], 0.0, sensor.max_range)[0]
+        hit = env.cast_ray(origin, d, 0.0, MAX_RANGE)
+        th = _ref_cast_rays(env, origin, d[None, :], 0.0, MAX_RANGE)[0]
         if np.isfinite(th):
             n_hits += 1
             assert np.array_equal(hit, origin + th * d)

@@ -16,8 +16,8 @@ def mini_scenario(obstacles=None, goal=(9.0, 0.0, 1.0), duration=30.0, seed=5, *
         "seed": seed,
         "goal": list(goal),
         "start": {"position": [0.0, 0.0, 1.0]},
-        "sensor": {"points_per_second": 50000, "frame_rate": 50.0},
-        "map": {"scans_per_tree": 25, "tree_count": 2, "resolution": 0.1},
+        "sensor": {"points_per_second": 50000},
+        "map": {"scans_per_tree": 25, "resolution": 0.1},
         "planner": {"v_max": 2.0, "a_max": 2.0, "primitive_duration": 0.6, "clearance": 0.45},
         "obstacles": obstacles or [],
     }
@@ -255,6 +255,18 @@ def test_non_mapping_planner_section_is_refused():
         mini_scenario(planner=5)
 
 
+@pytest.mark.parametrize("override, key", [
+    ("durations=0.1", "scenario.durations"),
+    ("start.yawn=1", "start.yawn"),
+    ("compare.frame=2", "compare.frame"),
+])
+def test_unknown_keys_are_refused_by_dotted_path(override, key):
+    raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}, "obstacles": BAR_AND_WALL}
+    apply_overrides(raw, [override])
+    with pytest.raises(ScenarioError, match=rf"^{key}: unknown key$"):
+        scenario_from_dict(raw)
+
+
 def test_override_bad_format_rejected():
     with pytest.raises(ScenarioError, match="dotted.path=value"):
         apply_overrides({}, ["planner.v_max"])
@@ -282,3 +294,15 @@ def test_short_duration_ends_in_timeout():
     assert (last.index, last.flag) == (50, "timeout")
     assert last.t == pytest.approx(1.0)
     assert all(fr.flag != "timeout" for fr in log.frames[:-1])
+
+
+def test_emergency_relax_does_not_repeat_on_consecutive_frames():
+    # the relaxed plan out of the clearance band is re-checked at the clearance
+    # it was planned with while the UAV is inside the band, so the next frames
+    # keep it instead of relaxing again
+    rock = {"name": "rock", "shape": "sphere", "center": [0.6, 0.0, 1.0], "radius": 0.3}
+    log = simulate(mini_scenario(obstacles=[rock]))
+    relaxed = [fr.index for fr in log.frames if fr.flag == "emergency_relax"]
+    assert relaxed and relaxed[0] == 0
+    assert not any(b == a + 1 for a, b in zip(relaxed, relaxed[1:]))
+    assert log.outcome == "goal_reached"

@@ -121,7 +121,7 @@ def replay_tree_contents(scans, h, n, resolution):
 
 
 def test_map_update_example_h2_n2():
-    m = TemporalLocalMap(MapConfig(scans_per_tree=2, tree_count=2, resolution=0.1))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
     scans = [_scan([[float(i), 0, 0]], stamp=float(i)) for i in range(5)]  # A..E
     for s in scans:
         m.update(s)
@@ -133,7 +133,7 @@ def test_map_update_example_h2_n2():
 
 def test_map_update_paper_parameter_boundaries():
     h, n = 50, 2
-    m = TemporalLocalMap(MapConfig(scans_per_tree=h, tree_count=n, resolution=0.1))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=h, resolution=0.1))
     rng = np.random.default_rng(3)
     infos = []
     for i in range(2 * h * n + 1):
@@ -149,7 +149,7 @@ def test_map_update_paper_parameter_boundaries():
 
 def test_map_update_matches_replay_oracle_every_step():
     h, n = 3, 2
-    cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.2)
+    cfg = MapConfig(scans_per_tree=h, resolution=0.2)
     m = TemporalLocalMap(cfg)
     rng = np.random.default_rng(8)
     scans = []
@@ -188,7 +188,7 @@ def test_running_sums_match_replay_oracle_paper_parameters():
     # paper parameters over 120 corridor scans: empty scans open blocks 0 and 1
     # and fall mid-block, and the walls revisit occupied voxels on every scan
     h, n = 50, 2
-    cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.1)
+    cfg = MapConfig(scans_per_tree=h, resolution=0.1)
     m = TemporalLocalMap(cfg)
     rng = np.random.default_rng(21)
     empty = {0, 1, 17, 50, 73, 74, 100}
@@ -203,7 +203,7 @@ def test_running_sums_match_replay_oracle_paper_parameters():
 
 def test_rejected_scans_leave_map_unchanged():
     h, n = 3, 2
-    cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.2)
+    cfg = MapConfig(scans_per_tree=h, resolution=0.2)
     m = TemporalLocalMap(cfg)
     rng = np.random.default_rng(22)
     bad_nan = rng.uniform(-2, 2, (20, 3))
@@ -228,7 +228,7 @@ def test_rejected_scans_leave_map_unchanged():
 
 def test_repeated_identical_scan_idempotent_trees():
     h, n = 2, 2
-    cfg = MapConfig(scans_per_tree=h, tree_count=n, resolution=0.1)
+    cfg = MapConfig(scans_per_tree=h, resolution=0.1)
     m = TemporalLocalMap(cfg)
     rng = np.random.default_rng(4)
     scan = _scan(rng.uniform(0, 1, (50, 3)))
@@ -240,7 +240,7 @@ def test_repeated_identical_scan_idempotent_trees():
 
 
 def test_map_update_leaves_other_tree_untouched():
-    m = TemporalLocalMap(MapConfig(scans_per_tree=2, tree_count=2, resolution=0.1))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
     rng = np.random.default_rng(5)
     for i in range(3):  # scans 0,1 -> tree 0; scan 2 -> tree 1
         m.update(_scan(rng.uniform(0, 3, (30, 3)), stamp=float(i)))
@@ -256,7 +256,7 @@ def test_map_update_leaves_other_tree_untouched():
 
 def test_window_bound_no_points_older_than_two_h():
     h, n = 3, 2
-    m = TemporalLocalMap(MapConfig(scans_per_tree=h, tree_count=n, resolution=0.01))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=h, resolution=0.01))
     # encode the scan index in the x coordinate so age is readable from points
     for i in range(40):
         m.update(_scan([[float(i), 0, 0]], stamp=float(i)))
@@ -266,7 +266,7 @@ def test_window_bound_no_points_older_than_two_h():
 
 
 def test_map_collision_both_trees_consulted():
-    m = TemporalLocalMap(MapConfig(scans_per_tree=1, tree_count=2, resolution=0.1))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=1, resolution=0.1))
     hit, pt, d = m.collision([0, 0, 0], 0.45)
     assert not hit
     # scan 0 -> tree 0 (far point), scan 1 -> tree 1 (the dynamic one, nearby)
@@ -281,7 +281,7 @@ def test_map_collision_both_trees_consulted():
 
 def test_map_collision_matches_bruteforce_union():
     rng = np.random.default_rng(12)
-    m = TemporalLocalMap(MapConfig(scans_per_tree=2, tree_count=2, resolution=0.001))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.001))
     scans = [
         _scan(rng.uniform(-3, 3, (400, 3)), stamp=float(i)) for i in range(4)
     ]
@@ -332,7 +332,7 @@ def test_check_trajectory_clear_when_point_outside_clearance():
 
 
 def test_dump_map(tmp_path):
-    m = TemporalLocalMap(MapConfig(scans_per_tree=2, tree_count=2))
+    m = TemporalLocalMap(MapConfig(scans_per_tree=2))
     rng = np.random.default_rng(2)
     for i in range(3):
         m.update(_scan(rng.uniform(0, 1, (30, 3)), stamp=float(i)))
