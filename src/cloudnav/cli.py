@@ -27,6 +27,7 @@ import numpy as np
 
 from .gridmap import thin_object_experiment
 from .scenario import Scenario, ScenarioError, load_scenario
+from .sensor import Capsule
 from .sim import RunLog, audit_ground_truth, simulate
 from .spatial import dump_map
 
@@ -147,6 +148,12 @@ def compare_maps(scenario_path, out_dir=None, overrides: list[str] | None = None
     """Drive the thin-object occupancy-grid comparison and write its report
     plus grid/point-cloud exports for plotting."""
     scenario = load_scenario(scenario_path, overrides=overrides)
+    if scenario.compare is None:
+        raise ScenarioError("scenario.compare: --compare-maps needs a compare section")
+    bar = scenario.obstacle_by_name(scenario.compare.bar).shape
+    if not isinstance(bar, Capsule):
+        raise ScenarioError(f"compare.bar: {scenario.compare.bar!r} is a {type(bar).__name__.lower()}; "
+                            "--compare-maps must name a capsule bar")
     report = thin_object_experiment(scenario, export_dir=out_dir)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

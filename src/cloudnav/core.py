@@ -286,6 +286,8 @@ class PointCloud:
             pts = np.empty((0, 3))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("non-finite point coordinates")
         object.__setattr__(self, "points", pts)
         if self.stamp < 0:
             raise ValueError("stamp must be >= 0")

@@ -94,25 +94,24 @@ def _vec(d: dict, key: str, path: str):
     return np.array(v, dtype=float)
 
 
+# Each obstacle shape and its own keys, besides `shape`, `name` and `schedule`;
+# `radius` is a number, the others are 3-vectors.
+_SHAPES = {"sphere": (Sphere, ("center", "radius")), "capsule": (Capsule, ("p0", "p1", "radius")),
+           "box": (Box, ("lo", "hi"))}
+
+
 def _parse_obstacle(entry: dict, index: int) -> Obstacle:
     path = f"obstacles[{index}]"
     if not isinstance(entry, dict):
         raise ScenarioError(f"{path}: expected a mapping")
     kind = _need(entry, "shape", path)
+    if not isinstance(kind, str) or kind not in _SHAPES:
+        raise ScenarioError(f"{path}.shape: unknown shape {kind!r}")
+    cls, keys = _SHAPES[kind]
+    _only(entry, ("shape", "name", "schedule") + keys, path)
     name = str(entry.get("name", f"obstacle{index}"))
     try:
-        if kind == "sphere":
-            shape = Sphere(center=_vec(entry, "center", path), radius=_num(entry, "radius", path))
-        elif kind == "capsule":
-            shape = Capsule(
-                p0=_vec(entry, "p0", path),
-                p1=_vec(entry, "p1", path),
-                radius=_num(entry, "radius", path),
-            )
-        elif kind == "box":
-            shape = Box(lo=_vec(entry, "lo", path), hi=_vec(entry, "hi", path))
-        else:
-            raise ScenarioError(f"{path}.shape: unknown shape {kind!r}")
+        shape = cls(**{k: _num(entry, k, path) if k == "radius" else _vec(entry, k, path) for k in keys})
     except ValueError as e:
         if isinstance(e, ScenarioError):
             raise
@@ -128,6 +127,7 @@ def _parse_obstacle(entry: dict, index: int) -> Obstacle:
             kpath = f"{path}.schedule[{j}]"
             if not isinstance(kf, dict):
                 raise ScenarioError(f"{kpath}: expected a mapping with t and offset")
+            _only(kf, ("t", "offset"), kpath)
             times.append(_num(kf, "t", kpath))
             offsets.append(_vec(kf, "offset", kpath))
         try:

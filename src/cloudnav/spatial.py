@@ -26,11 +26,16 @@ from .core import PointCloud, Trajectory, sample_times, save_cloud_txt, voxel_ke
 
 
 class KdTree:
-    """Balanced 3-d tree with exact nearest / radius queries.
+    """3-d tree with exact nearest / radius queries.
 
     Backed by scipy's cKDTree; this wrapper adds empty-set handling, inclusive
     radius semantics (distance <= r), and deterministic tie-breaking by lowest
     insertion index so query results match a brute-force scan exactly.
+
+    The tree splits at the sliding midpoint and keeps each node's full box
+    (`balanced_tree=False, compact_nodes=False`): that builds in about half the
+    time of scipy's median-split, shrunk-box default and answers the same
+    distances. (Unbalanced splits alone are slower to query.)
     """
 
     def __init__(self, points: np.ndarray | None = None):
@@ -40,7 +45,7 @@ class KdTree:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
         self._points = pts
-        self._kd = cKDTree(pts) if len(pts) else None
+        self._kd = cKDTree(pts, balanced_tree=False, compact_nodes=False) if len(pts) else None
 
     @property
     def points(self) -> np.ndarray:

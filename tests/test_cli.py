@@ -152,6 +152,28 @@ def test_cli_compare_maps(tmp_path, capsys):
     assert (tmp_path / "out" / "pointcloud_map" / "tree0.txt").exists()
 
 
+@pytest.mark.parametrize("bar", [
+    {"name": "bar", "shape": "sphere", "center": [3.0, 0.0, 1.0], "radius": 0.1},
+    {"name": "bar", "shape": "box", "lo": [3.0, -0.05, 0.2], "hi": [3.1, 0.05, 2.2]},
+], ids=["sphere", "box"])
+def test_cli_compare_maps_refuses_a_bar_that_is_not_a_capsule(tmp_path, capsys, bar):
+    scene = {
+        "duration": 1.0, "goal": [4.0, 0.0, 1.0], "start": {"position": [0.0, 0.0, 1.0]},
+        "obstacles": [bar, {"name": "wall", "shape": "box", "lo": [5.0, -1.0, 0.0], "hi": [5.3, 1.0, 2.0]}],
+        "compare": {"frames": 2},
+    }
+    path = tmp_path / "cmp.yaml"
+    path.write_text(yaml.safe_dump(scene))
+    assert main([str(path), "--compare-maps", "--out", str(tmp_path / "out")]) == EXIT_SCENARIO_ERROR
+    assert f"compare.bar: 'bar' is a {bar['shape']}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_compare_maps_needs_a_compare_section(mini_path, tmp_path, capsys):
+    assert main([mini_path, "--compare-maps", "--out", str(tmp_path / "out")]) == EXIT_SCENARIO_ERROR
+    assert "scenario.compare: --compare-maps needs a compare section" in capsys.readouterr().err
+
+
 def test_cli_compare_maps_without_returns(tmp_path, capsys):
     # the sensor faces away from the bar and the wall: no scan returns a point
     overrides = ["start.yaw=3.14159", "sensor.points_per_second=6000", "compare.frames=2"]

@@ -234,6 +234,14 @@ def test_voxel_keys_rejects_non_finite(bad):
         voxel_keys(pts, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite(bad):
+    pts = np.zeros((4, 3))
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        PointCloud(points=pts)
+
+
 def test_cloud_txt_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     cloud = PointCloud(points=rng.uniform(-5, 5, (37, 3)), stamp=1.25)

@@ -1,11 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from cloudnav.core import KinodynamicLimits
-from cloudnav.scenario import CompareConfig, ScenarioError, apply_overrides, scenario_from_dict
-from cloudnav.sim import audit_ground_truth, simulate
+from cloudnav.cli import resolve_scenario_path
+from cloudnav.core import (
+    ConstantAccelSegment, KinodynamicLimits, Trajectory, UavState, sample_times, voxel_keys,
+)
+from cloudnav.scenario import CompareConfig, ScenarioError, apply_overrides, load_scenario, scenario_from_dict
+from cloudnav.sensor import FRAME_DT, yaw_rotation
+from cloudnav.sim import _COVERAGE_CELL, _SWEEP_CHUNK, _SensedSpace, audit_ground_truth, simulate
 
 
 def mini_scenario(obstacles=None, goal=(9.0, 0.0, 1.0), duration=30.0, seed=5, **extra):
@@ -116,6 +121,38 @@ def test_plan_events_report_unseen_cells():
     log = simulate(mini_scenario(obstacles=[wall], goal=(9.0, 0.0, 1.0), duration=40.0))
     plans = [ev for ev in log.events if ev.kind == "plan"]
     assert plans and plans[0].data["unseen_cells"] > 0
+
+
+def _level(yaw):
+    return np.array([math.cos(yaw), math.sin(yaw), 0.0])
+
+
+def test_deferred_sweep_counts_as_an_eager_per_frame_sweep():
+    scenario = load_scenario(resolve_scenario_path("hillside"))
+    env = scenario.environment()
+    p0 = scenario.start_position
+    yaw = math.atan2(*(scenario.goal - p0)[1::-1])
+    # a hillside segment flown at 1 m/s while the yaw turns through 180
+    # degrees, so each chunk of frames sweeps cells the others miss
+    n = 2 * _SWEEP_CHUNK + 7
+    turn = yaw + math.pi * (np.arange(n) / (n - 1) - 0.5)
+    frames = [(p0 + _level(turn[k]) * k * FRAME_DT, yaw_rotation(turn[k]), k * FRAME_DT) for k in range(n)]
+    sensed = _SensedSpace(env)
+    eager = set()
+    for pose in frames:
+        sensed.queue(*pose)
+        eager.update(sensed.mark(env, *pose).tolist())
+    # level 30 m plans fanned across the turn run past the sensor's range
+    got, want = [], []
+    for a in yaw + np.linspace(-0.5 * math.pi, 0.5 * math.pi, 9):
+        start = UavState(t=0.0, p=p0, v=_level(a), a=np.zeros(3))
+        traj = Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), tau=30.0),), t0=0.0)
+        cells = np.unique(voxel_keys(traj.states_at(sample_times(0.0, 30.0, 0.05))[0], _COVERAGE_CELL))
+        want.append(sum(1 for k in cells.tolist() if k not in eager))
+        got.append(sensed.unseen_count(traj, 0.05))  # the first count sweeps the queue
+        assert 0 < want[-1] < len(cells)
+    assert got == want
+    assert len(set(want)) > 1
 
 
 def test_map_wraparound_logged():
@@ -259,6 +296,15 @@ def test_non_mapping_planner_section_is_refused():
     ("durations=0.1", "scenario.durations"),
     ("start.yawn=1", "start.yawn"),
     ("compare.frame=2", "compare.frame"),
+    # each obstacle takes its own shape's keys only
+    pytest.param("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.1}, "
+                 "{shape: box, lo: [5, -1, 0], hi: [5.3, 1, 2], schedul: [{t: 0, offset: [0, 0, 1]}]}]",
+                 r"obstacles\[1\]\.schedul", id="obstacle-schedul"),
+    pytest.param("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.1, p0: [3, 0, 0]}]",
+                 r"obstacles\[0\]\.p0", id="sphere-p0"),
+    pytest.param("obstacles=[{shape: capsule, p0: [3, 0, 0], p1: [3, 0, 2], radius: 0.1, "
+                 "schedule: [{t: 0, offset: [0, 0, 0]}, {t: 1, ofset: [0, 1, 0]}]}]",
+                 r"obstacles\[0\]\.schedule\[1\]\.ofset", id="keyframe-ofset"),
 ])
 def test_unknown_keys_are_refused_by_dotted_path(override, key):
     raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}, "obstacles": BAR_AND_WALL}
