@@ -8,7 +8,6 @@ type: functions return fresh objects and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,6 +188,7 @@ class Trajectory:
     segments: tuple
     t0: float
     _bounds: tuple = field(init=False, repr=False, compare=False)
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -199,6 +199,14 @@ class Trajectory:
         for s in segs:
             bounds.append(bounds[-1] + s.duration)
         object.__setattr__(self, "_bounds", tuple(bounds))
+        # states_at's per-segment rows: start p, start v and u of the constant-
+        # acceleration segments (zero rows for the others, which it evaluates apart)
+        ca = [isinstance(s, ConstantAccelSegment) for s in segs]
+        rows = np.array([(s.start.p, s.start.v, s.u) if c else np.zeros((3, 3)) for s, c in zip(segs, ca)])
+        other = tuple(i for i, c in enumerate(ca) if not c)
+        durations = np.array([s.duration for s in segs])
+        sp, sv, u = rows[:, 0], rows[:, 1], rows[:, 2]
+        object.__setattr__(self, "_table", (np.asarray(bounds), durations, sp, sv, u, 0.5 * u, other))
 
     @property
     def duration(self) -> float:
@@ -208,37 +216,30 @@ class Trajectory:
     def t_end(self) -> float:
         return self.t0 + self.duration
 
-    def _locate(self, rel_t: float):
-        idx = bisect_right(self._bounds, rel_t) - 1
-        idx = min(max(idx, 0), len(self.segments) - 1)
-        return idx, rel_t - self._bounds[idx]
-
     def state_at(self, t: float) -> UavState:
         rel = t - self.t0
         if rel < -1e-9 or rel > self.duration + 1e-9:
             raise ValueError(f"t={t} outside trajectory span [{self.t0}, {self.t_end}]")
-        rel = min(max(rel, 0.0), self.duration)
-        idx, local = self._locate(rel)
-        seg = self.segments[idx]
-        local = min(max(local, 0.0), seg.duration)
-        st = seg.state_at(local)
-        return UavState(t=t, p=st.p, v=st.v, a=st.a)
+        P, V, A = self.states_at(np.array([t]))
+        return UavState(t=t, p=P[0], v=V[0], a=A[0])
 
     def states_at(self, times: np.ndarray):
         """Vectorized evaluation at absolute times. Returns (P, V, A) arrays."""
         times = np.asarray(times, dtype=float)
+        bounds, durations, sp, sv, u, hu, other = self._table
         rel = np.clip(times - self.t0, 0.0, self.duration)
-        bounds = np.asarray(self._bounds)
         idx = np.clip(np.searchsorted(bounds, rel, side="right") - 1, 0, len(self.segments) - 1)
-        P = np.empty((len(rel), 3))
-        V = np.empty_like(P)
-        A = np.empty_like(P)
-        for i, seg in enumerate(self.segments):
+        local = np.clip(rel - bounds[idx], 0.0, durations[idx])
+        # every sample as a constant-acceleration one, in ConstantAccelSegment's
+        # order of operations, so the bytes match evaluating segment by segment
+        d = local[:, None]
+        P = sp[idx] + sv[idx] * d + hu[idx] * d * d
+        V = sv[idx] + u[idx] * d
+        A = u[idx]
+        for i in other:
             m = idx == i
-            if not m.any():
-                continue
-            local = np.clip(rel[m] - bounds[i], 0.0, seg.duration)
-            P[m], V[m], A[m] = seg.states_at(local)
+            if m.any():
+                P[m], V[m], A[m] = self.segments[i].states_at(local[m])
         return P, V, A
 
     @property

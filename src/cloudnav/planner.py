@@ -121,18 +121,17 @@ def control_set(a_max: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _sample_grid_cached(tau: float, dt: float):
-    ts = sample_times(0.0, tau, dt)
-    ts.setflags(write=False)
-    return ts
-
-
-@lru_cache(maxsize=16)
-def _edge_costs_cached(a_max: float, tau: float):
+def _primitive_terms(a_max: float, tau: float, dt: float):
+    """Node-independent terms of the 27 primitives, read-only: their edge costs,
+    u * t at the sample times t = 0 .. tau (27, T, 3), and the times after 0
+    (1, T - 1, 1) with 0.5 * u * t * t there (27, T - 1, 3)."""
     U = control_set(a_max)
+    T = sample_times(0.0, tau, dt)[None, :, None]  # includes both endpoints
     costs = ((U * U).sum(axis=1) + TIME_WEIGHT) * tau
-    costs.setflags(write=False)
-    return costs
+    terms = (costs, U[:, None, :] * T, T[:, 1:], (0.5 * U[:, None, :] * T * T)[:, 1:])
+    for a in terms:
+        a.setflags(write=False)
+    return terms
 
 
 def heuristic(state: UavState, goal, cfg: PlannerConfig) -> float:
@@ -161,38 +160,33 @@ def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, go
     limits = cfg.limits
     U = control_set(limits.a_max)
     tau = limits.primitive_duration
-    ts = _sample_grid_cached(tau, cfg.check_dt)  # includes both endpoints
+    costs, ut, T1, half_ut2 = _primitive_terms(limits.a_max, tau, cfg.check_dt)
     p0, v0 = node.state.p, node.state.v
 
-    # (27, T, 3) sampled positions and velocities under each control
-    T = ts[None, :, None]
-    P = p0 + v0 * T + 0.5 * U[:, None, :] * T * T
-    V = v0 + U[:, None, :] * T
-
-    ok = _velocity_ok(V, cfg)
-    if ok.any():
-        # the shared t=0 sample is the parent state, already known collision-free
-        cand = np.nonzero(ok)[0]
-        pts = P[cand, 1:, :].reshape(-1, 3)
-        hits = local_map.any_within(pts, cfg.clearance).reshape(len(cand), -1)
-        ok[cand] &= ~hits.any(axis=1)
-
-    surv = np.nonzero(ok)[0]
+    # (27, T, 3) sampled velocities under each control; positions, in the
+    # order p0 + v0 * t + 0.5 * u * t * t, only for the controls within the
+    # velocity bound and only after t = 0, the parent state, already known clear
+    V = v0 + ut
+    cand = np.flatnonzero(_velocity_ok(V, cfg))
+    if len(cand) == 0:
+        return []
+    P = (p0 + v0 * T1) + half_ut2[cand]
+    hits = local_map.any_within(P.reshape(-1, 3), cfg.clearance).reshape(len(cand), -1)
+    keep = ~hits.any(axis=1)
+    surv = cand[keep]
     if len(surv) == 0:
         return []
-    P_end = P[surv, -1]
+    P_end = P[keep, -1]
     V_end = V[surv, -1]
-    G = node.g + _edge_costs_cached(limits.a_max, tau)[surv]
+    G = node.g + costs[surv]
     h = np.linalg.norm(P_end - np.asarray(goal, dtype=float), axis=1) * (TIME_WEIGHT / limits.v_max)
     F = G + HEURISTIC_WEIGHT * h
     t_child = node.state.t + tau
-    children = []
-    for j, i in enumerate(surv):
-        child_state = UavState._unchecked(t_child, P_end[j], V_end[j], U[i].copy())
-        children.append(
-            SearchNode(state=child_state, g=float(G[j]), f=float(F[j]), parent=node, control=U[i])
-        )
-    return children
+    # U's rows are read-only, so children share them as their acceleration and control
+    return [
+        SearchNode(UavState._unchecked(t_child, P_end[j], V_end[j], U[i]), g, f, node, U[i])
+        for j, (i, g, f) in enumerate(zip(surv.tolist(), G.tolist(), F.tolist()))
+    ]
 
 
 def analytic_expansion(
@@ -256,7 +250,8 @@ def _build_trajectory(node: SearchNode, start: UavState, tail: QuinticSegment | 
 
 
 def _prune_key(p: np.ndarray, cell: float) -> tuple:
-    return (math.floor(p[0] / cell), math.floor(p[1] / cell), math.floor(p[2] / cell))
+    x, y, z = p.tolist()
+    return (math.floor(x / cell), math.floor(y / cell), math.floor(z / cell))
 
 
 def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap):
@@ -276,7 +271,9 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     h0 = HEURISTIC_WEIGHT * heuristic(start, goal, cfg)
     root = SearchNode(state=start, g=0.0, f=h0)
     counter = itertools.count()
-    open_heap: list = [(root.f, h0, next(counter), root)]
+    # heap entries: (f, h, unique counter, node, prune key); the counter settles
+    # every tie, so the node and its key are never compared
+    open_heap: list = [(root.f, h0, next(counter), root, _prune_key(start.p, cell))]
     closed: dict[tuple, float] = {}
     report = SearchReport()
     ae_last_d = math.inf
@@ -284,14 +281,14 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     outcome = "open_set_exhausted"
 
     while open_heap:
-        _, _, _, node = heapq.heappop(open_heap)
-        key = _prune_key(node.state.p, cell)
+        _, _, _, node, key = heapq.heappop(open_heap)
         best = closed.get(key)
         if best is not None and best <= node.g:
             continue
         closed[key] = node.g
 
-        d = float(np.linalg.norm(node.state.p - goal))
+        diff = node.state.p - goal
+        d = math.sqrt(diff.dot(diff))  # np.linalg.norm of a vector, without its overhead
         at_goal = d <= cfg.goal_tolerance
         if node is root or at_goal or ae_last_d - d >= 1.0:
             ae_last_d = d
@@ -312,7 +309,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
             cbest = closed.get(ckey)
             if cbest is not None and cbest <= child.g:
                 continue
-            heapq.heappush(open_heap, (child.f, child.f - child.g, next(counter), child))
+            heapq.heappush(open_heap, (child.f, child.f - child.g, next(counter), child, ckey))
 
     traj = None
     if outcome in ("analytic", "primitive"):

@@ -84,8 +84,11 @@ class KdTree:
         return d
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
-        """Boolean per query point: is any stored point within distance r (inclusive)?"""
-        return np.isfinite(self.min_distances(pts, r))
+        """Boolean per query point of `pts` (N, 3): is any stored point within
+        distance r (inclusive)? The same answer as isfinite(min_distances(pts, r))."""
+        if self._kd is None:
+            return np.zeros(len(pts), dtype=bool)
+        return self._kd.query(pts, k=1, distance_upper_bound=r + 1e-9)[0] <= r
 
 
 # The paper's two trees: one filling while the other still holds the window before it.
@@ -145,28 +148,34 @@ class TemporalLocalMap:
 
     def _reset_accumulation(self) -> None:
         self._keys = np.empty(0, dtype=np.int64)
-        self._sums = np.empty((0, 3))
+        self._sums = [np.empty(0) for _ in range(3)]  # per-voxel x, y and z sums
         self._counts = np.empty(0, dtype=np.int64)
         self._raw = 0
 
     def _fold(self, points: np.ndarray, keys: np.ndarray) -> None:
         """Add `points` (with their voxel `keys`) to the running sums, in order."""
-        uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        uniq, inverse, added = np.unique(keys, return_inverse=True, return_counts=True)
         pos = np.searchsorted(self._keys, uniq)
         known = pos < len(self._keys)
         known[known] = self._keys[pos[known]] == uniq[known]
         fresh = ~known
         if fresh.any():
-            at = pos[fresh]
-            self._keys = np.insert(self._keys, at, uniq[fresh])
-            self._sums = np.insert(self._sums, at, 0.0, axis=0)
-            self._counts = np.insert(self._counts, at, 0)
-            # each key moves right by the number of fresh keys sorted before it
+            # each key moves right by the number of fresh keys sorted before it;
+            # the old entries fill the slots the fresh keys leave free (one 1-d
+            # scatter per array: scattering (n, 3) rows costs ten times more)
             pos = pos + np.cumsum(fresh) - fresh
-        self._counts[pos] += counts
+            old = np.ones(len(self._keys) + int(fresh.sum()), dtype=bool)
+            old[pos[fresh]] = False
+            arrays = (self._keys, *self._sums, self._counts)
+            grown = [np.zeros(len(old), dtype=a.dtype) for a in arrays]
+            for new, a in zip(grown, arrays):
+                new[old] = a
+            self._keys, *self._sums, self._counts = grown
+            self._keys[pos[fresh]] = uniq[fresh]
+        self._counts[pos] += added
         slot = pos[inverse]
         for axis in range(3):
-            np.add.at(self._sums[:, axis], slot, points[:, axis])
+            np.add.at(self._sums[axis], slot, points[:, axis])
         self._raw += len(points)
 
     def update(self, new_scan: PointCloud) -> MapUpdateInfo:
@@ -181,7 +190,8 @@ class TemporalLocalMap:
         if self.scan_input_num % cfg.scans_per_tree == 0:
             self._reset_accumulation()
         self._fold(new_scan.points, keys)
-        filtered = PointCloud(points=self._sums / self._counts[:, None], stamp=new_scan.stamp)
+        centroids = np.column_stack([s / self._counts for s in self._sums])  # voxel_filter's layout
+        filtered = PointCloud(points=centroids, stamp=new_scan.stamp)
         t_build = time.perf_counter()
         self.trees[tree_index] = KdTree(filtered.points)
         self._tree_clouds[tree_index] = filtered
@@ -206,11 +216,16 @@ class TemporalLocalMap:
         return self._tree_clouds[index]
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        hit = np.zeros(len(pts), dtype=bool)
-        for tree in self.trees:
-            miss = ~hit
-            if not miss.any():
+        """Boolean per query point: is any point of any tree within distance r (inclusive)?
+        One query of the first non-empty tree, then of each next tree on the misses only."""
+        pts = np.atleast_2d(pts)
+        trees = [tree for tree in self.trees if tree.size]
+        if not trees:
+            return np.zeros(len(pts), dtype=bool)
+        hit = trees[0].any_within(pts, r)
+        for tree in trees[1:]:
+            miss = np.flatnonzero(~hit)
+            if len(miss) == 0:
                 break
             hit[miss] = tree.any_within(pts[miss], r)
         return hit

@@ -151,6 +151,43 @@ def test_trajectory_joins_are_continuous():
         assert np.max(np.abs(before.v - after.v)) <= 1e-9
 
 
+def test_trajectory_states_at_matches_per_segment_bytes():
+    """The vectorized evaluation gives the bytes of each segment's own states_at,
+    on a chain that mixes both segment kinds, including samples clipped at both
+    ends and samples exactly on the joins."""
+    rng = np.random.default_rng(5)
+    s = UavState(t=2.0, p=[0.3, -1.2, 0.7], v=[0.4, 0.1, -0.2], a=[0, 0, 0])
+    segments = []
+    for k in range(7):
+        if k in (2, 6):
+            end_p, end_v = s.p + rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            seg = QuinticSegment.solve(s, end_p, end_v, np.zeros(3), 0.9)
+        else:
+            seg = ConstantAccelSegment(start=s, u=rng.choice([-2.0, 0.0, 2.0], 3), tau=0.6)
+        segments.append(seg)
+        end = seg.state_at(seg.duration)
+        s = UavState(t=s.t + seg.duration, p=end.p, v=end.v, a=np.zeros(3))
+    traj = Trajectory(segments=tuple(segments), t0=2.0)
+    bounds = np.asarray(traj._bounds)
+    times = np.concatenate(
+        [
+            [1.5, 2.0 - 1e-12, traj.t_end, traj.t_end + 1e-12, traj.t_end + 3.0],
+            traj.t0 + bounds,
+            np.sort(rng.uniform(traj.t0, traj.t_end, 200)),
+        ]
+    )
+    P, V, A = traj.states_at(times)
+    # reference: each segment evaluates its own samples
+    rel = np.clip(times - traj.t0, 0.0, traj.duration)
+    idx = np.clip(np.searchsorted(bounds, rel, side="right") - 1, 0, len(segments) - 1)
+    for i, seg in enumerate(segments):
+        m = idx == i
+        assert m.any()
+        want = seg.states_at(np.clip(rel[m] - bounds[i], 0.0, seg.duration))
+        for got, ref in zip((P[m], V[m], A[m]), want):
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 def test_trajectory_rejects_out_of_span():
     traj = _single_segment_traj(0.6)
     with pytest.raises(ValueError):

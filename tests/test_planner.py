@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from cloudnav.core import KinodynamicLimits, PointCloud, UavState
+from cloudnav.core import ConstantAccelSegment, KinodynamicLimits, PointCloud, UavState
 from cloudnav.planner import (
     PLAN_BUDGET,
     TIME_WEIGHT,
@@ -366,3 +367,94 @@ def test_relaxed_replan_raises_at_clearance_floor(monkeypatch):
         relaxed_replan(UavState.hover([0, 0, 0]), [4, 0, 0], default_cfg(), m)
     assert tried[-1] == 0.10 and tried[-2] > 0.10
     assert all(b == pytest.approx(0.8 * a) for a, b in zip(tried[:-2], tried[1:-1]))
+
+
+# A cup of points open toward -x around the start, then three shells beyond it:
+# every search first backs out of the cup, so each expands a few hundred nodes.
+def _digest_map():
+    cup = sphere_shell([0.0, 0.0, 0.0], 1.3, n=1500)
+    return make_map(
+        np.concatenate(
+            [
+                cup[cup[:, 0] > -0.5],
+                sphere_shell([2.6, 0.0, 0.0], 0.6, n=500),
+                sphere_shell([3.5, 1.6, 0.4], 0.7, n=400),
+                sphere_shell([3.5, -1.4, -0.3], 0.7, n=400),
+                sphere_shell([5.5, 0.3, 0.0], 0.9, n=600),
+            ]
+        )
+    )
+
+
+_HOVER = UavState.hover([0.0, 0.0, 0.0])
+_MOVING = UavState(t=0.5, p=[0.0, 0.0, 0.0], v=[-0.8, 0.4, 0.1], a=[0.0, 0.0, 0.0])
+# (start, goal, extra PlannerConfig fields, sha256 of the search's outcome and trajectory)
+_DIGEST_CASES = {
+    "hover-far": (
+        _HOVER,
+        (7.0, 0.0, 0.0),
+        {},
+        "ea869467e493907a2708fcdc0bb8331a49c327040527b6697b2a39d696e40baf",
+    ),
+    "hover-up": (
+        _HOVER,
+        (3.5, 0.2, 1.5),
+        {},
+        "3869c761496173ad58aefcaeb2b9c09e58674fddc5a862c1742e9dcc4841d975",
+    ),
+    "moving-left": (
+        _MOVING,
+        (6.5, 2.5, 0.5),
+        {},
+        "a0514641450dc5c96decb717842b4883e4d24e48c173672cfa01c3bc96601f16",
+    ),
+    "moving-right": (
+        _MOVING,
+        (5.0, -3.0, 0.0),
+        {},
+        "c540075c2b6afcf7702180037cd3fc3f7bddf5f412a80f63a566908df5605d42",
+    ),
+    "norm-bound": (
+        _HOVER,
+        (8.0, -1.0, -1.0),
+        {"velocity_bound": "norm"},
+        "ac2d513aa7586d43568054191083b15ea992a2927e5a4dc46576d076b8f4eba1",
+    ),
+    "inside-shell": (
+        _HOVER,
+        (5.5, 0.3, 0.0),
+        {},
+        "7da37dabdc6627a9381b45143b5ad0074d01c048b64ef2fb8184af2a58970b1d",
+    ),
+}
+
+
+def _search_digest(start, goal, cfg, local_map) -> str:
+    try:
+        traj, report = plan(start, goal, cfg, local_map)
+    except PlanningFailed as err:
+        traj, report = None, err.report
+    h = hashlib.sha256()
+    summary = (report.expansions, report.cost, report.open_size, report.closed_size, report.outcome)
+    h.update(repr(summary).encode())
+    if traj is None:
+        return h.hexdigest()
+    h.update(repr(traj.t0).encode())
+    for seg in traj.segments:
+        if isinstance(seg, ConstantAccelSegment):
+            arrays = (seg.start.p, seg.start.v, seg.start.a, seg.u)
+        else:
+            arrays = (seg.coeffs,)
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        h.update(repr(seg.duration).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_DIGEST_CASES))
+def test_plan_digests_are_pinned(case):
+    """Pins every byte of six searches: a speed-up of the search loop must not
+    change which nodes it expands, in what order, or the trajectory it returns."""
+    start, goal, extra, want = _DIGEST_CASES[case]
+    cfg = default_cfg(max_expansions=1500, **extra)
+    assert _search_digest(start, goal, cfg, _digest_map()) == want

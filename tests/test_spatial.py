@@ -298,6 +298,61 @@ def test_map_collision_matches_bruteforce_union():
             assert d == pytest.approx(want[1], abs=1e-12)
 
 
+def brute_any_within(points, qs, r):
+    """O(n*m) oracle: is any of `points` within distance r (inclusive) of each query?"""
+    if len(points) == 0:
+        return np.zeros(len(qs), dtype=bool)
+    d = np.linalg.norm(qs[:, None, :] - points[None, :, :], axis=2)
+    return (d <= r).any(axis=1)
+
+
+def _two_tree_map(tree0, tree1):
+    """Map whose trees hold exactly `tree0` and `tree1` (either may be empty)."""
+    m = TemporalLocalMap(MapConfig(scans_per_tree=1, resolution=0.001))
+    m.update(_scan(np.reshape(tree0, (-1, 3)), stamp=0.0))
+    m.update(_scan(np.reshape(tree1, (-1, 3)), stamp=1.0))
+    return m
+
+
+_FAR = [[9.0, 9.0, 9.0]]
+_ORIGIN = [[0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "tree0, tree1",
+    [
+        pytest.param([], [], id="empty-map"),
+        pytest.param([], _ORIGIN, id="first-tree-empty"),
+        pytest.param(_ORIGIN, [], id="second-tree-empty"),
+        pytest.param(_FAR, _ORIGIN, id="second-tree-answers"),
+        pytest.param(_ORIGIN, _FAR, id="first-tree-answers"),
+    ],
+)
+def test_map_any_within_matches_bruteforce_union(tree0, tree1):
+    m = _two_tree_map(tree0, tree1)
+    assert m.tree_sizes == [len(tree0), len(tree1)]
+    union = np.concatenate([t.points for t in m.trees])
+    # (0.3, 0, 0) lies exactly r from the origin: inclusive, so it hits, and in
+    # "second-tree-answers" only the second tree can answer it
+    qs = np.array([[0.3, 0.0, 0.0], [0.300001, 0.0, 0.0], [0.0, -0.1, 0.2], [9.0, 9.3, 9.0], [5.0, 5.0, 5.0]])
+    got = m.any_within(qs, 0.3)
+    assert got.dtype == bool and got.shape == (len(qs),)
+    assert np.array_equal(got, brute_any_within(union, qs, 0.3))
+    empty = m.any_within(np.empty((0, 3)), 0.3)
+    assert empty.dtype == bool and empty.shape == (0,)
+
+
+def test_map_any_within_random_matches_bruteforce_union():
+    rng = np.random.default_rng(21)
+    m = _two_tree_map(rng.uniform(-3, 0.5, (300, 3)), rng.uniform(-0.5, 3, (300, 3)))
+    union = np.concatenate([t.points for t in m.trees])
+    qs = rng.uniform(-3.5, 3.5, (2000, 3))
+    for r in (0.1, 0.35, 0.8):
+        got = m.any_within(qs, r)
+        assert np.array_equal(got, brute_any_within(union, qs, r))
+        assert 0 < got.sum() < len(qs)
+
+
 def _straight_trajectory(p0, v, tau):
     start = UavState(t=0.0, p=p0, v=v, a=[0, 0, 0])
     return Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), tau=tau),), t0=0.0)
