@@ -129,10 +129,13 @@ def run(scenario_path, seed: int | None, out_dir, overrides: list[str] | None = 
     """Execute one closed-loop run and write its artifacts to out_dir.
 
     trajectory.csv, events.csv and the final map dump are reproducible from
-    (scenario, seed); report.json additionally holds wall-clock timings.
+    (scenario, seed); report.json additionally holds wall-clock timings. A
+    `seed` is applied as the `seed` override, so the loader checks it.
     """
+    if seed is not None:
+        overrides = [*(overrides or []), f"seed={seed}"]
     scenario = load_scenario(scenario_path, overrides=overrides)
-    log = simulate(scenario, seed=seed)
+    log = simulate(scenario)
     report = build_report(log, scenario)
     os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(log, os.path.join(out_dir, "trajectory.csv"))

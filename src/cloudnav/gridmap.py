@@ -228,10 +228,9 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
     number of bar-surface points held by the point-cloud map, the same fraction
     without the background wall (ablation), and a resolution sweep. With
     `export_dir` set, the main-resolution grid and the point-cloud map are
-    written there for plotting.
+    written there for plotting. The scenario needs a compare section;
+    `cli.compare_maps` refuses one without.
     """
-    if scenario.compare is None:
-        raise ValueError("scenario has no 'compare' section")
     comp = scenario.compare
     sensor = scenario.sensor
     bar = scenario.obstacle_by_name(comp.bar)

@@ -2,20 +2,22 @@
 
 A scenario bundles the environment geometry and obstacle schedules, the
 start/goal pair, and the sensor, map and planner settings that runs vary
-(what none varies is a module constant). `load_scenario` validates the file
-and reports offending and unknown keys by dotted path; CLI overrides use the
-same dotted paths.
+(what none varies is a module constant). `load_scenario` checks every value
+against one table of key kinds (`_KEYS`) and reports malformed, missing and
+unknown keys by dotted path; CLI overrides use the same dotted paths.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from .core import KinodynamicLimits
+from .gridmap import GridConfig
 from .planner import PlannerConfig
 from .sensor import Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
 from .spatial import MapConfig
@@ -62,124 +64,108 @@ class Scenario:
         raise ScenarioError(f"no obstacle named {name!r}")
 
 
-def _only(d: dict, known, path: str) -> None:
-    for key in d:
-        if key not in known:
+# The kinds of value a key takes; each names itself in the refusal message.
+NUM, INT, VEC, NUMS = "a finite number", "an integer", "a finite [x, y, z]", "a list of finite numbers"
+TEXT, MAP, LIST = "a string", "a mapping", "a list"
+
+_OBSTACLE = {"shape": TEXT, "name": TEXT, "schedule": LIST}
+# Every section's keys and their kinds. Ranges stay with the dataclass that
+# takes the values, except the integer floors the loader owns (`_FLOORS`).
+_KEYS = {
+    "scenario": {"name": TEXT, "duration": NUM, "seed": INT, "goal": VEC, "start": MAP, "sensor": MAP,
+                 "map": MAP, "planner": MAP, "obstacles": LIST, "compare": MAP},
+    "start": {"position": VEC, "yaw": NUM},
+    "sensor": {"points_per_second": NUM},
+    "map": {"scans_per_tree": INT, "resolution": NUM},
+    "planner": {"v_max": NUM, "a_max": NUM, "primitive_duration": NUM, "clearance": NUM,
+                "goal_tolerance": NUM, "prune_cell": NUM, "max_expansions": INT, "velocity_bound": TEXT},
+    "compare": {"frames": INT, "grid_resolution": NUM, "sweep": NUMS, "origin": VEC, "size": VEC,
+                "bar": TEXT, "wall": TEXT},
+    "sphere": {**_OBSTACLE, "center": VEC, "radius": NUM},
+    "capsule": {**_OBSTACLE, "p0": VEC, "p1": VEC, "radius": NUM},
+    "box": {**_OBSTACLE, "lo": VEC, "hi": VEC},
+    "keyframe": {"t": NUM, "offset": VEC},
+}
+_REQUIRED = {"scenario": ("duration", "goal"), "start": ("position",), "sphere": ("center", "radius"),
+             "capsule": ("p0", "p1", "radius"), "box": ("lo", "hi"), "keyframe": ("t", "offset")}
+_FLOORS = {"scenario.seed": 0, "compare.frames": 1}
+_SHAPES = {"sphere": Sphere, "capsule": Capsule, "box": Box}
+
+
+def _finite(x) -> bool:
+    # the comparison is False for nan and inf, and exact for ints too large for a float
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _check(value, kind: str, key: str):
+    """Return `value` as a value of `kind`, or refuse it naming the dotted `key`."""
+    if kind is NUM or kind is INT:
+        ok = _finite(value) and (kind is NUM or isinstance(value, int))
+        if ok and key in _FLOORS and value < _FLOORS[key]:
+            raise ScenarioError(f"{key}: must be >= {_FLOORS[key]}, got {value!r}")
+    elif kind is VEC or kind is NUMS:
+        ok = isinstance(value, (list, tuple)) and (kind is NUMS or len(value) == 3) and all(map(_finite, value))
+    else:
+        ok = isinstance(value, {TEXT: str, MAP: dict, LIST: list}[kind])
+    if not ok:
+        raise ScenarioError(f"{key}: expected {kind}, got {value!r}")
+    if kind is NUM:
+        return float(value)
+    if kind is VEC:
+        return np.array(value, dtype=float)
+    return tuple(map(float, value)) if kind is NUMS else value
+
+
+def _section(d, table: str, path: str) -> dict:
+    """Check the mapping `d` at dotted `path` against `_KEYS[table]`: refuse
+    unknown and missing keys, and return the checked values by key."""
+    keys = _KEYS[table]
+    for key in _check(d, MAP, path):
+        if key not in keys:
             raise ScenarioError(f"{path}.{key}: unknown key")
+    for key in _REQUIRED.get(table, ()):
+        if key not in d:
+            raise ScenarioError(f"{path}.{key}: missing required key")
+    return {key: _check(value, keys[key], f"{path}.{key}") for key, value in d.items()}
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise ScenarioError(f"{path}.{key}: missing required key")
-    return d[key]
-
-
-def _num(d: dict, key: str, path: str):
-    v = d.get(key)
-    if v is None:
-        raise ScenarioError(f"{path}.{key}: missing required number")
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _vec(d: dict, key: str, path: str):
-    v = d.get(key)
-    if v is None:
-        raise ScenarioError(f"{path}.{key}: missing required 3-vector")
-    if not isinstance(v, (list, tuple)) or len(v) != 3 or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
-        raise ScenarioError(f"{path}.{key}: expected [x, y, z], got {v!r}")
-    return np.array(v, dtype=float)
-
-
-# Each obstacle shape and its own keys, besides `shape`, `name` and `schedule`;
-# `radius` is a number, the others are 3-vectors.
-_SHAPES = {"sphere": (Sphere, ("center", "radius")), "capsule": (Capsule, ("p0", "p1", "radius")),
-           "box": (Box, ("lo", "hi"))}
-
-
-def _parse_obstacle(entry: dict, index: int) -> Obstacle:
-    path = f"obstacles[{index}]"
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
-    kind = _need(entry, "shape", path)
-    if not isinstance(kind, str) or kind not in _SHAPES:
-        raise ScenarioError(f"{path}.shape: unknown shape {kind!r}")
-    cls, keys = _SHAPES[kind]
-    _only(entry, ("shape", "name", "schedule") + keys, path)
-    name = str(entry.get("name", f"obstacle{index}"))
+def _build(cls, key: str, **kw):
+    """`cls(**kw)`, its range refusal re-raised naming the dotted `key`."""
     try:
-        shape = cls(**{k: _num(entry, k, path) if k == "radius" else _vec(entry, k, path) for k in keys})
+        return cls(**kw)
     except ValueError as e:
-        if isinstance(e, ScenarioError):
-            raise
-        raise ScenarioError(f"{path}: {e}") from e
+        raise ScenarioError(f"{key}: {e}") from e
 
-    schedule = None
-    if "schedule" in entry:
-        sched = entry["schedule"]
-        if not isinstance(sched, list) or not sched:
-            raise ScenarioError(f"{path}.schedule: expected a non-empty list")
-        times, offsets = [], []
-        for j, kf in enumerate(sched):
-            kpath = f"{path}.schedule[{j}]"
-            if not isinstance(kf, dict):
-                raise ScenarioError(f"{kpath}: expected a mapping with t and offset")
-            _only(kf, ("t", "offset"), kpath)
-            times.append(_num(kf, "t", kpath))
-            offsets.append(_vec(kf, "offset", kpath))
-        try:
-            schedule = MotionSchedule(times=np.array(times), offsets=np.array(offsets))
-        except ValueError as e:
-            raise ScenarioError(f"{path}.schedule: {e}") from e
+
+def _parse_obstacle(entry, index: int) -> Obstacle:
+    path = f"obstacles[{index}]"
+    shape_kind = _check(entry, MAP, path).get("shape")
+    if not (isinstance(shape_kind, str) and shape_kind in _SHAPES):
+        raise ScenarioError(f"{path}.shape: expected sphere, capsule or box, got {shape_kind!r}")
+    kw = _section(entry, shape_kind, path)
+    del kw["shape"]
+    name, schedule = kw.pop("name", f"obstacle{index}"), kw.pop("schedule", None)
+    shape = _build(_SHAPES[shape_kind], path, **kw)
+    if schedule is not None:
+        frames = [_section(kf, "keyframe", f"{path}.schedule[{j}]") for j, kf in enumerate(schedule)]
+        schedule = _build(MotionSchedule, f"{path}.schedule", times=np.array([f["t"] for f in frames]),
+                          offsets=np.array([f["offset"] for f in frames]))
     return Obstacle(shape=shape, schedule=schedule, name=name)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario root must be a mapping")
-    _only(raw, ("name", "duration", "seed", "goal", "start", "sensor", "map", "planner", "obstacles",
-                "compare"), "scenario")
-    name = str(raw.get("name", "unnamed"))
-    duration = _num(raw, "duration", "scenario")
-    if duration <= 0:
+    top = _section(raw, "scenario", "scenario")
+    if top["duration"] <= 0:
         raise ScenarioError("scenario.duration: must be > 0")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError(f"scenario.seed: expected an integer, got {seed!r}")
-    goal = _vec(raw, "goal", "scenario")
-
-    start = raw.get("start", {})
-    if not isinstance(start, dict):
-        raise ScenarioError("scenario.start: expected a mapping")
-    _only(start, ("position", "yaw"), "start")
-    start_p = _vec(start, "position", "start")
-    if "yaw" in start:
-        yaw = _num(start, "yaw", "start")
-    else:
-        yaw = math.atan2(goal[1] - start_p[1], goal[0] - start_p[0])
-
-    try:
-        sensor = SensorModel(**raw.get("sensor", {}))
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"sensor: {e}") from e
-    try:
-        map_config = MapConfig(**raw.get("map", {}))
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"map: {e}") from e
-
-    pl = raw.get("planner", {})
-    if not isinstance(pl, dict):
-        raise ScenarioError("scenario.planner: expected a mapping")
-    limits = {k: _num(pl, k, "planner") for k in ("v_max", "a_max", "primitive_duration") if k in pl}
-    try:
-        planner_config = PlannerConfig(
-            limits=KinodynamicLimits(**limits), **{k: v for k, v in pl.items() if k not in limits}
-        )
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"planner: {e}") from e
+    goal = top["goal"]
+    start = _section(top.get("start", {}), "start", "start")
+    start_p = start["position"]
+    yaw = start.get("yaw", math.atan2(goal[1] - start_p[1], goal[0] - start_p[0]))
+    sensor = _build(SensorModel, "sensor", **_section(top.get("sensor", {}), "sensor", "sensor"))
+    map_config = _build(MapConfig, "map", **_section(top.get("map", {}), "map", "map"))
+    pl = _section(top.get("planner", {}), "planner", "planner")
+    limits = {f.name: pl.pop(f.name) for f in fields(KinodynamicLimits) if f.name in pl}
+    planner_config = _build(PlannerConfig, "planner", limits=_build(KinodynamicLimits, "planner", **limits), **pl)
     # planner envelope: primitives from rest keep to v_max and leave the dedup cell
     lim, cell = planner_config.limits, planner_config.effective_prune_cell
     if lim.a_max * lim.primitive_duration > lim.v_max:
@@ -190,40 +176,24 @@ def scenario_from_dict(raw: dict) -> Scenario:
                             f"{0.5 * lim.a_max * lim.primitive_duration**2:g} must exceed the dedup cell "
                             f"planner.prune_cell = {cell:g} (default: half of planner.clearance)")
 
-    obstacles_raw = raw.get("obstacles", [])
-    if not isinstance(obstacles_raw, list):
-        raise ScenarioError("scenario.obstacles: expected a list")
-    obstacles = tuple(_parse_obstacle(o, i) for i, o in enumerate(obstacles_raw))
+    obstacles = tuple(_parse_obstacle(o, i) for i, o in enumerate(top.get("obstacles", [])))
 
     compare = None
-    if "compare" in raw:
-        c = raw["compare"]
-        if not isinstance(c, dict):
-            raise ScenarioError("scenario.compare: expected a mapping")
-        _only(c, {f.name for f in fields(CompareConfig)}, "compare")
-        kw = {k: _num(c, k, "compare") for k in ("frames", "grid_resolution") if k in c}
-        kw |= {k: _vec(c, k, "compare") for k in ("origin", "size") if k in c}
-        kw |= {k: str(c[k]) for k in ("bar", "wall") if k in c}
-        if "frames" in kw:
-            kw["frames"] = int(kw["frames"])
-        if "sweep" in c:
-            sweep = c["sweep"]
-            if not isinstance(sweep, list) or not all(
-                isinstance(x, (int, float)) and x > 0 for x in sweep
-            ):
-                raise ScenarioError("compare.sweep: expected a list of positive numbers")
-            kw["sweep"] = tuple(float(x) for x in sweep)
-        compare = CompareConfig(**kw)
+    if "compare" in top:
+        compare = CompareConfig(**_section(top["compare"], "compare", "compare"))
+        # the grids --compare-maps builds, checked now by the grid's own ranges
+        _build(GridConfig, "compare.size", resolution=1.0, origin=compare.origin, size=compare.size)
+        for key, res in (("grid_resolution", compare.grid_resolution), *(("sweep", r) for r in compare.sweep)):
+            _build(GridConfig, f"compare.{key}", resolution=res, origin=compare.origin, size=compare.size)
         names = {ob.name for ob in obstacles}
-        if compare.bar not in names:
-            raise ScenarioError(f"compare.bar: no obstacle named {compare.bar!r}")
-        if compare.wall not in names:
-            raise ScenarioError(f"compare.wall: no obstacle named {compare.wall!r}")
+        for key in ("bar", "wall"):
+            if getattr(compare, key) not in names:
+                raise ScenarioError(f"compare.{key}: no obstacle named {getattr(compare, key)!r}")
 
     scenario = Scenario(
-        name=name,
-        duration=duration,
-        seed=seed,
+        name=top.get("name", "unnamed"),
+        duration=top["duration"],
+        seed=top.get("seed", 0),
         start_position=start_p,
         start_yaw=yaw,
         goal=goal,
@@ -251,6 +221,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
     Values are parsed as YAML, so numbers, lists and booleans work as expected.
     """
+    _check(raw, MAP, "scenario")
     for item in overrides:
         if "=" not in item:
             raise ScenarioError(f"override {item!r}: expected dotted.path=value")

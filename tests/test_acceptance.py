@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The closed-loop seed
-batteries (criteria 5 and 6) dominate the runtime (~5 minutes total).
+batteries (criteria 5 and 6) dominate its runtime, about 4 minutes on a
+shared 2-core host.
 """
 
 import math

@@ -174,6 +174,22 @@ def test_cli_compare_maps_needs_a_compare_section(mini_path, tmp_path, capsys):
     assert "scenario.compare: --compare-maps needs a compare section" in capsys.readouterr().err
 
 
+def test_cli_seed_is_checked_as_the_scenario_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["indoor_bar", "--seed", "-3", "--out", str(out)]) == EXIT_SCENARIO_ERROR
+    assert "scenario error: scenario.seed: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_malformed_values_exit_5_naming_their_key(tmp_path, capsys):
+    for argv, key in ((["indoor_bar", "--set", "planner.v_max=.nan"], "planner.v_max"),
+                      (["thin_bar_compare", "--compare-maps", "--set", "compare.size=[0, 1, 1]"], "compare.size")):
+        out = tmp_path / key
+        assert main([*argv, "--out", str(out)]) == EXIT_SCENARIO_ERROR
+        assert f"scenario error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_compare_maps_without_returns(tmp_path, capsys):
     # the sensor faces away from the bar and the wall: no scan returns a point
     overrides = ["start.yaw=3.14159", "sensor.points_per_second=6000", "compare.frames=2"]

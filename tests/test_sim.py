@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,39 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}, "obstacles": BAR_AND_WALL}
     apply_overrides(raw, [override])
     with pytest.raises(ScenarioError, match=rf"^{key}: unknown key$"):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("override, key", [
+    # each of these ended in a traceback
+    ("map.scans_per_tree=2.5", "map.scans_per_tree"),
+    ("map.resolution=.nan", "map.resolution"),
+    ("planner.v_max=.inf", "planner.v_max"),
+    ("planner.clearance=.nan", "planner.clearance"),
+    ("planner.primitive_duration=.nan", "planner.primitive_duration"),
+    ("sensor.points_per_second=.nan", "sensor.points_per_second"),
+    ("goal=[.nan, 0, 1]", "scenario.goal"),
+    ("start.yaw=.nan", "start.yaw"),
+    ("duration=.inf", "scenario.duration"),
+    ("seed=-1", "scenario.seed"),
+    ("compare.grid_resolution=-1", "compare.grid_resolution"),
+    ("compare.size=[0, 1, 1]", "compare.size"),
+    # each of these was accepted and flew, or compared, on a wrong value
+    ("map.scans_per_tree=true", "map.scans_per_tree"),
+    ("sensor.points_per_second=true", "sensor.points_per_second"),
+    ("planner.max_expansions=2.5", "planner.max_expansions"),
+    ("obstacles=[{shape: sphere, center: [3, 0, 1], radius: .nan}]", "obstacles[0].radius"),
+    ("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.1, schedule: [{t: .nan, offset: [0, 0, 1]}]}]",
+     "obstacles[0].schedule[0].t"),
+    ("compare.frames=0", "compare.frames"),
+    ("compare.frames=2.7", "compare.frames"),
+    ("compare.sweep=[true]", "compare.sweep"),
+    ("name=[1]", "scenario.name"),
+])
+def test_malformed_values_are_refused_by_dotted_key(override, key):
+    raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}, "obstacles": BAR_AND_WALL}
+    apply_overrides(raw, [override])
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
         scenario_from_dict(raw)
 
 
