@@ -46,13 +46,6 @@ class GridConfig:
         return tuple(int(math.ceil(s / self.resolution)) for s in self.size)
 
 
-@dataclass
-class IntegrateStats:
-    rays: int = 0
-    traversed_cells: int = 0
-    hit_cells: int = 0
-
-
 class OccupancyGrid:
     """Dense grid of per-cell log-odds with hit/miss ray updates.
 
@@ -151,17 +144,16 @@ class OccupancyGrid:
             cell[active] = np.clip(cell[active], 0, shape - 1)
         return np.concatenate(out_rays), np.concatenate(out_cells)
 
-    def integrate_scan(self, sensor_origin, scan: PointCloud) -> IntegrateStats:
+    def integrate_scan(self, sensor_origin, scan: PointCloud) -> None:
         """Apply one scan: misses along each ray, a hit at each in-bounds endpoint."""
         cfg = self.config
-        stats = IntegrateStats(rays=len(scan))
         if len(scan) == 0:
-            return stats
+            return
         origin = np.asarray(sensor_origin, dtype=float)
         ends = scan.points
         ray_idx, cells = self.traverse(origin, ends)
         if len(cells) == 0:
-            return stats
+            return
 
         end_cells = np.floor((ends - cfg.origin) / cfg.resolution).astype(np.int64)
         end_ok = self.in_bounds(end_cells)
@@ -176,9 +168,6 @@ class OccupancyGrid:
         flat_lo = self.log_odds.reshape(-1)
         touched = delta != 0
         flat_lo[touched] = np.clip(flat_lo[touched] + delta[touched], CLAMP_MIN, CLAMP_MAX)
-        stats.traversed_cells = len(cells)
-        stats.hit_cells = int(is_hit.sum())
-        return stats
 
     def export_rows(self):
         """(i, j, k, probability) rows for every touched cell."""

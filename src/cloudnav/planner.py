@@ -47,10 +47,9 @@ class PlannerError(Exception):
 class StartInCollision(PlannerError):
     """The requested start state violates the clearance against the current map."""
 
-    def __init__(self, distance: float, point):
+    def __init__(self, distance: float):
         super().__init__(f"start state within {distance:.3f} m of a map point")
         self.distance = distance
-        self.point = point
 
 
 class PlanningFailed(PlannerError):
@@ -66,23 +65,21 @@ class PlannerConfig:
     limits: KinodynamicLimits = field(default_factory=KinodynamicLimits)
     clearance: float = 0.45
     goal_tolerance: float = 0.3
-    prune_cell: float | None = None  # default: half the clearance
+    prune_cell: float | None = None  # None: half the clearance, resolved at construction
     max_expansions: int = 20000
     velocity_bound: str = "per_axis"  # or "norm"
 
     def __post_init__(self):
         if self.clearance <= 0 or self.goal_tolerance <= 0:
             raise ValueError("clearance and goal_tolerance must be > 0")
-        if self.prune_cell is not None and self.prune_cell <= 0:
+        if self.prune_cell is None:
+            object.__setattr__(self, "prune_cell", 0.5 * self.clearance)
+        if self.prune_cell <= 0:
             raise ValueError("prune_cell must be > 0")
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
         if self.velocity_bound not in ("per_axis", "norm"):
             raise ValueError("velocity_bound must be 'per_axis' or 'norm'")
-
-    @property
-    def effective_prune_cell(self) -> float:
-        return self.prune_cell if self.prune_cell is not None else 0.5 * self.clearance
 
     @property
     def check_dt(self) -> float:
@@ -96,7 +93,6 @@ class SearchNode:
     g: float
     f: float
     parent: "SearchNode | None" = None
-    control: np.ndarray | None = None  # incoming control
 
 
 @dataclass
@@ -182,9 +178,9 @@ def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, go
     h = np.linalg.norm(P_end - np.asarray(goal, dtype=float), axis=1) * (TIME_WEIGHT / limits.v_max)
     F = G + HEURISTIC_WEIGHT * h
     t_child = node.state.t + tau
-    # U's rows are read-only, so children share them as their acceleration and control
+    # U's rows are read-only, so children share them as their acceleration (incoming control)
     return [
-        SearchNode(UavState._unchecked(t_child, P_end[j], V_end[j], U[i]), g, f, node, U[i])
+        SearchNode(UavState._unchecked(t_child, P_end[j], V_end[j], U[i]), g, f, node)
         for j, (i, g, f) in enumerate(zip(surv.tolist(), G.tolist(), F.tolist()))
     ]
 
@@ -232,7 +228,7 @@ def _build_trajectory(node: SearchNode, start: UavState, tail: QuinticSegment | 
     chain = []
     cur = node
     while cur.parent is not None:
-        chain.append(cur.control)
+        chain.append(cur.state.a)
         cur = cur.parent
     chain.reverse()
     segments = []
@@ -263,11 +259,11 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     """
     t_wall = time.perf_counter()
     goal = np.asarray(goal, dtype=float)
-    collides, pt, dist = local_map.collision(start.p, cfg.clearance)
+    collides, _, dist = local_map.collision(start.p, cfg.clearance)
     if collides:
-        raise StartInCollision(dist, pt)
+        raise StartInCollision(dist)
 
-    cell = cfg.effective_prune_cell
+    cell = cfg.prune_cell
     h0 = HEURISTIC_WEIGHT * heuristic(start, goal, cfg)
     root = SearchNode(state=start, g=0.0, f=h0)
     counter = itertools.count()
@@ -364,9 +360,8 @@ def relaxed_replan(start: UavState, goal, cfg: PlannerConfig, local_map: Tempora
     until the start state is feasible. Returns (trajectory, report, clearance_used).
     """
     clearance = cfg.clearance
-    prune = cfg.effective_prune_cell  # keep the dedup grid fixed while relaxing
     while True:
-        relaxed = replace(cfg, clearance=clearance, prune_cell=prune)
+        relaxed = replace(cfg, clearance=clearance)  # the same dedup grid: prune_cell is resolved
         try:
             traj, report = plan(start, goal, relaxed, local_map)
             return traj, report, clearance

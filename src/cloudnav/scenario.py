@@ -167,7 +167,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     limits = {f.name: pl.pop(f.name) for f in fields(KinodynamicLimits) if f.name in pl}
     planner_config = _build(PlannerConfig, "planner", limits=_build(KinodynamicLimits, "planner", **limits), **pl)
     # planner envelope: primitives from rest keep to v_max and leave the dedup cell
-    lim, cell = planner_config.limits, planner_config.effective_prune_cell
+    lim, cell = planner_config.limits, planner_config.prune_cell
     if lim.a_max * lim.primitive_duration > lim.v_max:
         raise ScenarioError(f"planner.a_max, planner.primitive_duration: a_max*primitive_duration = "
                             f"{lim.a_max * lim.primitive_duration:g} exceeds planner.v_max = {lim.v_max:g}")

@@ -177,9 +177,9 @@ class Obstacle:
     name: str = ""
 
     def offset_at(self, t):
-        if self.schedule is None:
-            return np.zeros(3) if np.isscalar(t) else np.zeros((len(np.atleast_1d(t)), 3))
-        return self.schedule.offset_at(t)
+        """Translation at time(s) t; 0.0 for a static obstacle, which leaves
+        any position it is added to or subtracted from bit for bit unchanged."""
+        return 0.0 if self.schedule is None else self.schedule.offset_at(t)
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray, t: float) -> np.ndarray:
         if self.schedule is None:  # origin - 0.0 is origin, bit for bit

@@ -142,18 +142,14 @@ class _TrackingState:
         self.clearance = math.inf  # the clearance active() was planned with
         self.hover_p = start.p
 
-    def promote(self, t: float):
-        if self.pending is not None and t >= self.pending.t0 - 1e-9:
-            self.current = self.pending
-            self.pending = None
-
     def active(self) -> Trajectory | None:
         return self.pending if self.pending is not None else self.current
 
     def state_at(self, t: float) -> UavState:
-        src = self.current
+        """The state at `t`; a pending trajectory that has started becomes current."""
         if self.pending is not None and t >= self.pending.t0 - 1e-9:
-            src = self.pending
+            self.current, self.pending = self.pending, None
+        src = self.current
         if src is None or t < src.t0 - 1e-9:
             return UavState.hover(self.hover_p, t=t)
         if t >= src.t_end:
@@ -204,7 +200,7 @@ def _next_plan(
         check = cfg
         if active_clearance < cfg.clearance and local_map.any_within(uav.p, cfg.clearance)[0]:
             # a relaxed plan keeps its own clearance while the UAV is inside the full band
-            check = replace(cfg, clearance=active_clearance, prune_cell=cfg.effective_prune_cell)
+            check = replace(cfg, clearance=active_clearance)
         decision = replan_step(active, max(t, active.t0), local_map, check, goal)
         if decision.action == "keep":
             return None
@@ -263,7 +259,6 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
 
     for k in range(n_frames):
         t = k * FRAME_DT
-        tracking.promote(t)
 
         speed_xy = math.hypot(uav.v[0], uav.v[1])
         if speed_xy > 0.05:

@@ -72,22 +72,12 @@ class KdTree:
         best = idx[np.argmin(d)]  # argmin returns the first minimum: lowest index
         return self._points[best].copy(), float(np.min(d))
 
-    def min_distances(self, pts: np.ndarray, cap: float) -> np.ndarray:
-        """Distance to the nearest stored point for each query, inf beyond `cap`."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self._kd is None:
-            return np.full(len(pts), np.inf)
-        # cKDTree's bound is exclusive; pad it so exact-boundary hits survive.
-        d, _ = self._kd.query(pts, k=1, distance_upper_bound=cap + 1e-9)
-        d = np.asarray(d, dtype=float)
-        d[d > cap] = np.inf
-        return d
-
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Boolean per query point of `pts` (N, 3): is any stored point within
-        distance r (inclusive)? The same answer as isfinite(min_distances(pts, r))."""
+        distance r (inclusive)?"""
         if self._kd is None:
             return np.zeros(len(pts), dtype=bool)
+        # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
         return self._kd.query(pts, k=1, distance_upper_bound=r + 1e-9)[0] <= r
 
 
@@ -143,7 +133,7 @@ class TemporalLocalMap:
         self.scan_input_num = 0
         self.total_scans = 0
         self.trees: list[KdTree] = [KdTree() for _ in range(TREE_COUNT)]
-        self._tree_clouds: list[PointCloud] = [PointCloud.empty() for _ in range(TREE_COUNT)]
+        self._stamps = [0.0] * TREE_COUNT  # stamp of the scan each tree was last built from
         self._reset_accumulation()
 
     def _reset_accumulation(self) -> None:
@@ -191,10 +181,9 @@ class TemporalLocalMap:
             self._reset_accumulation()
         self._fold(new_scan.points, keys)
         centroids = np.column_stack([s / self._counts for s in self._sums])  # voxel_filter's layout
-        filtered = PointCloud(points=centroids, stamp=new_scan.stamp)
         t_build = time.perf_counter()
-        self.trees[tree_index] = KdTree(filtered.points)
-        self._tree_clouds[tree_index] = filtered
+        self.trees[tree_index] = KdTree(centroids)
+        self._stamps[tree_index] = new_scan.stamp
         t_end = time.perf_counter()
         self.scan_input_num = (self.scan_input_num + 1) % window
         self.total_scans += 1
@@ -202,7 +191,7 @@ class TemporalLocalMap:
             tree_index=tree_index,
             wrapped=wrapped,
             raw_accumulated=self._raw,
-            filtered_size=len(filtered),
+            filtered_size=len(centroids),
             filter_seconds=t_build - t_start,
             build_seconds=t_end - t_build,
             total_seconds=t_end - t_start,
@@ -213,7 +202,7 @@ class TemporalLocalMap:
         return [t.size for t in self.trees]
 
     def tree_cloud(self, index: int) -> PointCloud:
-        return self._tree_clouds[index]
+        return PointCloud(points=self.trees[index].points, stamp=self._stamps[index])
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Boolean per query point: is any point of any tree within distance r (inclusive)?

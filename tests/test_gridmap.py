@@ -123,9 +123,8 @@ def test_update_cost_scales_with_ray_length():
     grid = make_grid(resolution=0.1, origin=(0, -3, -3), size=(10, 6, 6))
     short = PointCloud(points=np.tile([2.0, 0.0, 0.0], (50, 1)))
     long = PointCloud(points=np.tile([8.0, 0.0, 0.0], (50, 1)))
-    s1 = grid.integrate_scan([0.05, 0.05, 0.05], short)
-    s2 = grid.integrate_scan([0.05, 0.05, 0.05], long)
-    ratio = s2.traversed_cells / s1.traversed_cells
+    origin = [0.05, 0.05, 0.05]
+    ratio = len(grid.traverse(origin, long.points)[1]) / len(grid.traverse(origin, short.points)[1])
     assert 3.5 <= ratio <= 4.5  # 8 m vs 2 m of cells
 
 

@@ -63,7 +63,7 @@ def test_expand_from_rest_in_free_space_yields_27():
     # velocity after 0.6 s at a_max=2 is 1.2 <= 2 on every axis
     for c in children:
         assert np.all(np.abs(c.state.v) <= 2.0)
-        assert c.g > 0 or np.allclose(c.control, 0)
+        assert c.g > 0 or np.allclose(c.state.a, 0)
 
 
 def test_expand_enclosed_by_point_shell_yields_zero():
@@ -78,7 +78,7 @@ def test_expand_velocity_saturated_axis_yields_18():
     )
     children = expand(node, default_cfg(), make_map(), [5, 0, 0])
     assert len(children) == 18
-    assert all(c.control[0] <= 0.0 for c in children)
+    assert all(c.state.a[0] <= 0.0 for c in children)
 
 
 def test_expand_norm_mode_bounds_speed():
@@ -96,7 +96,7 @@ def test_expand_costs_accumulate():
     cfg = default_cfg()
     children = expand(rest_node(), cfg, make_map(), [5, 0, 0])
     for c in children:
-        u = c.control
+        u = c.state.a
         assert c.g == pytest.approx((np.dot(u, u) + TIME_WEIGHT) * 0.6)
         assert c.f >= c.g >= 0
 
@@ -337,7 +337,7 @@ def test_relaxed_replan_shrinks_clearance_until_start_is_free(monkeypatch):
     search = planner.plan
 
     def recording_plan(start, goal, cfg, local_map):
-        tried.append((cfg.clearance, cfg.effective_prune_cell))
+        tried.append((cfg.clearance, cfg.prune_cell))
         return search(start, goal, cfg, local_map)
 
     monkeypatch.setattr(planner, "plan", recording_plan)
@@ -346,7 +346,7 @@ def test_relaxed_replan_shrinks_clearance_until_start_is_free(monkeypatch):
     traj, report, used = relaxed_replan(UavState.hover([0, 0, 0]), [4, 0, 0], cfg, m)
     assert [c for c, _ in tried] == [0.45, 0.45 * 0.8, 0.45 * 0.8 * 0.8]
     assert used == tried[-1][0]
-    assert {cell for _, cell in tried} == {cfg.effective_prune_cell}  # dedup grid fixed
+    assert {cell for _, cell in tried} == {cfg.prune_cell}  # dedup grid fixed
     assert report.outcome in ("analytic", "primitive")
     assert np.linalg.norm(traj.end_state.p - np.array([4, 0, 0])) <= cfg.goal_tolerance + 1e-9
 

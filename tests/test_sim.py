@@ -255,7 +255,7 @@ def test_planner_clearance_lives_under_planner():
     apply_overrides(raw, ["planner.clearance=0.4"])
     cfg = scenario_from_dict(raw).planner_config
     assert cfg.clearance == 0.4
-    assert cfg.effective_prune_cell == 0.2
+    assert cfg.prune_cell == 0.2
 
 
 # the obstacles a compare section names by default

@@ -246,12 +246,9 @@ def test_map_update_leaves_other_tree_untouched():
         m.update(_scan(rng.uniform(0, 3, (30, 3)), stamp=float(i)))
     tree0_before = m.trees[0]
     pts_before = tree0_before.points.copy()
-    q = rng.uniform(0, 3, (50, 3))
-    d_before = tree0_before.min_distances(q, 5.0)
     m.update(_scan(rng.uniform(0, 3, (30, 3)), stamp=3.0))  # scan 3 -> tree 1
     assert m.trees[0] is tree0_before
     assert np.array_equal(m.trees[0].points, pts_before)
-    assert np.array_equal(m.trees[0].min_distances(q, 5.0), d_before)
 
 
 def test_window_bound_no_points_older_than_two_h():
