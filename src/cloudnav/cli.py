@@ -2,7 +2,7 @@
 
 Usage:
     cloudnav SCENARIO [--seed N] [--out DIR] [--set key=value ...]
-    cloudnav SCENARIO --compare-maps [--out DIR]
+    cloudnav SCENARIO --compare-maps [--seed N] [--out DIR] [--set key=value ...]
 
 SCENARIO is a YAML file path or the name of a bundled scenario
 (indoor_bar, forest_branch, hillside, thin_bar_compare).
@@ -190,13 +190,15 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse has printed the usage; exit 2 means a collision here
         return EXIT_SCENARIO_ERROR if e.code else EXIT_OK
 
+    # --seed is the `seed` override on both paths, so the loader checks it
+    overrides = args.overrides if args.seed is None else [*args.overrides, f"seed={args.seed}"]
     try:
         path = resolve_scenario_path(args.scenario)
         if args.compare_maps:
-            report = compare_maps(path, out_dir=args.out, overrides=args.overrides)
+            report = compare_maps(path, out_dir=args.out, overrides=overrides)
             print(json.dumps(report, indent=2, sort_keys=True))
             return EXIT_OK
-        report = run(path, args.seed, args.out, overrides=args.overrides)
+        report = run(path, seed=None, out_dir=args.out, overrides=overrides)
         print(
             f"{report.scenario}: {report.outcome} in {report.flight_duration:.2f}s, "
             f"{report.replan_count} replans, path {report.path_length:.2f} m, "

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from .core import KinodynamicLimits
+from .core import _KEY_OFFSET, KinodynamicLimits
 from .gridmap import GridConfig
 from .planner import PlannerConfig
-from .sensor import Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
+from .sensor import MAX_RANGE, Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
 from .spatial import MapConfig
 
 
@@ -161,8 +161,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
     start = _section(top.get("start", {}), "start", "start")
     start_p = start["position"]
     yaw = start.get("yaw", math.atan2(goal[1] - start_p[1], goal[0] - start_p[0]))
-    sensor = _build(SensorModel, "sensor", **_section(top.get("sensor", {}), "sensor", "sensor"))
+    sensor = _build(SensorModel, "sensor.points_per_second",
+                    **_section(top.get("sensor", {}), "sensor", "sensor"))
     map_config = _build(MapConfig, "map", **_section(top.get("map", {}), "map", "map"))
+    # voxel_keys indexes _KEY_OFFSET cells each way from 0 on every axis: enough
+    # for every point within sensor range of the start and the goal
+    reach = MAX_RANGE + float(np.abs([*start_p, *goal]).max())
+    if reach / map_config.resolution >= _KEY_OFFSET:
+        raise ScenarioError(f"map.resolution: {map_config.resolution:g} m cannot index points {reach:g} m "
+                            f"from the origin; it must exceed {reach / _KEY_OFFSET:g}")
     pl = _section(top.get("planner", {}), "planner", "planner")
     limits = {f.name: pl.pop(f.name) for f in fields(KinodynamicLimits) if f.name in pl}
     planner_config = _build(PlannerConfig, "planner", limits=_build(KinodynamicLimits, "planner", **limits), **pl)

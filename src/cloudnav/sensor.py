@@ -239,6 +239,8 @@ FRAME_RATE = 50.0
 FRAME_DT = 1.0 / FRAME_RATE
 MAX_RANGE = 450.0
 RANGE_NOISE_SIGMA = 0.02
+# Ceiling on one frame's ray block, so its (N, 3) arrays stay allocatable.
+MAX_RAYS_PER_FRAME = 10**6
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,9 @@ class SensorModel:
     def __post_init__(self):
         if self.points_per_second <= 0:
             raise ValueError("points_per_second must be > 0")
+        if self.points_per_second > MAX_RAYS_PER_FRAME * FRAME_RATE:
+            raise ValueError(f"points_per_second must be <= {MAX_RAYS_PER_FRAME * FRAME_RATE:g} "
+                             f"({MAX_RAYS_PER_FRAME} rays per frame)")
 
     @property
     def points_per_frame(self) -> int:

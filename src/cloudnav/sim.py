@@ -259,7 +259,6 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
 
     for k in range(n_frames):
         t = k * FRAME_DT
-
         speed_xy = math.hypot(uav.v[0], uav.v[1])
         if speed_xy > 0.05:
             yaw = math.atan2(uav.v[1], uav.v[0])

@@ -29,6 +29,22 @@ MINI = {
 }
 
 
+MINI_CMP = {
+    "name": "mini_cmp",
+    "duration": 1.0,
+    "seed": 3,
+    "goal": [4.0, 0.0, 1.0],
+    "start": {"position": [0.0, 0.0, 1.0], "yaw": 0.0},
+    "sensor": {"points_per_second": 60000},
+    "obstacles": [
+        {"name": "bar", "shape": "capsule", "p0": [3.0, 0.0, 0.2], "p1": [3.0, 0.0, 2.2], "radius": 0.01},
+        {"name": "wall", "shape": "box", "lo": [5.0, -3.8, -0.6], "hi": [5.3, 3.8, 4.6]},
+    ],
+    "compare": {"frames": 6, "grid_resolution": 0.3, "sweep": [0.3],
+                "origin": [2.0, -1.5, -0.5], "size": [2.1, 3.0, 3.6]},
+}
+
+
 @pytest.fixture()
 def mini_path(tmp_path):
     path = tmp_path / "mini.yaml"
@@ -126,22 +142,8 @@ def test_cli_override_flag(mini_path, tmp_path, capsys):
 
 
 def test_cli_compare_maps(tmp_path, capsys):
-    mini_cmp = {
-        "name": "mini_cmp",
-        "duration": 1.0,
-        "seed": 3,
-        "goal": [4.0, 0.0, 1.0],
-        "start": {"position": [0.0, 0.0, 1.0], "yaw": 0.0},
-        "sensor": {"points_per_second": 60000},
-        "obstacles": [
-            {"name": "bar", "shape": "capsule", "p0": [3.0, 0.0, 0.2], "p1": [3.0, 0.0, 2.2], "radius": 0.01},
-            {"name": "wall", "shape": "box", "lo": [5.0, -3.8, -0.6], "hi": [5.3, 3.8, 4.6]},
-        ],
-        "compare": {"frames": 6, "grid_resolution": 0.3, "sweep": [0.3],
-                    "origin": [2.0, -1.5, -0.5], "size": [2.1, 3.0, 3.6]},
-    }
     path = tmp_path / "cmp.yaml"
-    path.write_text(yaml.safe_dump(mini_cmp))
+    path.write_text(yaml.safe_dump(MINI_CMP))
     code = main([str(path), "--compare-maps", "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     report = json.loads((tmp_path / "out" / "compare_maps.json").read_text())
@@ -179,6 +181,21 @@ def test_cli_seed_is_checked_as_the_scenario_seed(tmp_path, capsys):
     assert main(["indoor_bar", "--seed", "-3", "--out", str(out)]) == EXIT_SCENARIO_ERROR
     assert "scenario error: scenario.seed: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_compare_maps_applies_the_seed(tmp_path, capsys):
+    path = tmp_path / "cmp.yaml"
+    path.write_text(yaml.safe_dump(MINI_CMP))
+    out = tmp_path / "bad"
+    assert main([str(path), "--seed", "-3", "--compare-maps", "--out", str(out)]) == EXIT_SCENARIO_ERROR
+    assert "scenario error: scenario.seed: " in capsys.readouterr().err
+    assert not out.exists()
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main([str(path), "--seed", seed, "--compare-maps", "--out", str(out)]) == EXIT_OK
+        reports.append((out / "compare_maps.json").read_bytes())
+    assert reports[0] != reports[1]
 
 
 def test_cli_malformed_values_exit_5_naming_their_key(tmp_path, capsys):

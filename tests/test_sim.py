@@ -328,6 +328,8 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("seed=-1", "scenario.seed"),
     ("compare.grid_resolution=-1", "compare.grid_resolution"),
     ("compare.size=[0, 1, 1]", "compare.size"),
+    ("map.resolution=1.0e-300", "map.resolution"),  # too fine for voxel_keys to index the sensor range
+    ("sensor.points_per_second=1.0e+300", "sensor.points_per_second"),  # one frame's rays not allocatable
     # each of these was accepted and flew, or compared, on a wrong value
     ("map.scans_per_tree=true", "map.scans_per_tree"),
     ("sensor.points_per_second=true", "sensor.points_per_second"),

@@ -397,3 +397,12 @@ def test_dump_map(tmp_path):
     assert counters[0] == f"scan_input_num {m.scan_input_num}"
     assert counters[1] == f"total_scans {m.total_scans}"
     assert counters[2] == f"tree_sizes {m.trees[0].size} {m.trees[1].size}"
+
+
+def test_dump_map_writes_an_empty_tree_as_a_bare_header(tmp_path):
+    m = TemporalLocalMap(MapConfig(scans_per_tree=2))
+    m.update(_scan([[1.0, 2.0, 3.0]], stamp=0.5))  # fills tree 0; tree 1 is still empty
+    dump_map(m, tmp_path)
+    assert (tmp_path / "tree0.txt").read_text() == "stamp 0.500000000 count 1\n1.000000000 2.000000000 3.000000000\n"
+    assert (tmp_path / "tree1.txt").read_text() == "stamp 0.000000000 count 0\n"
+    assert (tmp_path / "counters.txt").read_text().splitlines()[2] == "tree_sizes 1 0"
