@@ -94,9 +94,6 @@ class ConstantAccelSegment:
     def duration(self) -> float:
         return self.tau
 
-    def state_at(self, dt: float) -> UavState:
-        return propagate(self.start, self.u, dt)
-
     def states_at(self, dts: np.ndarray):
         """Vectorized evaluation at segment-relative offsets. Returns (P, V, A)."""
         dts = np.asarray(dts, dtype=float)[:, None]
@@ -172,10 +169,6 @@ class QuinticSegment:
         v = dpow @ self.coeffs.T
         a = ddpow @ self.coeffs.T
         return p, v, a
-
-    def state_at(self, dt: float) -> UavState:
-        p, v, a = self.states_at(np.array([dt]))
-        return UavState(t=dt, p=p[0], v=v[0], a=a[0])
 
 
 @dataclass(frozen=True)
@@ -262,16 +255,6 @@ def sample_times(t0: float, duration: float, dt: float) -> np.ndarray:
     else:
         ts[-1] = t0 + duration
     return ts
-
-
-def sample_trajectory(traj: Trajectory, dt: float) -> list[UavState]:
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if dt > traj.duration + 1e-12:
-        raise ValueError(f"dt={dt} exceeds trajectory duration {traj.duration}")
-    ts = sample_times(traj.t0, traj.duration, dt)
-    P, V, A = traj.states_at(ts)
-    return [UavState(t=float(ts[i]), p=P[i], v=V[i], a=A[i]) for i in range(len(ts))]
 
 
 @dataclass(frozen=True)

@@ -259,8 +259,8 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     """
     t_wall = time.perf_counter()
     goal = np.asarray(goal, dtype=float)
-    collides, _, dist = local_map.collision(start.p, cfg.clearance)
-    if collides:
+    dist = local_map.nearest_distance(start.p, cfg.clearance)
+    if dist <= cfg.clearance:
         raise StartInCollision(dist)
 
     cell = cfg.prune_cell

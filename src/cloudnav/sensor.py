@@ -206,16 +206,6 @@ class Environment:
         best[best > max_range] = np.inf
         return best
 
-    def cast_ray(self, origin, direction, t: float, max_range: float):
-        """Nearest hit point of a single ray, or None."""
-        d = np.asarray(direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
-            raise ValueError("direction must be a unit vector")
-        th = self.cast_rays(origin, d[None, :], t, max_range)[0]
-        if not np.isfinite(th):
-            return None
-        return np.asarray(origin, dtype=float) + th * d
-
     def min_distance(self, p, t: float) -> float:
         """Smallest signed distance from p to any obstacle at time t."""
         p = np.asarray(p, dtype=float)[None, :]

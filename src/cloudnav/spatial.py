@@ -26,11 +26,11 @@ from .core import PointCloud, Trajectory, sample_times, save_cloud_txt, voxel_ke
 
 
 class KdTree:
-    """3-d tree with exact nearest / radius queries.
+    """3-d tree answering one query exactly: the distance from each query point
+    to its nearest stored point, capped at a radius.
 
-    Backed by scipy's cKDTree; this wrapper adds empty-set handling, inclusive
-    radius semantics (distance <= r), and deterministic tie-breaking by lowest
-    insertion index so query results match a brute-force scan exactly.
+    Backed by scipy's cKDTree; this wrapper adds empty-set handling and
+    inclusive radius semantics (distance <= r).
 
     The tree splits at the sliding midpoint and keeps each node's full box
     (`balanced_tree=False, compact_nodes=False`): that builds in about half the
@@ -55,30 +55,18 @@ class KdTree:
     def size(self) -> int:
         return len(self._points)
 
-    def nearest_within(self, q, r: float):
-        """Closest stored point with distance <= r, or None.
-
-        Ties are broken by lowest insertion index.
-        """
-        if r <= 0:
-            raise ValueError("r must be > 0")
+    def nearest_distance(self, pts: np.ndarray, r: float) -> np.ndarray:
+        """Per query point of `pts` (..., 3), the distance to the nearest stored
+        point if it is at most r + 1e-9, else inf."""
         if self._kd is None:
-            return None
-        idx = self._kd.query_ball_point(np.asarray(q, dtype=float), r)
-        if not idx:
-            return None
-        idx = np.sort(np.asarray(idx))
-        d = np.linalg.norm(self._points[idx] - np.asarray(q, dtype=float), axis=1)
-        best = idx[np.argmin(d)]  # argmin returns the first minimum: lowest index
-        return self._points[best].copy(), float(np.min(d))
+            return np.full(np.shape(pts)[:-1], np.inf)
+        # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
+        return self._kd.query(pts, k=1, distance_upper_bound=r + 1e-9)[0]
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Boolean per query point of `pts` (N, 3): is any stored point within
         distance r (inclusive)?"""
-        if self._kd is None:
-            return np.zeros(len(pts), dtype=bool)
-        # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
-        return self._kd.query(pts, k=1, distance_upper_bound=r + 1e-9)[0] <= r
+        return self.nearest_distance(pts, r) <= r
 
 
 # The paper's two trees: one filling while the other still holds the window before it.
@@ -219,19 +207,10 @@ class TemporalLocalMap:
             hit[miss] = tree.any_within(pts[miss], r)
         return hit
 
-    def collision(self, q, clearance: float):
-        """(collides, nearest hit point or None, distance). Checks every tree."""
-        if clearance <= 0:
-            raise ValueError("clearance must be > 0")
-        best = None
-        best_d = np.inf
-        for tree in self.trees:
-            res = tree.nearest_within(q, clearance)
-            if res is not None and res[1] < best_d:
-                best, best_d = res[0], res[1]
-        if best is None:
-            return False, None, np.inf
-        return True, best, best_d
+    def nearest_distance(self, q, r: float) -> float:
+        """Distance from point `q` to the nearest point of any tree if it is at
+        most r + 1e-9 (`KdTree.nearest_distance`'s padded bound), else inf."""
+        return min((float(tree.nearest_distance(q, r)) for tree in self.trees), default=np.inf)
 
 
 def check_trajectory(

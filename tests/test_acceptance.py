@@ -28,7 +28,7 @@ from cloudnav.spatial import KdTree, MapConfig, TemporalLocalMap
 
 from test_core import rk4_propagate
 from test_planner import audit_trajectory, default_cfg, sphere_shell
-from test_spatial import brute_nearest_within, replay_tree_contents
+from test_spatial import brute_nearest_distance, replay_tree_contents
 
 
 def report(criterion: str, detail: str):
@@ -70,23 +70,20 @@ def test_criterion_2_query_exactness():
     half = len(pts) // 2
     m.update(PointCloud(points=pts[:half], stamp=0.0))
     m.update(PointCloud(points=pts[half:], stamp=1.0))
-    checked = 0
+    checked = hits = 0
     for _ in range(1000):
         q = rng.uniform(-4.5, 4.5, 3)
         r = float(rng.uniform(0.05, 1.2))
-        got = tree.nearest_within(q, r)
-        want = brute_nearest_within(pts, q, r)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        hit, pt, d = m.collision(q, r)
-        assert hit == (want is not None)
-        if want is not None:
-            assert d == want[1]
+        want = brute_nearest_distance(pts, q, r)
+        assert tree.nearest_distance(q, r) == want
+        assert tree.any_within(q[None, :], r)[0] == (want <= r)
+        assert m.nearest_distance(q, r) == want
+        assert m.any_within(q, r)[0] == (want <= r)
         checked += 1
-    report("2", f"{checked} nearest-within and dual-tree collision queries match brute force")
+        hits += bool(np.isfinite(want))
+    assert 0 < hits < checked
+    report("2", f"{checked} nearest-distance and any-within queries, single tree and dual-tree map, "
+                f"match brute force exactly ({hits} within r)")
 
 
 def test_criterion_3_double_integrator_and_expansion_accuracy():

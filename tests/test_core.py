@@ -9,7 +9,7 @@ from cloudnav.core import (
     UavState,
     load_cloud_txt,
     propagate,
-    sample_trajectory,
+    sample_times,
     save_cloud_txt,
     voxel_filter,
     voxel_keys,
@@ -101,21 +101,25 @@ def _single_segment_traj(tau=0.6):
 
 
 def test_sample_trajectory_grid():
-    states = sample_trajectory(_single_segment_traj(0.6), 0.2)
-    assert [pytest.approx(s.t) for s in states] == [0.0, 0.2, 0.4, 0.6]
+    traj = _single_segment_traj(0.6)
+    ts = sample_times(traj.t0, traj.duration, 0.2)
+    assert ts.tolist() == [pytest.approx(x) for x in (0.0, 0.2, 0.4, 0.6)]
+    assert ts[-1] == traj.t_end
 
 
 def test_sample_trajectory_includes_exact_end():
-    states = sample_trajectory(_single_segment_traj(0.5), 0.2)
-    ts = [s.t for s in states]
-    assert ts == [pytest.approx(x) for x in (0.0, 0.2, 0.4, 0.5)]
+    traj = _single_segment_traj(0.5)
+    ts = sample_times(traj.t0, traj.duration, 0.2)
+    assert ts.tolist() == [pytest.approx(x) for x in (0.0, 0.2, 0.4, 0.5)]
+    assert ts[-1] == traj.t_end
 
 
 def test_sample_trajectory_rejects_bad_dt():
+    traj = _single_segment_traj()
     with pytest.raises(ValueError):
-        sample_trajectory(_single_segment_traj(), 0.0)
+        sample_times(traj.t0, traj.duration, 0.0)
     with pytest.raises(ValueError):
-        sample_trajectory(_single_segment_traj(), -0.1)
+        sample_times(traj.t0, traj.duration, -0.1)
 
 
 def test_sampled_chain_matches_per_segment_closed_form():
@@ -123,12 +127,14 @@ def test_sampled_chain_matches_per_segment_closed_form():
     seg1 = ConstantAccelSegment(start=s0, u=np.array([2.0, 0, -1.0]), tau=0.6)
     seg2 = ConstantAccelSegment(start=seg1.end_state, u=np.array([-2.0, 1.0, 0]), tau=0.6)
     traj = Trajectory(segments=(seg1, seg2), t0=0.0)
-    for st in sample_trajectory(traj, 0.1):
-        if st.t <= 0.6:
-            ref = propagate(s0, seg1.u, st.t)
+    ts = sample_times(traj.t0, traj.duration, 0.1)
+    P, _, _ = traj.states_at(ts)
+    for t, p in zip(ts, P):
+        if t <= 0.6:
+            ref = propagate(s0, seg1.u, t)
         else:
-            ref = propagate(seg1.end_state, seg2.u, st.t - 0.6)
-        assert np.max(np.abs(st.p - ref.p)) <= 1e-9
+            ref = propagate(seg1.end_state, seg2.u, t - 0.6)
+        assert np.max(np.abs(p - ref.p)) <= 1e-9
 
 
 def test_trajectory_joins_are_continuous():
@@ -165,8 +171,8 @@ def test_trajectory_states_at_matches_per_segment_bytes():
         else:
             seg = ConstantAccelSegment(start=s, u=rng.choice([-2.0, 0.0, 2.0], 3), tau=0.6)
         segments.append(seg)
-        end = seg.state_at(seg.duration)
-        s = UavState(t=s.t + seg.duration, p=end.p, v=end.v, a=np.zeros(3))
+        end_p, end_v, _ = seg.states_at(np.array([seg.duration]))
+        s = UavState(t=s.t + seg.duration, p=end_p[0], v=end_v[0], a=np.zeros(3))
     traj = Trajectory(segments=tuple(segments), t0=2.0)
     bounds = np.asarray(traj._bounds)
     times = np.concatenate(

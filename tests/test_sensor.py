@@ -51,25 +51,20 @@ def march_ray(sdf, origin, direction, max_range, coarse=2e-3, tol=1e-6):
 
 def test_cast_ray_sphere_head_on():
     env = Environment([Obstacle(shape=Sphere(center=[5, 0, 0], radius=1.0))])
-    hit = env.cast_ray([0, 0, 0], [1, 0, 0], 0.0, 100.0)
-    assert hit is not None
-    assert np.allclose(hit, [4, 0, 0], atol=1e-12)
+    t = env.cast_rays([0, 0, 0], np.array([[1.0, 0, 0]]), 0.0, 100.0)
+    assert t.shape == (1,)
+    assert t[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_cast_ray_miss_returns_none():
     env = Environment([Obstacle(shape=Sphere(center=[5, 5, 5], radius=0.5))])
-    assert env.cast_ray([0, 0, 0], [1, 0, 0], 0.0, 100.0) is None
-
-
-def test_cast_ray_requires_unit_direction():
-    env = Environment([])
-    with pytest.raises(ValueError):
-        env.cast_ray([0, 0, 0], [2, 0, 0], 0.0, 10.0)
+    assert env.cast_rays([0, 0, 0], np.array([[1.0, 0, 0]]), 0.0, 100.0)[0] == np.inf
 
 
 def test_cast_ray_respects_max_range():
     env = Environment([Obstacle(shape=Sphere(center=[50, 0, 0], radius=1.0))])
-    assert env.cast_ray([0, 0, 0], [1, 0, 0], 0.0, 10.0) is None
+    assert env.cast_rays([0, 0, 0], np.array([[1.0, 0, 0]]), 0.0, 10.0)[0] == np.inf
+    assert env.cast_rays([0, 0, 0], np.array([[1.0, 0, 0]]), 0.0, 100.0)[0] == pytest.approx(49.0)
 
 
 def test_box_ray_hits_front_face():
@@ -137,9 +132,9 @@ def test_moving_obstacle_ray_uses_pose_at_time():
     )
     ob = Obstacle(shape=Sphere(center=[5, 0, 0], radius=1.0), schedule=sched)
     env = Environment([ob])
-    assert env.cast_ray([0, 0, 0], [1, 0, 0], 0.0, 100.0) is None  # still lowered
-    hit = env.cast_ray([0, 0, 0], [1, 0, 0], 1.0, 100.0)  # raised into place
-    assert hit is not None and hit[0] == pytest.approx(4.0)
+    ray = np.array([[1.0, 0, 0]])
+    assert env.cast_rays([0, 0, 0], ray, 0.0, 100.0)[0] == np.inf  # still lowered
+    assert env.cast_rays([0, 0, 0], ray, 1.0, 100.0)[0] == pytest.approx(4.0)  # raised into place
 
 
 def test_generate_scan_empty_environment():
@@ -405,12 +400,9 @@ def test_cast_ray_single_bit_identical_to_reference():
     dirs = rosette_directions(sensor, 0)[:200]
     n_hits = 0
     for d in dirs:
-        hit = env.cast_ray(origin, d, 0.0, MAX_RANGE)
-        th = _ref_cast_rays(env, origin, d[None, :], 0.0, MAX_RANGE)[0]
-        if np.isfinite(th):
-            n_hits += 1
-            assert np.array_equal(hit, origin + th * d)
-        else:
-            assert hit is None
+        got = env.cast_rays(origin, d[None, :], 0.0, MAX_RANGE)
+        ref = _ref_cast_rays(env, origin, d[None, :], 0.0, MAX_RANGE)
+        assert got.shape == (1,) and np.array_equal(got, ref)
+        n_hits += bool(np.isfinite(ref[0]))
     assert n_hits > 0
 

@@ -18,60 +18,44 @@ from cloudnav.spatial import (
 )
 
 
-def brute_nearest_within(points, q, r):
-    """O(n) oracle with the same tie-break: min distance, then lowest index."""
+def brute_nearest_distance(points, q, r):
+    """O(n) oracle: the distance from q to the nearest of `points` if it lies
+    under the trees' padded, exclusive bound r + 1e-9, else inf."""
     if len(points) == 0:
-        return None
-    d = np.linalg.norm(points - np.asarray(q, dtype=float), axis=1)
-    inside = np.nonzero(d <= r)[0]
-    if len(inside) == 0:
-        return None
-    best = inside[np.argmin(d[inside])]
-    return points[best], d[best]
+        return np.inf
+    d = np.linalg.norm(points - np.asarray(q, dtype=float), axis=1).min()
+    return d if d < r + 1e-9 else np.inf
 
 
 def test_kdtree_empty():
     t = KdTree()
     assert t.size == 0
-    assert t.nearest_within([0, 0, 0], 1.0) is None
+    assert t.nearest_distance([0, 0, 0], 1.0) == np.inf
+    assert np.array_equal(t.nearest_distance(np.zeros((4, 3)), 10.0), np.full(4, np.inf))
     assert not t.any_within(np.zeros((4, 3)), 10.0).any()
 
 
 def test_kdtree_single_point():
     t = KdTree(np.array([[1.0, 2.0, 3.0]]))
-    hit = t.nearest_within([1.1, 2.0, 3.0], 0.5)
-    assert hit is not None
-    assert np.allclose(hit[0], [1, 2, 3])
-    assert hit[1] == pytest.approx(0.1)
+    assert t.nearest_distance([1.1, 2.0, 3.0], 0.5) == pytest.approx(0.1)
+    assert t.nearest_distance([1.6, 2.0, 3.0], 0.5) == np.inf
 
 
 def test_kdtree_nearest_matches_bruteforce():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-5, 5, (1000, 3))
     t = KdTree(pts)
-    for _ in range(100):
-        q = rng.uniform(-5, 5, 3)
-        got = t.nearest_within(q, 10.0)
-        want = brute_nearest_within(pts, q, 10.0)
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1]
-
-
-def test_nearest_within_tie_break_lowest_index():
-    pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]])
-    t = KdTree(pts)
-    hit = t.nearest_within([0, 0, 0], 1.0)
-    assert np.array_equal(hit[0], pts[0])
-    # reversed insertion order flips the winner
-    t2 = KdTree(pts[::-1].copy())
-    hit2 = t2.nearest_within([0, 0, 0], 1.0)
-    assert np.array_equal(hit2[0], pts[2])
+    qs = rng.uniform(-5, 5, (100, 3))
+    got = t.nearest_distance(qs, 10.0)
+    assert np.isfinite(got).all()
+    for q, d in zip(qs, got):
+        assert d == brute_nearest_distance(pts, q, 10.0)
 
 
 def test_nearest_within_boundary_inclusive():
     t = KdTree(np.array([[0.0, 0.0, 0.0]]))
-    hit = t.nearest_within([0.3, 0.0, 0.0], 0.3)
-    assert hit is not None and hit[1] == pytest.approx(0.3)
+    assert t.nearest_distance([0.3, 0.0, 0.0], 0.3) == 0.3
+    assert t.nearest_distance([0.300001, 0.0, 0.0], 0.3) == np.inf
     assert t.any_within(np.array([[0.3, 0, 0]]), 0.3)[0]
     assert not t.any_within(np.array([[0.300001, 0, 0]]), 0.3)[0]
 
@@ -82,15 +66,13 @@ def test_radius_queries_match_bruteforce():
     t = KdTree(pts)
     qs = rng.uniform(-4, 4, (1000, 3))
     rs = rng.uniform(0.05, 1.5, 1000)
+    hits = 0
     for q, r in zip(qs, rs):
-        got = t.nearest_within(q, r)
-        want = brute_nearest_within(pts, q, r)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert np.array_equal(got[0], want[0])
-            assert got[1] == want[1]
+        want = brute_nearest_distance(pts, q, r)
+        assert t.nearest_distance(q, r) == want
+        assert t.any_within(q[None, :], r)[0] == (want <= r)
+        hits += bool(np.isfinite(want))
+    assert 0 < hits < len(qs)
 
 
 def _scan(points, stamp=0.0):
@@ -264,16 +246,14 @@ def test_window_bound_no_points_older_than_two_h():
 
 def test_map_collision_both_trees_consulted():
     m = TemporalLocalMap(MapConfig(scans_per_tree=1, resolution=0.1))
-    hit, pt, d = m.collision([0, 0, 0], 0.45)
-    assert not hit
+    assert m.nearest_distance([0, 0, 0], 0.45) == np.inf
     # scan 0 -> tree 0 (far point), scan 1 -> tree 1 (the dynamic one, nearby)
     m.update(_scan([[5.0, 5.0, 5.0]], stamp=0.0))
     m.update(_scan([[0.3, 0.0, 0.0]], stamp=1.0))
     assert m.trees[0].size == 1 and m.trees[1].size == 1
-    hit, pt, d = m.collision([0, 0, 0], 0.45)
-    assert hit
-    assert np.allclose(pt, [0.3, 0, 0])
-    assert d == pytest.approx(0.3)
+    assert m.nearest_distance([0, 0, 0], 0.45) == pytest.approx(0.3)
+    # and the far tree answers when the near one is out of reach
+    assert m.nearest_distance([5.0, 5.0, 5.2], 0.45) == pytest.approx(0.2)
 
 
 def test_map_collision_matches_bruteforce_union():
@@ -285,14 +265,14 @@ def test_map_collision_matches_bruteforce_union():
     for s in scans:
         m.update(s)
     union = np.concatenate([t.points for t in m.trees])
+    hits = 0
     for _ in range(300):
         q = rng.uniform(-3, 3, 3)
         r = rng.uniform(0.1, 1.0)
-        hit, pt, d = m.collision(q, r)
-        want = brute_nearest_within(union, q, r)
-        assert hit == (want is not None)
-        if want is not None:
-            assert d == pytest.approx(want[1], abs=1e-12)
+        want = brute_nearest_distance(union, q, r)
+        assert m.nearest_distance(q, r) == want
+        hits += bool(np.isfinite(want))
+    assert 0 < hits < 300
 
 
 def brute_any_within(points, qs, r):
