@@ -125,6 +125,14 @@ def write_events_csv(log: RunLog, path) -> None:
             f.write(f"{_fmt(ev.t)},{ev.kind},{data}\n")
 
 
+def _make_out_dir(out_dir) -> None:
+    """Create --out before anything runs; a path that cannot be a directory is a usage error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ScenarioError(f"--out: cannot create directory {str(out_dir)!r}: {e}") from e
+
+
 def run(scenario_path, seed: int | None, out_dir, overrides: list[str] | None = None) -> RunReport:
     """Execute one closed-loop run and write its artifacts to out_dir.
 
@@ -135,9 +143,9 @@ def run(scenario_path, seed: int | None, out_dir, overrides: list[str] | None = 
     if seed is not None:
         overrides = [*(overrides or []), f"seed={seed}"]
     scenario = load_scenario(scenario_path, overrides=overrides)
+    _make_out_dir(out_dir)
     log = simulate(scenario)
     report = build_report(log, scenario)
-    os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(log, os.path.join(out_dir, "trajectory.csv"))
     write_events_csv(log, os.path.join(out_dir, "events.csv"))
     dump_map(log.local_map, os.path.join(out_dir, "map_final"))
@@ -157,9 +165,10 @@ def compare_maps(scenario_path, out_dir=None, overrides: list[str] | None = None
     if not isinstance(bar, Capsule):
         raise ScenarioError(f"compare.bar: {scenario.compare.bar!r} is a {type(bar).__name__.lower()}; "
                             "--compare-maps must name a capsule bar")
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     report = thin_object_experiment(scenario, export_dir=out_dir)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "compare_maps.json"), "w") as f:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")

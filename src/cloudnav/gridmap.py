@@ -25,6 +25,8 @@ LOG_ODDS_HIT = 0.85
 LOG_ODDS_MISS = -0.4
 CLAMP_MIN = -2.0
 CLAMP_MAX = 3.5
+# Ceiling on a grid's cells, so its log-odds array stays allocatable (80 MB).
+MAX_GRID_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,10 @@ class GridConfig:
             raise ValueError("resolution must be > 0")
         if not np.all(self.size > 0):
             raise ValueError("size must be positive on every axis")
+        with np.errstate(over="ignore"):  # an extent past the float range counts as inf cells
+            cells = np.prod(np.ceil(self.size / self.resolution))
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(f"{cells:g} cells at {self.resolution:g} m exceed MAX_GRID_CELLS = {MAX_GRID_CELLS:g}")
 
     @property
     def shape(self) -> tuple:

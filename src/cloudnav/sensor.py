@@ -238,8 +238,9 @@ class SensorModel:
     points_per_second: float = 240000.0
 
     def __post_init__(self):
-        if self.points_per_second <= 0:
-            raise ValueError("points_per_second must be > 0")
+        # at or below half a ray a frame, points_per_frame rounds to 0: the UAV would fly blind
+        if not self.points_per_second > FRAME_RATE / 2:
+            raise ValueError(f"points_per_second must be > {FRAME_RATE / 2:g} (at least one ray per frame)")
         if self.points_per_second > MAX_RAYS_PER_FRAME * FRAME_RATE:
             raise ValueError(f"points_per_second must be <= {MAX_RAYS_PER_FRAME * FRAME_RATE:g} "
                              f"({MAX_RAYS_PER_FRAME} rays per frame)")

@@ -128,6 +128,19 @@ def test_cli_main_exit_codes(mini_path, tmp_path):
     assert not (tmp_path / "v").exists()
 
 
+def test_cli_out_naming_a_file_exits_5_before_anything_runs(mini_path, tmp_path, capsys):
+    cmp_path = tmp_path / "cmp.yaml"
+    cmp_path.write_text(yaml.safe_dump(MINI_CMP))
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for argv in ([mini_path, "--out", str(taken)],
+                 [str(cmp_path), "--compare-maps", "--out", str(taken)],
+                 [mini_path, "--out", str(taken / "sub")]):
+        assert main(argv) == EXIT_SCENARIO_ERROR
+        assert "scenario error: --out: " in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+
+
 def test_cli_override_flag(mini_path, tmp_path, capsys):
     base = run(mini_path, seed=4, out_dir=tmp_path / "base")
     # a_max must stay above 2*prune_cell/primitive_duration^2 so the first hop
@@ -200,7 +213,10 @@ def test_cli_compare_maps_applies_the_seed(tmp_path, capsys):
 
 def test_cli_malformed_values_exit_5_naming_their_key(tmp_path, capsys):
     for argv, key in ((["indoor_bar", "--set", "planner.v_max=.nan"], "planner.v_max"),
-                      (["thin_bar_compare", "--compare-maps", "--set", "compare.size=[0, 1, 1]"], "compare.size")):
+                      (["thin_bar_compare", "--compare-maps", "--set", "compare.size=[0, 1, 1]"], "compare.size"),
+                      (["thin_bar_compare", "--compare-maps", "--set", "compare.size=[1.0e+6, 1.0e+6, 1.0e+6]"],
+                       "compare.size"),
+                      (["indoor_bar", "--set", "sensor.points_per_second=10"], "sensor.points_per_second")):
         out = tmp_path / key
         assert main([*argv, "--out", str(out)]) == EXIT_SCENARIO_ERROR
         assert f"scenario error: {key}: " in capsys.readouterr().err

@@ -29,7 +29,7 @@ def perturb(raw: dict, rng: np.random.Generator) -> dict:
     start["position"] = (np.array(start["position"]) + rng.uniform(-0.3, 0.3, 3)).tolist()
     start["yaw"] = float(rng.uniform(-np.pi, np.pi))
     raw["goal"] = (np.array(raw["goal"]) + rng.uniform(-1.0, 1.0, 3)).tolist()
-    # from 10 points/s, where frames cast no ray at all, up to a quarter of the Avia's rate
+    # from 10 points/s, below the one-ray-a-frame floor the loader refuses, up to a quarter of the Avia's rate
     raw["sensor"] = {"points_per_second": float(10 ** rng.uniform(1.0, 4.8))}
     raw["map"] = {"scans_per_tree": int(rng.integers(1, 60)), "resolution": float(rng.uniform(0.02, 0.4))}
     # inside the planner envelope: a_max * tau <= v_max, and 0.5 * a_max * tau^2

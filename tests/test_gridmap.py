@@ -7,6 +7,7 @@ from cloudnav.gridmap import (
     CLAMP_MIN,
     LOG_ODDS_HIT,
     LOG_ODDS_MISS,
+    MAX_GRID_CELLS,
     GridConfig,
     OccupancyGrid,
     bar_cells,
@@ -52,6 +53,18 @@ def segment_intersects_cell(grid, origin, end, cell, eps=1e-9):
             t1, t2 = t2, t1
         ta, tb = max(ta, t1), min(tb, t2)
     return ta <= tb
+
+
+def test_grid_config_refuses_more_cells_than_the_ceiling():
+    # CompareConfig's default extent at 5 cm: 140 * 160 * 90 = 2 016 000 cells
+    assert np.prod(GridConfig(resolution=0.05, origin=np.zeros(3), size=[7.0, 8.0, 4.5]).shape) == 2_016_000
+    for resolution, size in ((1e-3, [7.0, 8.0, 4.5]), (1.0, [1e6, 1e6, 1e6]), (1e-300, [1e300, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+            GridConfig(resolution=resolution, origin=np.zeros(3), size=size)
+    edge = [MAX_GRID_CELLS / 100, 10.0, 10.0]
+    assert np.prod(GridConfig(resolution=1.0, origin=np.zeros(3), size=edge).shape) == MAX_GRID_CELLS
+    with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+        GridConfig(resolution=1.0, origin=np.zeros(3), size=[edge[0] + 0.5, 10.0, 10.0])
 
 
 def test_single_ray_bookkeeping():

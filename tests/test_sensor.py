@@ -152,6 +152,14 @@ def test_points_per_frame():
     assert FRAME_DT == pytest.approx(0.02)
 
 
+def test_sensor_refuses_fewer_than_one_ray_per_frame():
+    # 25 points/s is half a ray a frame, which rounds to none
+    for rate in (10.0, 25.0, 0.0, -5.0):
+        with pytest.raises(ValueError, match="at least one ray per frame"):
+            SensorModel(points_per_second=rate)
+    assert SensorModel(points_per_second=25.01).points_per_frame == 1
+
+
 def _bar_env():
     return Environment([Obstacle(shape=Capsule(p0=[3, 0, 0.2], p1=[3, 0, 2.2], radius=0.01), name="bar")])
 

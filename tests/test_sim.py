@@ -330,9 +330,14 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("compare.size=[0, 1, 1]", "compare.size"),
     ("map.resolution=1.0e-300", "map.resolution"),  # too fine for voxel_keys to index the sensor range
     ("sensor.points_per_second=1.0e+300", "sensor.points_per_second"),  # one frame's rays not allocatable
+    ("compare.size=[1.0e+6, 1.0e+6, 1.0e+6]", "compare.size"),  # the grid's cells not allocatable
+    ("compare.grid_resolution=1.0e-3", "compare.grid_resolution"),
+    ("compare.sweep=[0.3, 1.0e-3]", "compare.sweep"),
     # each of these was accepted and flew, or compared, on a wrong value
     ("map.scans_per_tree=true", "map.scans_per_tree"),
     ("sensor.points_per_second=true", "sensor.points_per_second"),
+    ("sensor.points_per_second=10", "sensor.points_per_second"),  # no ray a frame: flew blind
+    ("sensor.points_per_second=25", "sensor.points_per_second"),  # half a ray a frame rounds to none
     ("planner.max_expansions=2.5", "planner.max_expansions"),
     ("obstacles=[{shape: sphere, center: [3, 0, 1], radius: .nan}]", "obstacles[0].radius"),
     ("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.1, schedule: [{t: .nan, offset: [0, 0, 1]}]}]",
