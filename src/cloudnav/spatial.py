@@ -57,7 +57,7 @@ class KdTree:
 
     def nearest_distance(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Per query point of `pts` (..., 3), the distance to the nearest stored
-        point if it is at most r + 1e-9, else inf."""
+        point if it is below the padded bound r + 1e-9, else inf."""
         if self._kd is None:
             return np.full(np.shape(pts)[:-1], np.inf)
         # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
@@ -208,9 +208,9 @@ class TemporalLocalMap:
         return hit
 
     def nearest_distance(self, q, r: float) -> float:
-        """Distance from point `q` to the nearest point of any tree if it is at
-        most r + 1e-9 (`KdTree.nearest_distance`'s padded bound), else inf."""
-        return min((float(tree.nearest_distance(q, r)) for tree in self.trees), default=np.inf)
+        """Distance from point `q` to the nearest point of any tree if it is
+        below `KdTree.nearest_distance`'s padded bound r + 1e-9, else inf."""
+        return min(float(tree.nearest_distance(q, r)) for tree in self.trees)
 
 
 def check_trajectory(
