@@ -133,15 +133,12 @@ def _make_out_dir(out_dir) -> None:
         raise ScenarioError(f"--out: cannot create directory {str(out_dir)!r}: {e}") from e
 
 
-def run(scenario_path, seed: int | None, out_dir, overrides: list[str] | None = None) -> RunReport:
+def run(scenario_path, out_dir, overrides: list[str] | None = None) -> RunReport:
     """Execute one closed-loop run and write its artifacts to out_dir.
 
     trajectory.csv, events.csv and the final map dump are reproducible from
-    (scenario, seed); report.json additionally holds wall-clock timings. A
-    `seed` is applied as the `seed` override, so the loader checks it.
+    (scenario, seed); report.json additionally holds wall-clock timings.
     """
-    if seed is not None:
-        overrides = [*(overrides or []), f"seed={seed}"]
     scenario = load_scenario(scenario_path, overrides=overrides)
     _make_out_dir(out_dir)
     log = simulate(scenario)
@@ -155,7 +152,7 @@ def run(scenario_path, seed: int | None, out_dir, overrides: list[str] | None = 
     return report
 
 
-def compare_maps(scenario_path, out_dir=None, overrides: list[str] | None = None) -> dict:
+def compare_maps(scenario_path, out_dir, overrides: list[str] | None = None) -> dict:
     """Drive the thin-object occupancy-grid comparison and write its report
     plus grid/point-cloud exports for plotting."""
     scenario = load_scenario(scenario_path, overrides=overrides)
@@ -165,13 +162,11 @@ def compare_maps(scenario_path, out_dir=None, overrides: list[str] | None = None
     if not isinstance(bar, Capsule):
         raise ScenarioError(f"compare.bar: {scenario.compare.bar!r} is a {type(bar).__name__.lower()}; "
                             "--compare-maps must name a capsule bar")
-    if out_dir is not None:
-        _make_out_dir(out_dir)
+    _make_out_dir(out_dir)
     report = thin_object_experiment(scenario, export_dir=out_dir)
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "compare_maps.json"), "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+    with open(os.path.join(out_dir, "compare_maps.json"), "w") as f:
+        json.dump(report, f, indent=2, sort_keys=True)
+        f.write("\n")
     return report
 
 
@@ -207,7 +202,7 @@ def main(argv=None) -> int:
             report = compare_maps(path, out_dir=args.out, overrides=overrides)
             print(json.dumps(report, indent=2, sort_keys=True))
             return EXIT_OK
-        report = run(path, seed=None, out_dir=args.out, overrides=overrides)
+        report = run(path, out_dir=args.out, overrides=overrides)
         print(
             f"{report.scenario}: {report.outcome} in {report.flight_duration:.2f}s, "
             f"{report.replan_count} replans, path {report.path_length:.2f} m, "

@@ -67,14 +67,9 @@ class KinodynamicLimits:
             raise ValueError("kinodynamic limits must be strictly positive")
 
 
-def propagate(s: UavState, u, tau: float) -> UavState:
-    """Closed-form double-integrator propagation of `s` under constant accel `u`."""
-    u = _as_vec3(u, "u")
-    if not math.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    p = s.p + s.v * tau + 0.5 * u * tau * tau
-    v = s.v + u * tau
-    return UavState(t=s.t + tau, p=p, v=v, a=u.copy())
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -87,24 +82,20 @@ class ConstantAccelSegment:
 
     def __post_init__(self):
         object.__setattr__(self, "u", _as_vec3(self.u, "u"))
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        _check_tau(self.tau)
 
     @property
     def duration(self) -> float:
         return self.tau
 
     def states_at(self, dts: np.ndarray):
-        """Vectorized evaluation at segment-relative offsets. Returns (P, V, A)."""
+        """Closed-form double-integrator evaluation at segment-relative offsets.
+        Returns (P, V, A)."""
         dts = np.asarray(dts, dtype=float)[:, None]
         p = self.start.p + self.start.v * dts + 0.5 * self.u * dts * dts
         v = self.start.v + self.u * dts
         a = np.broadcast_to(self.u, p.shape).copy()
         return p, v, a
-
-    @property
-    def end_state(self) -> UavState:
-        return propagate(self.start, self.u, self.tau)
 
 
 @dataclass(frozen=True)
@@ -120,8 +111,7 @@ class QuinticSegment:
         if c.shape != (3, 6):
             raise ValueError(f"coeffs must have shape (3, 6), got {c.shape}")
         object.__setattr__(self, "coeffs", c)
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        _check_tau(self.tau)
 
     @property
     def duration(self) -> float:
@@ -133,8 +123,7 @@ class QuinticSegment:
         end_p = _as_vec3(end_p, "end_p")
         end_v = _as_vec3(end_v, "end_v")
         end_a = _as_vec3(end_a, "end_a")
-        if tau <= 0:
-            raise ValueError("tau must be > 0")
+        _check_tau(tau)
         c0 = start.p
         c1 = start.v
         c2 = 0.5 * start.a

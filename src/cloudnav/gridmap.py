@@ -258,9 +258,11 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
     full = cast(list(scenario.obstacles))
     no_wall = cast([ob for ob in scenario.obstacles if ob.name != wall.name])
 
-    main_fraction, main_grid = run_grid(comp.grid_resolution, full)
+    # each resolution is built once, also the main one when the sweep repeats it
+    grids = {res: run_grid(res, full) for res in dict.fromkeys((comp.grid_resolution, *comp.sweep))}
+    main_fraction, main_grid = grids[comp.grid_resolution]
     no_wall_fraction, _ = run_grid(comp.grid_resolution, no_wall)
-    sweep = {res: run_grid(res, full)[0] for res in comp.sweep}
+    sweep = {res: grids[res][0] for res in comp.sweep}
 
     # point-cloud side: the same scans through the temporal local map
     local_map = TemporalLocalMap(scenario.map_config)

@@ -38,6 +38,9 @@ PLAN_BUDGET = 0.03
 # Emergency relaxation: shrink the clearance by this factor, down to this floor.
 RELAX_STEP = 0.8
 RELAX_FLOOR = 0.10
+# Ceiling on the samples per primitive, floor(primitive_duration / check_dt) + 1,
+# so expand's (27, samples, 3) blocks stay small; the bundled scenarios use 6.
+MAX_PRIMITIVE_SAMPLES = 1000
 
 
 class PlannerError(Exception):
@@ -224,25 +227,22 @@ def _segment_effort(seg: QuinticSegment, dt: float) -> float:
     return float(np.trapezoid((A * A).sum(axis=1), ts))
 
 
-def _build_trajectory(node: SearchNode, start: UavState, tail: QuinticSegment | None, cfg: PlannerConfig):
-    chain = []
+def _build_trajectory(node: SearchNode, tail: QuinticSegment | None, cfg: PlannerConfig):
+    """The searched node chain from the root to `node` as primitive segments,
+    each from its parent's state under its incoming control, then the tail."""
+    tau = cfg.limits.primitive_duration
+    segments = []
     cur = node
     while cur.parent is not None:
-        chain.append(cur.state.a)
+        segments.append(ConstantAccelSegment(start=cur.parent.state, u=cur.state.a, tau=tau))
         cur = cur.parent
-    chain.reverse()
-    segments = []
-    state = start
-    tau = cfg.limits.primitive_duration
-    for u in chain:
-        seg = ConstantAccelSegment(start=state, u=u, tau=tau)
-        segments.append(seg)
-        state = seg.end_state
+    primitives = len(segments)
+    segments.reverse()
     cost = node.g
     if tail is not None:
         segments.append(tail)
         cost += TIME_WEIGHT * tail.duration + _segment_effort(tail, cfg.check_dt)
-    return Trajectory(segments=tuple(segments), t0=start.t), cost, len(chain)
+    return Trajectory(segments=tuple(segments), t0=cur.state.t), cost, primitives
 
 
 def _prune_key(p: np.ndarray, cell: float) -> tuple:
@@ -309,7 +309,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
 
     traj = None
     if outcome in ("analytic", "primitive"):
-        traj, report.cost, report.primitive_count = _build_trajectory(node, start, tail, cfg)
+        traj, report.cost, report.primitive_count = _build_trajectory(node, tail, cfg)
         report.analytic_connection = tail is not None
     report.outcome = outcome
     report.open_size = len(open_heap)

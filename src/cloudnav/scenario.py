@@ -18,7 +18,7 @@ import yaml
 
 from .core import _KEY_OFFSET, KinodynamicLimits
 from .gridmap import GridConfig
-from .planner import PlannerConfig
+from .planner import MAX_PRIMITIVE_SAMPLES, PlannerConfig
 from .sensor import MAX_RANGE, Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
 from .spatial import MapConfig
 
@@ -182,6 +182,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError(f"planner.a_max, planner.primitive_duration: 0.5*a_max*primitive_duration^2 = "
                             f"{0.5 * lim.a_max * lim.primitive_duration**2:g} must exceed the dedup cell "
                             f"planner.prune_cell = {cell:g} (default: half of planner.clearance)")
+    if lim.primitive_duration >= MAX_PRIMITIVE_SAMPLES * planner_config.check_dt:  # no division: check_dt may be 0
+        raise ScenarioError(f"planner.clearance, planner.v_max, planner.primitive_duration: "
+                            f"{2 * lim.v_max * lim.primitive_duration / planner_config.clearance:.3g} samples per "
+                            f"primitive exceed MAX_PRIMITIVE_SAMPLES = {MAX_PRIMITIVE_SAMPLES}")
 
     obstacles = tuple(_parse_obstacle(o, i) for i, o in enumerate(top.get("obstacles", [])))
 

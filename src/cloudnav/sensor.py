@@ -209,16 +209,8 @@ class Environment:
     def min_distance(self, p, t: float) -> float:
         """Smallest signed distance from p to any obstacle at time t."""
         p = np.asarray(p, dtype=float)[None, :]
-        return float(self.min_distances_over_time(p, np.array([float(t)]))[0])
-
-    def min_distances_over_time(self, pts: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Per (pts[i], ts[i]) pair, the smallest signed distance to any obstacle."""
-        pts = np.asarray(pts, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        d = np.full(len(pts), np.inf)
-        for ob in self.obstacles:
-            d = np.minimum(d, ob.distances(pts, ts))
-        return d
+        t = np.array([float(t)])
+        return min((float(ob.distances(p, t)[0]) for ob in self.obstacles), default=math.inf)
 
 
 # The Livox Avia the paper flies: elliptical field of view, frame rate,

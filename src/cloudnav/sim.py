@@ -314,14 +314,10 @@ def audit_ground_truth(log: RunLog, scenario: Scenario) -> AuditResult:
     Independent of the map: every logged UAV position is checked against the
     obstacles at the matching time, planner-failure hover frames included.
     """
-    env = scenario.environment()
     P = np.array([fr.p for fr in log.frames])
     T = np.array([fr.t for fr in log.frames])
-    d = env.min_distances_over_time(P, T)
-    per_obstacle = {
-        ob.name: float(ob.distances(P, T).min()) for ob in env.obstacles if ob.name
-    }
+    nearest = [(ob.name, float(ob.distances(P, T).min())) for ob in scenario.obstacles]
     return AuditResult(
-        min_distance=float(d.min()) if len(d) else math.inf,
-        per_obstacle=per_obstacle,
+        min_distance=min((d for _, d in nearest), default=math.inf),
+        per_obstacle={name: d for name, d in nearest if name},
     )

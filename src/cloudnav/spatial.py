@@ -118,11 +118,15 @@ class TemporalLocalMap:
 
     def __init__(self, config: MapConfig):
         self.config = config
-        self.scan_input_num = 0
         self.total_scans = 0
         self.trees: list[KdTree] = [KdTree() for _ in range(TREE_COUNT)]
         self._stamps = [0.0] * TREE_COUNT  # stamp of the scan each tree was last built from
         self._reset_accumulation()
+
+    @property
+    def scan_input_num(self) -> int:
+        """Scans into the current cycle of `TREE_COUNT` trees."""
+        return self.total_scans % (self.config.scans_per_tree * TREE_COUNT)
 
     def _reset_accumulation(self) -> None:
         self._keys = np.empty(0, dtype=np.int64)
@@ -161,11 +165,11 @@ class TemporalLocalMap:
         t_start = time.perf_counter()
         # validated before any state changes: a rejected scan leaves the map as it was
         keys = voxel_keys(new_scan.points, cfg.resolution)
-        window = cfg.scans_per_tree * TREE_COUNT
+        n = self.scan_input_num
         # the scan that starts a new cycle overwrites tree 0 wholesale
-        wrapped = self.scan_input_num == 0 and self.total_scans > 0
-        tree_index = self.scan_input_num // cfg.scans_per_tree
-        if self.scan_input_num % cfg.scans_per_tree == 0:
+        wrapped = n == 0 and self.total_scans > 0
+        tree_index = n // cfg.scans_per_tree
+        if n % cfg.scans_per_tree == 0:
             self._reset_accumulation()
         self._fold(new_scan.points, keys)
         centroids = np.column_stack([s / self._counts for s in self._sums])  # voxel_filter's layout
@@ -173,7 +177,6 @@ class TemporalLocalMap:
         self.trees[tree_index] = KdTree(centroids)
         self._stamps[tree_index] = new_scan.stamp
         t_end = time.perf_counter()
-        self.scan_input_num = (self.scan_input_num + 1) % window
         self.total_scans += 1
         return MapUpdateInfo(
             tree_index=tree_index,

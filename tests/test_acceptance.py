@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cloudnav.cli import resolve_scenario_path, run
-from cloudnav.core import PointCloud, UavState, voxel_filter
+from cloudnav.core import ConstantAccelSegment, PointCloud, UavState, voxel_filter
 from cloudnav.gridmap import thin_object_experiment
 from cloudnav.planner import (
     PlannerConfig,
@@ -93,13 +93,11 @@ def test_criterion_3_double_integrator_and_expansion_accuracy():
         s = UavState(t=0.0, p=rng.uniform(-5, 5, 3), v=rng.uniform(-2, 2, 3), a=np.zeros(3))
         u = rng.uniform(-2.0, 2.0, 3)
         tau = float(rng.uniform(0.05, 1.5))
-        from cloudnav.core import propagate
-
-        got = propagate(s, u, tau)
+        P, V, _ = ConstantAccelSegment(start=s, u=u, tau=tau).states_at([tau])
         p_ref, v_ref = rk4_propagate(s.p, s.v, u, tau)
-        worst_prop = max(worst_prop, float(np.abs(got.p - p_ref).max()))
-        assert np.abs(got.p - p_ref).max() <= 1e-9
-        assert np.abs(got.v - v_ref).max() <= 1e-9
+        worst_prop = max(worst_prop, float(np.abs(P[0] - p_ref).max()))
+        assert np.abs(P[0] - p_ref).max() <= 1e-9
+        assert np.abs(V[0] - v_ref).max() <= 1e-9
 
     cfg = default_cfg()
     empty = TemporalLocalMap(MapConfig())
@@ -124,7 +122,7 @@ def test_criterion_3_double_integrator_and_expansion_accuracy():
         worst_bc = max(worst_bc, float(max(errs)))
         assert max(errs) <= 1e-6
     assert accepted >= 30, f"only {accepted}/60 expansions accepted"
-    report("3", f"propagate vs RK4 worst {worst_prop:.2e} m (<=1e-9); "
+    report("3", f"closed form vs RK4 worst {worst_prop:.2e} m (<=1e-9); "
                 f"{accepted} expansion segments, boundary worst {worst_bc:.2e} (<=1e-6)")
 
 
@@ -294,8 +292,8 @@ def test_criterion_9_determinism(tmp_path):
     path = resolve_scenario_path("indoor_bar")
     a = tmp_path / "run_a"
     b = tmp_path / "run_b"
-    rep_a = run(path, seed=7, out_dir=a)
-    rep_b = run(path, seed=7, out_dir=b)
+    rep_a = run(path, out_dir=a, overrides=["seed=7"])
+    rep_b = run(path, out_dir=b, overrides=["seed=7"])
     assert rep_a.outcome == "goal_reached" and rep_a.replan_count >= 1
     assert rep_b.outcome == rep_a.outcome and rep_b.replan_count == rep_a.replan_count
     compared = []

@@ -62,7 +62,7 @@ def test_resolve_bundled_names_exist():
 
 def test_run_writes_expected_outputs(mini_path, tmp_path):
     out = tmp_path / "out"
-    report = run(mini_path, seed=None, out_dir=out)
+    report = run(mini_path, out_dir=out)
     assert report.outcome == "goal_reached"
     for name in ("trajectory.csv", "events.csv", "report.json", "map_final/tree0.txt",
                  "map_final/tree1.txt", "map_final/counters.txt"):
@@ -78,8 +78,8 @@ def test_run_writes_expected_outputs(mini_path, tmp_path):
 def test_run_is_byte_identical_for_same_seed(mini_path, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run(mini_path, seed=11, out_dir=a)
-    run(mini_path, seed=11, out_dir=b)
+    run(mini_path, out_dir=a, overrides=["seed=11"])
+    run(mini_path, out_dir=b, overrides=["seed=11"])
     for name in ("trajectory.csv", "events.csv", "map_final/tree0.txt",
                  "map_final/tree1.txt", "map_final/counters.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
@@ -88,8 +88,8 @@ def test_run_is_byte_identical_for_same_seed(mini_path, tmp_path):
 def test_run_differs_across_seeds(mini_path, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run(mini_path, seed=1, out_dir=a)
-    run(mini_path, seed=2, out_dir=b)
+    run(mini_path, out_dir=a, overrides=["seed=1"])
+    run(mini_path, out_dir=b, overrides=["seed=2"])
     assert (a / "trajectory.csv").read_bytes() != (b / "trajectory.csv").read_bytes()
 
 
@@ -98,7 +98,7 @@ def test_malformed_scenario_no_partial_outputs(tmp_path):
     bad.write_text("duration: -5\ngoal: [1, 2]\n")
     out = tmp_path / "out"
     with pytest.raises(ScenarioError):
-        run(str(bad), seed=None, out_dir=out)
+        run(str(bad), out_dir=out)
     assert not out.exists()
 
 
@@ -142,7 +142,7 @@ def test_cli_out_naming_a_file_exits_5_before_anything_runs(mini_path, tmp_path,
 
 
 def test_cli_override_flag(mini_path, tmp_path, capsys):
-    base = run(mini_path, seed=4, out_dir=tmp_path / "base")
+    base = run(mini_path, out_dir=tmp_path / "base", overrides=["seed=4"])
     # a_max must stay above 2*prune_cell/primitive_duration^2 so the first hop
     # from rest clears the dedup cell (see README planner notes)
     code = main([mini_path, "--out", str(tmp_path / "o"),

@@ -8,7 +8,6 @@ from cloudnav.core import (
     Trajectory,
     UavState,
     load_cloud_txt,
-    propagate,
     sample_times,
     save_cloud_txt,
     voxel_filter,
@@ -34,25 +33,23 @@ def rk4_propagate(p, v, u, tau, dt=1e-4):
     return p, v
 
 
+def end_state(seg: ConstantAccelSegment) -> UavState:
+    """The state at the end of `seg`, from its closed form."""
+    P, V, A = seg.states_at([seg.tau])
+    return UavState(t=seg.start.t + seg.tau, p=P[0], v=V[0], a=A[0])
+
+
 def test_propagate_zero_control():
     s = UavState(t=0.0, p=[0, 0, 0], v=[1, 0, 0], a=[0, 0, 0])
-    out = propagate(s, [0, 0, 0], 0.6)
+    out = end_state(ConstantAccelSegment(start=s, u=[0, 0, 0], tau=0.6))
     assert np.allclose(out.p, [0.6, 0, 0])
     assert np.allclose(out.v, [1, 0, 0])
     assert out.t == pytest.approx(0.6)
 
 
-def test_propagate_tau_zero_is_identity():
-    s = UavState(t=1.5, p=[1, 2, 3], v=[-1, 0.5, 0], a=[0, 0, 0])
-    out = propagate(s, [2, -2, 1], 0.0)
-    assert np.allclose(out.p, s.p)
-    assert np.allclose(out.v, s.v)
-    assert out.t == s.t
-
-
 def test_propagate_matches_rk4():
     s = UavState(t=0.0, p=[0, 0, 0], v=[0, 0, 0], a=[0, 0, 0])
-    out = propagate(s, [2, 0, 0], 0.6)
+    out = end_state(ConstantAccelSegment(start=s, u=[2, 0, 0], tau=0.6))
     p_ref, v_ref = rk4_propagate(s.p, s.v, [2, 0, 0], 0.6)
     assert np.allclose(out.p, [0.36, 0, 0], atol=1e-12)
     assert np.allclose(out.v, [1.2, 0, 0], atol=1e-12)
@@ -68,7 +65,7 @@ def test_propagate_matches_rk4_random():
         )
         u = rng.choice([-2.0, 0.0, 2.0], 3)
         tau = rng.uniform(0.05, 1.2)
-        out = propagate(s, u, tau)
+        out = end_state(ConstantAccelSegment(start=s, u=u, tau=tau))
         p_ref, _ = rk4_propagate(s.p, s.v, u, tau)
         assert np.max(np.abs(out.p - p_ref)) <= 1e-9
 
@@ -79,8 +76,9 @@ def test_propagate_time_additive():
         s = UavState(t=0.0, p=rng.uniform(-1, 1, 3), v=rng.uniform(-2, 2, 3), a=[0, 0, 0])
         u = rng.uniform(-2, 2, 3)
         t1, t2 = rng.uniform(0.01, 0.8, 2)
-        two_step = propagate(propagate(s, u, t1), u, t2)
-        one_step = propagate(s, u, t1 + t2)
+        mid = end_state(ConstantAccelSegment(start=s, u=u, tau=t1))
+        two_step = end_state(ConstantAccelSegment(start=mid, u=u, tau=t2))
+        one_step = end_state(ConstantAccelSegment(start=s, u=u, tau=t1 + t2))
         assert np.max(np.abs(two_step.p - one_step.p)) <= 1e-9
         assert np.max(np.abs(two_step.v - one_step.v)) <= 1e-9
 
@@ -88,11 +86,22 @@ def test_propagate_time_additive():
 def test_propagate_rejects_nonfinite():
     s = UavState(t=0.0, p=[0, 0, 0], v=[0, 0, 0], a=[0, 0, 0])
     with pytest.raises(ValueError):
-        propagate(s, [np.nan, 0, 0], 0.1)
+        ConstantAccelSegment(start=s, u=[np.nan, 0, 0], tau=0.1)
     with pytest.raises(ValueError):
-        propagate(s, [0, 0, 0], np.inf)
+        ConstantAccelSegment(start=s, u=[0, 0, 0], tau=np.inf)
     with pytest.raises(ValueError):
         UavState(t=0.0, p=[np.inf, 0, 0], v=[0, 0, 0], a=[0, 0, 0])
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_segments_refuse_non_finite_and_non_positive_tau(tau):
+    s = UavState.hover([0, 0, 0])
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        ConstantAccelSegment(start=s, u=[1, 0, 0], tau=tau)
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        QuinticSegment(coeffs=np.zeros((3, 6)), tau=tau)
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        QuinticSegment.solve(s, [1, 0, 0], np.zeros(3), np.zeros(3), tau)
 
 
 def _single_segment_traj(tau=0.6):
@@ -125,16 +134,16 @@ def test_sample_trajectory_rejects_bad_dt():
 def test_sampled_chain_matches_per_segment_closed_form():
     s0 = UavState(t=0.0, p=[0, 0, 0], v=[0.5, -0.2, 0], a=[0, 0, 0])
     seg1 = ConstantAccelSegment(start=s0, u=np.array([2.0, 0, -1.0]), tau=0.6)
-    seg2 = ConstantAccelSegment(start=seg1.end_state, u=np.array([-2.0, 1.0, 0]), tau=0.6)
+    seg2 = ConstantAccelSegment(start=end_state(seg1), u=np.array([-2.0, 1.0, 0]), tau=0.6)
     traj = Trajectory(segments=(seg1, seg2), t0=0.0)
     ts = sample_times(traj.t0, traj.duration, 0.1)
     P, _, _ = traj.states_at(ts)
     for t, p in zip(ts, P):
         if t <= 0.6:
-            ref = propagate(s0, seg1.u, t)
+            ref = seg1.states_at([t])[0][0]
         else:
-            ref = propagate(seg1.end_state, seg2.u, t - 0.6)
-        assert np.max(np.abs(p - ref.p)) <= 1e-9
+            ref = seg2.states_at([t - 0.6])[0][0]
+        assert np.max(np.abs(p - ref)) <= 1e-9
 
 
 def test_trajectory_joins_are_continuous():
@@ -145,7 +154,7 @@ def test_trajectory_joins_are_continuous():
         u = rng.choice([-2.0, 0.0, 2.0], 3)
         seg = ConstantAccelSegment(start=s, u=u, tau=0.6)
         segments.append(seg)
-        s = seg.end_state
+        s = end_state(seg)
     tail = QuinticSegment.solve(s, s.p + np.array([1.5, 0, 0]), np.zeros(3), np.zeros(3), 2.0)
     segments.append(tail)
     traj = Trajectory(segments=tuple(segments), t0=0.0)

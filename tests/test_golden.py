@@ -52,7 +52,7 @@ def _digests(out_dir: pathlib.Path) -> dict:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_run_bytes_match_golden(name, tmp_path):
-    report = run(resolve_scenario_path(name), seed=1, out_dir=tmp_path)
+    report = run(resolve_scenario_path(name), out_dir=tmp_path, overrides=["seed=1"])
     assert report.outcome == "goal_reached"
     assert _digests(tmp_path) == GOLDEN[name]
 

@@ -181,6 +181,26 @@ def test_audit_flags_interpenetration():
     assert audit.per_obstacle["rock"] == pytest.approx(-1.0)
 
 
+def test_audit_counts_an_unnamed_obstacle_in_the_minimum_only():
+    # the unnamed box is the nearest obstacle: it sets min_distance, yet has no per-obstacle entry
+    scenario = mini_scenario(obstacles=[
+        {"name": "rock", "shape": "sphere", "center": [5, 3, 1], "radius": 1.0},
+        {"name": "", "shape": "box", "lo": [4, -2.5, 0], "hi": [6, -1.5, 2]},
+        {"name": "pole", "shape": "capsule", "p0": [5, 0, 3.5], "p1": [5, 0, 5], "radius": 0.5},
+    ])
+    from cloudnav.sim import FrameRecord, RunLog
+
+    log = RunLog(scenario_name="x", seed=0)
+    for i, x in enumerate((0.0, 5.0)):
+        log.frames.append(
+            FrameRecord(index=i, t=0.02 * i, p=np.array([x, 0, 1.0]), v=np.zeros(3),
+                        a=np.zeros(3), scan_size=0, tree_sizes=[0, 0])
+        )
+    audit = audit_ground_truth(log, scenario)
+    assert audit.min_distance == pytest.approx(1.5)
+    assert audit.per_obstacle == {"rock": pytest.approx(2.0), "pole": pytest.approx(2.0)}
+
+
 def test_scenario_missing_key_reports_path():
     with pytest.raises(ScenarioError, match="duration"):
         scenario_from_dict({"goal": [1, 2, 3], "start": {"position": [0, 0, 0]}})
@@ -333,6 +353,10 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("compare.size=[1.0e+6, 1.0e+6, 1.0e+6]", "compare.size"),  # the grid's cells not allocatable
     ("compare.grid_resolution=1.0e-3", "compare.grid_resolution"),
     ("compare.sweep=[0.3, 1.0e-3]", "compare.sweep"),
+    # expand's sample blocks not allocatable: about 1.7 TB, 15.6 GB, and a check_dt that underflows to 0
+    ("planner.v_max=1.0e+9", "planner.clearance, planner.v_max, planner.primitive_duration"),
+    ("planner={clearance: 1.0e-7, prune_cell: 0.2}", "planner.clearance, planner.v_max, planner.primitive_duration"),
+    ("planner={v_max: 1.0e+300, clearance: 1.0e-300}", "planner.clearance, planner.v_max, planner.primitive_duration"),
     # each of these was accepted and flew, or compared, on a wrong value
     ("map.scans_per_tree=true", "map.scans_per_tree"),
     ("sensor.points_per_second=true", "sensor.points_per_second"),
