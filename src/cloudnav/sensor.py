@@ -9,6 +9,10 @@ Each obstacle casts with its own matvecs (`dirs @ v` on the full ray block):
 a gemm over all obstacles, `einsum`, a written-out dot product or a matvec on
 a subset of rays all round some hits differently, which moves scan points and
 with them every map and flight. Only elementwise work is restructured.
+
+A cast skips an obstacle whose bounding sphere, seen from outside, lies out of
+range or off the ray block's view cone; the rest run on the full block. A
+skipped one could only have returned inf to the minimum, so no byte moves.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import numpy as np
 from .core import PointCloud
 
 _EPS = 1e-12
+# Broad-phase slack, far above float error: bounding radii grow by it (relative
+# and in metres), the view cone by it in radians; rays may be off unit length by it.
+_SLACK = 1e-6
 
 
 def _sphere_hits(origin: np.ndarray, center: np.ndarray, radius: float, dirs: np.ndarray) -> np.ndarray:
@@ -46,6 +53,9 @@ class Sphere:
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
 
+    def bounding_sphere(self) -> tuple[np.ndarray, float]:
+        return self.center, self.radius
+
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         return _sphere_hits(origin, self.center, self.radius, dirs)
 
@@ -69,6 +79,9 @@ class Capsule:
         axis = self.p1 - self.p0  # the unit axis and length, fixed per capsule
         object.__setattr__(self, "length", np.linalg.norm(axis))
         object.__setattr__(self, "a_hat", axis / self.length)
+
+    def bounding_sphere(self) -> tuple[np.ndarray, float]:
+        return 0.5 * (self.p0 + self.p1), 0.5 * self.length + self.radius
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         # Infinite cylinder around the axis, then clip to the segment span and
@@ -118,6 +131,9 @@ class Box:
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
         if not np.all(self.hi > self.lo):
             raise ValueError("box must have hi > lo on every axis")
+
+    def bounding_sphere(self) -> tuple[np.ndarray, float]:
+        return 0.5 * (self.lo + self.hi), 0.5 * float(np.linalg.norm(self.hi - self.lo))
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         # Slab test one axis at a time: np.maximum/np.minimum chains give the
@@ -181,11 +197,6 @@ class Obstacle:
         any position it is added to or subtracted from bit for bit unchanged."""
         return 0.0 if self.schedule is None else self.schedule.offset_at(t)
 
-    def ray_hits(self, origin: np.ndarray, dirs: np.ndarray, t: float) -> np.ndarray:
-        if self.schedule is None:  # origin - 0.0 is origin, bit for bit
-            return self.shape.ray_hits(origin, dirs)
-        return self.shape.ray_hits(origin - self.schedule.offset_at(float(t)), dirs)
-
     def distances(self, pts: np.ndarray, t) -> np.ndarray:
         """Signed distance to the solid at time(s) t; pts (M,3), t scalar or (M,)."""
         return self.shape.distances(pts - self.offset_at(t))
@@ -195,22 +206,60 @@ class Environment:
     """Collection of (possibly moving) analytic obstacles."""
 
     def __init__(self, obstacles: list[Obstacle]):
-        self.obstacles = list(obstacles)
+        self.obstacles = tuple(obstacles)
+        # bounding spheres at zero offset, inflated past any kernel's float error
+        spheres = [ob.shape.bounding_sphere() for ob in self.obstacles]
+        self._centers = np.array([c for c, _ in spheres]).reshape(-1, 3)
+        self._radii = np.array([r for _, r in spheres]) * (1.0 + _SLACK) + _SLACK
+
+    def _spheres_from(self, p: np.ndarray, t: float) -> tuple[list, np.ndarray, np.ndarray]:
+        """Each obstacle's offset at t; vectors and distances from p to the sphere centres."""
+        offsets = [ob.offset_at(t) for ob in self.obstacles]
+        rel = self._centers - p
+        for i, ob in enumerate(self.obstacles):
+            if ob.schedule is not None:
+                rel[i] += offsets[i]
+        return offsets, rel, np.sqrt((rel * rel) @ np.ones(3))
 
     def cast_rays(self, origin, dirs: np.ndarray, t: float, max_range: float) -> np.ndarray:
+        """Range to the first hit of each unit-length ray; inf for a miss or a
+        hit beyond max_range."""
         origin = np.asarray(origin, dtype=float)
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        sq = (dirs * dirs) @ np.ones(3)
+        if len(dirs) and not (sq.min() >= 1.0 - _SLACK and sq.max() <= 1.0 + _SLACK):
+            raise ValueError("ray directions must have unit length")
+        offsets, rel, dist = self._spheres_from(origin, float(t))
+        # view cone: the rays' summed axis (a gemv: dirs.sum(axis=0) costs 20 times more)
+        # and the widest ray's angle from it, widened for rays off unit length; pi when rays cancel
+        axis = np.ones(len(dirs)) @ dirs
+        norm = max(math.sqrt(axis @ axis), _SLACK)
+        cone = math.acos(max((dirs @ axis).min() / norm - 4.0 * _SLACK, -1.0)) if norm > _SLACK else math.pi
+        far = np.maximum(dist, self._radii)  # keeps R / far <= 1 and finite when the origin is inside
+        off_axis = np.arccos(np.clip(rel @ axis / (norm * far), -1.0, 1.0))
+        beyond = off_axis > cone + np.arcsin(self._radii / far) + _SLACK
+        reach = dist - self._radii  # nan compares False: a nan origin skips nothing
+        skip = (reach > 0.0) & ((reach > max_range * (1.0 + _SLACK)) | beyond)
         best = np.full(len(dirs), np.inf)
-        for ob in self.obstacles:
-            best = np.minimum(best, ob.ray_hits(origin, dirs, t))
+        # a static obstacle's offset is 0.0, and origin - 0.0 is origin bit for bit
+        for ob, offset, skipped in zip(self.obstacles, offsets, skip):
+            if not skipped:
+                best = np.minimum(best, ob.shape.ray_hits(origin - offset, dirs))
         best[best > max_range] = np.inf
         return best
 
     def min_distance(self, p, t: float) -> float:
-        """Smallest signed distance from p to any obstacle at time t."""
-        p = np.asarray(p, dtype=float)[None, :]
-        t = np.array([float(t)])
-        return min((float(ob.distances(p, t)[0]) for ob in self.obstacles), default=math.inf)
+        """Smallest signed distance from p to any obstacle at time t: obstacles
+        are visited by their lower bound |p - c| - R until it exceeds the best."""
+        p = np.asarray(p, dtype=float)
+        bounds = (self._spheres_from(p, float(t))[2] - self._radii).tolist()
+        pts, ts = p[None, :], np.array([float(t)])
+        best = math.inf
+        for i in np.argsort(bounds).tolist():
+            if bounds[i] > best:
+                break
+            best = min(best, float(self.obstacles[i].distances(pts, ts)[0]))
+        return best
 
 
 # The Livox Avia the paper flies: elliptical field of view, frame rate,

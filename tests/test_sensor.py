@@ -414,3 +414,175 @@ def test_cast_ray_single_bit_identical_to_reference():
         n_hits += bool(np.isfinite(ref[0]))
     assert n_hits > 0
 
+
+# --- the bounding-sphere broad phase ------------------------------------------
+# Environment.cast_rays skips obstacles whose bounding sphere no ray of the
+# block can reach; the reference above runs every obstacle on every cast, so
+# equality with it shows that a skipped obstacle never held a hit.
+
+
+def _grazing_dirs(center, radius, origin):
+    """Unit rays at, just inside and just outside the tangent angle of a sphere."""
+    to_c = np.asarray(center, dtype=float) - origin
+    dist = np.linalg.norm(to_c)
+    u = to_c / dist
+    side = np.cross(u, [0.0, 0.0, 1.0])
+    side /= np.linalg.norm(side)
+    tangent = math.asin(radius / dist)
+    angles = tangent + np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-2])
+    dirs = np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * side
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def _broad_phase_casts():
+    """(label, env, origin, dirs, t, max_range) of casts whose obstacles lie
+    behind, beside, across the edge of and inside the block's view cone."""
+    sensor = SensorModel()
+    hill = _bundled_env("hillside")
+    indoor = _bundled_env("indoor_bar")
+    casts = []
+    # poses along the hillside flight, turned so obstacles fall behind the
+    # sensor, beside it and across the edge of its cone
+    poses = [([0.0, 0.0, 1.2], 120), ([4.0, 0.2, 1.8], 210), ([9.0, -0.5, 2.6], 420),
+             ([13.5, 0.8, 3.2], 610), ([17.5, 1.4, 3.4], 800)]
+    for pos, frame in poses:
+        for yaw in (0.0, 0.9, -1.6, 2.4, math.pi):
+            dirs = rosette_directions(sensor, frame) @ yaw_rotation(yaw).T
+            casts.append((f"hillside-{frame}-yaw{yaw:.2f}", hill, pos, dirs, frame / 50.0, MAX_RANGE))
+            casts.append((f"hillside-telemetry-{frame}-yaw{yaw:.2f}", hill, pos, _telemetry_dirs(yaw),
+                          frame / 50.0, 25.0))
+    # the indoor bar before, during and after its rise, seen from both sides
+    for t in (0.0, 1.2, 2.0, 2.8, 5.0):
+        for pos, yaw in (([1.0, 0.0, 1.0], 0.0), ([8.0, 0.5, 1.2], math.pi), ([4.5, 1.2, 2.0], -1.2)):
+            dirs = rosette_directions(sensor, int(t * 50)) @ yaw_rotation(yaw).T
+            casts.append((f"indoor-t{t}-yaw{yaw:.2f}", indoor, pos, dirs, t, MAX_RANGE))
+    rng = np.random.default_rng(21)
+    sphere_dirs = rng.normal(size=(2000, 3))
+    sphere_dirs /= np.linalg.norm(sphere_dirs, axis=1)[:, None]
+    forward = disk_to_directions(rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 500))
+    cap = Capsule(p0=[3.0, -1.0, 1.0], p1=[3.0, 1.0, 1.0], radius=0.1)
+    box = Box(lo=[2.0, -1.0, -1.0], hi=[3.0, 1.0, 1.0])
+    # origins inside a bounding sphere but outside the shape, and inside a box
+    cap_env, box_env = Environment([Obstacle(shape=cap)]), Environment([Obstacle(shape=box)])
+    casts.append(("in-capsule-sphere", cap_env, [3.0, 0.0, 1.5], sphere_dirs, 0.0, 100.0))
+    casts.append(("in-box-sphere", box_env, [3.6, 1.2, 0.0], forward @ yaw_rotation(math.pi).T, 0.0, 100.0))
+    casts.append(("in-box", box_env, [2.5, 0.0, 0.0], forward, 0.0, 100.0))
+    # ... and facing away from the sphere's centre, which then lies behind the cone
+    casts.append(("in-box-facing-out", box_env, [2.95, 0.0, 0.0], forward, 0.0, 100.0))
+    casts.append(("in-capsule-sphere-facing-out", cap_env, [3.0, 0.95, 1.15],
+                  forward @ yaw_rotation(math.pi / 2).T, 0.0, 100.0))
+    # single rays grazing a sphere, whose bounding sphere is the shape itself
+    ball = Sphere(center=[6.0, 1.0, 0.5], radius=0.4)
+    for i, d in enumerate(_grazing_dirs(ball.center, ball.radius, np.zeros(3))):
+        casts.append((f"graze-{i}", Environment([Obstacle(shape=ball)]), [0.0, 0.0, 0.0], d[None, :], 0.0, 100.0))
+    # two opposed rays sum to a zero axis; a block over more than a hemisphere
+    opposed = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    casts.append(("opposed", hill, [6.0, 0.3, 2.0], opposed, 2.0, MAX_RANGE))
+    wide = sphere_dirs[sphere_dirs[:, 0] > -0.3]
+    casts.append(("over-hemisphere", hill, [8.0, -1.0, 2.0], wide, 3.0, MAX_RANGE))
+    # a range shorter than the distance to the only obstacle, then just past it
+    far = Environment([Obstacle(shape=Sphere(center=[30.0, 0.0, 1.0], radius=0.5))])
+    ahead = np.vstack([[1.0, 0.0, 0.0], forward])
+    for max_range in (10.0, 29.5, 29.5 + 1e-9, 29.9, 40.0):
+        casts.append((f"range-{max_range}", far, [0.0, 0.0, 1.0], ahead, 0.0, max_range))
+    # a scheduled sphere that starts behind the sensor and moves in front of it
+    sched = MotionSchedule(times=np.array([0.0, 1.0]), offsets=np.array([[0.0, 0.0, 0.0], [10.0, 0.5, 0.0]]))
+    moving = Environment([Obstacle(shape=Sphere(center=[-5.0, 0.0, 1.0], radius=0.6), schedule=sched)])
+    for t in (0.0, 0.7, 1.0, 2.0):
+        casts.append((f"scheduled-into-view-t{t}", moving, [0.0, 0.0, 1.0], forward, t, MAX_RANGE))
+    casts.append(("empty", Environment([]), [0.0, 0.0, 1.0], forward, 0.0, MAX_RANGE))
+    return casts
+
+
+_BROAD_CASTS = _broad_phase_casts()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _BROAD_CASTS, ids=[c[0] for c in _BROAD_CASTS])
+def test_broad_phase_cast_bit_identical_to_every_obstacle(case):
+    label, env, origin, dirs, t, max_range = case
+    got = env.cast_rays(origin, dirs, t, max_range)
+    assert np.array_equal(got, _ref_cast_rays(env, origin, dirs, t, max_range))
+
+
+def test_broad_phase_casts_hit_something():
+    # the cases are not all misses: most hit, so equality is not vacuous
+    hits = [bool(np.isfinite(_ref_cast_rays(*c[1:])).any()) for c in _BROAD_CASTS]
+    assert sum(hits) >= 0.75 * len(hits)
+    assert not np.isfinite(_ref_cast_rays(*_BROAD_CASTS[-1][1:])).any()
+
+
+def test_broad_phase_skips_obstacles_out_of_view(monkeypatch):
+    calls = []
+    for shape in (Sphere, Capsule, Box):
+        def counted(self, o, d, kernel=shape.ray_hits):
+            calls.append(self)
+            return kernel(self, o, d)
+        monkeypatch.setattr(shape, "ray_hits", counted)
+    env = _bundled_env("hillside")
+    origin = [12.0, -0.2, 3.0]  # obstacles at x < 8 m lie behind a sensor facing +x
+    dirs = rosette_directions(SensorModel(), 640)
+    got = env.cast_rays(origin, dirs, 12.8, MAX_RANGE)
+    assert 0 < len(calls) < len(env.obstacles) // 2
+    in_view = len(calls)
+    visited = {ob.name for ob in env.obstacles if any(ob.shape is shape for shape in calls)}
+    assert not visited & {"trunk01", "crown02", "stone01"}
+    assert np.array_equal(got, _ref_cast_rays(env, origin, dirs, 12.8, MAX_RANGE))
+    calls.clear()
+    env.cast_rays(origin, dirs, 12.8, 0.5)  # short range: only spheres around the origin stay
+    assert 0 < len(calls) < in_view
+
+
+def test_cast_rays_refuses_rays_off_unit_length():
+    env = Environment([Obstacle(shape=Sphere(center=[5, 0, 0], radius=1.0))])
+    for dirs in ([[2.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[np.nan, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="unit length"):
+            env.cast_rays([0, 0, 0], np.array(dirs), 0.0, 100.0)
+    assert env.cast_rays([0, 0, 0], np.empty((0, 3)), 0.0, 100.0).shape == (0,)
+
+
+# --- the pruned ground-truth distance ------------------------------------------
+
+
+def _brute_min_distance(env, p, t):
+    p = np.asarray(p, dtype=float)
+    return min((float(ob.distances(p[None], np.array([t]))[0]) for ob in env.obstacles), default=math.inf)
+
+
+def _distance_probes(env, rng, lo, hi, times):
+    """(p, t): random points and times, points inside every obstacle, and
+    points on every sphere's surface."""
+    probes = [(rng.uniform(lo, hi), float(rng.choice(times))) for _ in range(300)]
+    for ob in env.obstacles:
+        t = float(rng.choice(times))
+        sh = ob.shape
+        offset = ob.offset_at(t)
+        if isinstance(sh, Sphere):
+            u = rng.normal(size=(4, 3))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            inner = [sh.center, sh.center + 0.5 * sh.radius * u[0]] + list(sh.center + sh.radius * u)
+        elif isinstance(sh, Capsule):
+            inner = [sh.p0, sh.p1] + [sh.p0 + s * (sh.p1 - sh.p0) for s in (0.3, 0.5)]
+        else:
+            inner = [0.5 * (sh.lo + sh.hi), sh.lo + 0.1 * (sh.hi - sh.lo)]
+        probes += [(p + offset, t) for p in inner]
+    return probes
+
+
+def test_min_distance_equals_minimum_over_every_obstacle():
+    rng = np.random.default_rng(17)
+    hill = _bundled_env("hillside")
+    indoor = _bundled_env("indoor_bar")
+    # the bar is scheduled: at and between its keyframes (0, 1.2, 2.8 s)
+    indoor_times = [0.0, 0.6, 1.2, 1.21, 2.0, 2.79, 2.8, 4.0]
+    probes = [(hill, p, t) for p, t in _distance_probes(hill, rng, [-2, -6, -0.3], [21, 6, 6], [0.0, 5.0])]
+    probes += [(indoor, p, t) for p, t in _distance_probes(indoor, rng, [-1, -1.8, -0.3], [10.5, 1.8, 2.5],
+                                                            indoor_times)]
+    inside = 0
+    for env, p, t in probes:
+        got = env.min_distance(p, t)
+        want = _brute_min_distance(env, p, t)
+        assert got == want, (p, t, got, want)
+        inside += want <= 0.0
+    assert inside >= 20
+    assert Environment([]).min_distance([0.0, 0.0, 1.0], 0.0) == math.inf

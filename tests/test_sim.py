@@ -417,3 +417,17 @@ def test_emergency_relax_does_not_repeat_on_consecutive_frames():
     assert relaxed and relaxed[0] == 0
     assert not any(b == a + 1 for a, b in zip(relaxed, relaxed[1:]))
     assert log.outcome == "goal_reached"
+
+
+def test_sensor_dropout_empties_scans_and_map_and_still_ends_in_an_outcome():
+    # the only obstacle is seen in the first frames, then drops 60 m out of
+    # the field of view: later scans return nothing and both trees empty out
+    rock = {"name": "rock", "shape": "sphere", "center": [3.0, 0.8, 1.0], "radius": 0.3,
+            "schedule": [{"t": 0.0, "offset": [0, 0, 0]}, {"t": 0.5, "offset": [0, 0, -60.0]}]}
+    log = simulate(mini_scenario(obstacles=[rock]))
+    sizes = [fr.scan_size for fr in log.frames]
+    assert sizes[0] > 0
+    empty_from = next(i for i, n in enumerate(sizes) if n == 0)
+    assert 0 < empty_from < len(sizes) // 2 and not any(sizes[empty_from:])
+    assert any(fr.tree_sizes == [0, 0] for fr in log.frames)
+    assert log.outcome == "goal_reached"
