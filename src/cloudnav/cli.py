@@ -111,8 +111,8 @@ def write_trajectory_csv(log: RunLog, path) -> None:
     with open(path, "w") as f:
         f.write("frame,t,px,py,pz,vx,vy,vz,ax,ay,az,scan_points,tree_sizes,flag\n")
         for fr in log.frames:
-            row = [str(fr.index), _fmt(fr.t)]
-            row += [_fmt(v) for v in fr.p] + [_fmt(v) for v in fr.v] + [_fmt(v) for v in fr.a]
+            st = fr.state
+            row = [str(fr.index), _fmt(st.t), *(_fmt(v) for v in (*st.p, *st.v, *st.a))]
             row += [str(fr.scan_size), "|".join(str(s) for s in fr.tree_sizes), fr.flag]
             f.write(",".join(row) + "\n")
 

@@ -233,8 +233,7 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
     pose_p = scenario.start_position
     R = yaw_rotation(scenario.start_yaw)
 
-    def cast(obstacles: list) -> list:
-        env = Environment(obstacles)
+    def cast(env: Environment) -> list:
         rng = np.random.default_rng(scenario.seed)
         return [
             generate_scan(env, sensor, pose_p, R, k * FRAME_DT, rng, frame_index=k)
@@ -255,8 +254,8 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
         fraction = occupied / len(cells) if cells else 0.0
         return fraction, grid
 
-    full = cast(list(scenario.obstacles))
-    no_wall = cast([ob for ob in scenario.obstacles if ob.name != wall.name])
+    full = cast(scenario.environment())
+    no_wall = cast(Environment([ob for ob in scenario.obstacles if ob.name != wall.name]))
 
     # each resolution is built once, also the main one when the sweep repeats it
     grids = {res: run_grid(res, full) for res in dict.fromkeys((comp.grid_resolution, *comp.sweep))}

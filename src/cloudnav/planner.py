@@ -107,7 +107,6 @@ class SearchReport:
     wall_seconds: float = 0.0
     analytic_connection: bool = False
     cost: float = math.nan
-    primitive_count: int = 0
 
 
 @lru_cache(maxsize=16)
@@ -236,13 +235,12 @@ def _build_trajectory(node: SearchNode, tail: QuinticSegment | None, cfg: Planne
     while cur.parent is not None:
         segments.append(ConstantAccelSegment(start=cur.parent.state, u=cur.state.a, tau=tau))
         cur = cur.parent
-    primitives = len(segments)
     segments.reverse()
     cost = node.g
     if tail is not None:
         segments.append(tail)
         cost += TIME_WEIGHT * tail.duration + _segment_effort(tail, cfg.check_dt)
-    return Trajectory(segments=tuple(segments), t0=cur.state.t), cost, primitives
+    return Trajectory(segments=tuple(segments), t0=cur.state.t), cost
 
 
 def _prune_key(p: np.ndarray, cell: float) -> tuple:
@@ -307,17 +305,16 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
                 continue
             heapq.heappush(open_heap, (child.f, child.f - child.g, next(counter), child, ckey))
 
-    traj = None
-    if outcome in ("analytic", "primitive"):
-        traj, report.cost, report.primitive_count = _build_trajectory(node, tail, cfg)
-        report.analytic_connection = tail is not None
     report.outcome = outcome
     report.open_size = len(open_heap)
     report.closed_size = len(closed)
+    report.analytic_connection = tail is not None
+    if outcome in ("analytic", "primitive"):
+        traj, report.cost = _build_trajectory(node, tail, cfg)
     report.wall_seconds = time.perf_counter() - t_wall
-    if traj is None:
-        if outcome == "open_set_exhausted":
-            raise PlanningFailed("open set exhausted before reaching the goal", report)
+    if outcome == "open_set_exhausted":
+        raise PlanningFailed("open set exhausted before reaching the goal", report)
+    if outcome == "expansion_budget_exhausted":
         raise PlanningFailed(f"expansion budget {cfg.max_expansions} exhausted", report)
     return traj, report
 

@@ -53,9 +53,14 @@ class Scenario:
     planner_config: PlannerConfig
     obstacles: tuple
     compare: CompareConfig | None = None
+    _environment: Environment = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_environment", Environment(self.obstacles))
 
     def environment(self) -> Environment:
-        return Environment(list(self.obstacles))
+        """The scenario's one `Environment`, built with it."""
+        return self._environment
 
     def obstacle_by_name(self, name: str) -> Obstacle:
         for ob in self.obstacles:
@@ -188,6 +193,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
                             f"primitive exceed MAX_PRIMITIVE_SAMPLES = {MAX_PRIMITIVE_SAMPLES}")
 
     obstacles = tuple(_parse_obstacle(o, i) for i, o in enumerate(top.get("obstacles", [])))
+    first = {}  # index of the obstacle each name was first given to; "" is unnamed
+    for i, ob in enumerate(obstacles):
+        if ob.name and first.setdefault(ob.name, i) != i:
+            raise ScenarioError(f"obstacles[{i}].name: {ob.name!r} already names obstacles[{first[ob.name]}]")
 
     compare = None
     if "compare" in top:
@@ -221,10 +230,23 @@ def scenario_from_dict(raw: dict) -> Scenario:
 def _validate_consistency(s: Scenario):
     if np.linalg.norm(s.goal - s.start_position) < s.planner_config.goal_tolerance:
         raise ScenarioError("scenario: goal already within the goal tolerance of start")
-    env = s.environment()
-    d0 = env.min_distance(s.start_position, 0.0)
+    d0 = s.environment().min_distance(s.start_position, 0.0)
     if d0 <= 0:
         raise ScenarioError(f"scenario.start: start position is inside an obstacle (sdf={d0:.3f})")
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a mapping key written twice (PyYAML keeps the last copy)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if key.value in seen:
+                    raise yaml.constructor.ConstructorError("while constructing a mapping", node.start_mark,
+                                                            f"found duplicate key {key.value!r}", key.start_mark)
+                seen.add(key.value)
+        return super().construct_mapping(node, deep)
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -248,7 +270,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
                 node[k] = nxt
             node = nxt
         try:
-            node[keys[-1]] = yaml.safe_load(value)
+            node[keys[-1]] = yaml.load(value, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as e:
             raise ScenarioError(f"override {item!r}: bad value ({e})") from e
     return raw
@@ -257,7 +279,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
     try:
         with open(path) as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_UniqueKeyLoader)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file {path}: {e}") from e
     except yaml.YAMLError as e:

@@ -96,10 +96,7 @@ class _SensedSpace:
 @dataclass
 class FrameRecord:
     index: int
-    t: float
-    p: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
+    state: UavState
     scan_size: int
     tree_sizes: list
     flag: str = ""
@@ -127,20 +124,19 @@ class RunLog:
     local_map: TemporalLocalMap | None = None
 
     def path_length(self) -> float:
-        P = np.array([fr.p for fr in self.frames])
-        if len(P) < 2:
-            return 0.0
+        P = np.array([fr.state.p for fr in self.frames])
         return float(np.linalg.norm(np.diff(P, axis=0), axis=1).sum())
 
 
 class _TrackingState:
-    """Current + pending trajectory bookkeeping with hover fallbacks."""
+    """Current + pending trajectory bookkeeping: the UAV hovers at the start
+    until the first plan starts, and at a trajectory's end once it is over."""
 
-    def __init__(self, start: UavState):
+    def __init__(self, start_p: np.ndarray):
         self.current: Trajectory | None = None
         self.pending: Trajectory | None = None
         self.clearance = math.inf  # the clearance active() was planned with
-        self.hover_p = start.p
+        self.start_p = start_p
 
     def active(self) -> Trajectory | None:
         return self.pending if self.pending is not None else self.current
@@ -150,15 +146,11 @@ class _TrackingState:
         if self.pending is not None and t >= self.pending.t0 - 1e-9:
             self.current, self.pending = self.pending, None
         src = self.current
-        if src is None or t < src.t0 - 1e-9:
-            return UavState.hover(self.hover_p, t=t)
+        if src is None:
+            return UavState.hover(self.start_p, t=t)
         if t >= src.t_end:
-            end = src.end_state
-            self.hover_p = end.p
-            return UavState.hover(end.p, t=t)
-        st = src.state_at(t)
-        self.hover_p = st.p
-        return st
+            return UavState.hover(src.end_state.p, t=t)
+        return src.state_at(t)
 
 
 # Plans start at the first frame at least one planning budget ahead.
@@ -234,22 +226,11 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
     log = RunLog(scenario_name=scenario.name, seed=seed, local_map=local_map)
     uav = UavState.hover(scenario.start_position, t=0.0)
     yaw = scenario.start_yaw
-    tracking = _TrackingState(uav)
+    tracking = _TrackingState(uav.p)
     sensed = _SensedSpace(env)
 
     def record(k: int, state: UavState, scan_size: int, flag: str):
-        log.frames.append(
-            FrameRecord(
-                index=k,
-                t=state.t,
-                p=state.p.copy(),
-                v=state.v.copy(),
-                a=state.a.copy(),
-                scan_size=scan_size,
-                tree_sizes=list(local_map.tree_sizes),
-                flag=flag,
-            )
-        )
+        log.frames.append(FrameRecord(k, state, scan_size, local_map.tree_sizes, flag))
 
     def _terminate(outcome: str, k: int, state: UavState, scan_size: int = 0) -> RunLog:
         log.outcome = outcome
@@ -270,7 +251,7 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
         log.tree_build_seconds.append(info.build_seconds)
         if info.wrapped:
             log.events.append(
-                SimEvent(t=t, kind="map_wraparound", data={"tree_sizes": list(local_map.tree_sizes)})
+                SimEvent(t=t, kind="map_wraparound", data={"tree_sizes": local_map.tree_sizes})
             )
 
         try:
@@ -303,10 +284,6 @@ class AuditResult:
     min_distance: float
     per_obstacle: dict
 
-    @property
-    def interpenetration(self) -> bool:
-        return self.min_distance < 0.0
-
 
 def audit_ground_truth(log: RunLog, scenario: Scenario) -> AuditResult:
     """Post-run safety audit against the analytic obstacle geometry.
@@ -314,8 +291,8 @@ def audit_ground_truth(log: RunLog, scenario: Scenario) -> AuditResult:
     Independent of the map: every logged UAV position is checked against the
     obstacles at the matching time, planner-failure hover frames included.
     """
-    P = np.array([fr.p for fr in log.frames])
-    T = np.array([fr.t for fr in log.frames])
+    P = np.array([fr.state.p for fr in log.frames])
+    T = np.array([fr.state.t for fr in log.frames])
     nearest = [(ob.name, float(ob.distances(P, T).min())) for ob in scenario.obstacles]
     return AuditResult(
         min_distance=min((d for _, d in nearest), default=math.inf),

@@ -197,13 +197,10 @@ class TemporalLocalMap:
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Boolean per query point: is any point of any tree within distance r (inclusive)?
-        One query of the first non-empty tree, then of each next tree on the misses only."""
+        One query of the first tree, then of each next tree on the misses only."""
         pts = np.atleast_2d(pts)
-        trees = [tree for tree in self.trees if tree.size]
-        if not trees:
-            return np.zeros(len(pts), dtype=bool)
-        hit = trees[0].any_within(pts, r)
-        for tree in trees[1:]:
+        hit = self.trees[0].any_within(pts, r)
+        for tree in self.trees[1:]:
             miss = np.flatnonzero(~hit)
             if len(miss) == 0:
                 break
@@ -226,17 +223,12 @@ def check_trajectory(
     """First sample time at which the trajectory comes within `clearance` of any
     map point, or None if the sampled remainder is clear.
 
-    Sampling starts at `t_from` (default: trajectory start), steps by `dt`, and
-    always includes the exact end time.
+    Sampling starts at `t_from` (default: trajectory start) clamped to
+    [t0, t_end], steps by `dt`, and always includes the exact end time; from
+    t_end on, the end sample is the only one.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    start = traj.t0 if t_from is None else max(t_from, traj.t0)
-    remaining = traj.t_end - start
-    if remaining <= 0:
-        ts = np.array([traj.t_end])
-    else:
-        ts = sample_times(start, remaining, dt)
+    start = traj.t0 if t_from is None else min(max(t_from, traj.t0), traj.t_end)
+    ts = sample_times(start, traj.t_end - start, dt)
     P, _, _ = traj.states_at(ts)
     hits = local_map.any_within(P, clearance)
     if hits.any():

@@ -231,3 +231,32 @@ def test_cli_compare_maps_without_returns(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "compare_maps.json").read_text())
     assert report["pointcloud_bar_points"] == 0
     assert report["map_tree_sizes"] == [0, 0]
+
+
+def test_cli_refuses_a_key_written_twice_naming_the_repeat(mini_path, tmp_path, capsys):
+    # PyYAML alone keeps the last copy: this file would fly at the default v_max of 2.0
+    twice = tmp_path / "twice.yaml"
+    twice.write_text("duration: 30.0\ngoal: [8.0, 0.0, 1.0]\nstart:\n  position: [0.0, 0.0, 1.0]\n"
+                     "planner:\n  v_max: 1.0\nplanner:\n  clearance: 0.45\n")
+    assert main([str(twice), "--out", str(tmp_path / "a")]) == EXIT_SCENARIO_ERROR
+    err = capsys.readouterr().err
+    assert "found duplicate key 'planner'" in err and "line 7, column 1" in err
+    assert not (tmp_path / "a").exists()
+    argv = [mini_path, "--out", str(tmp_path / "b"), "--set", "planner={v_max: 1.0, v_max: 2.0}"]
+    assert main(argv) == EXIT_SCENARIO_ERROR
+    assert "found duplicate key 'v_max'" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("names", [("rock", "rock"), ("obstacle1", None)])
+def test_cli_refuses_an_obstacle_name_used_twice(mini_path, tmp_path, capsys, names):
+    # the second obstacle is unnamed in the second case: its default name is obstacle1
+    rocks = [{"shape": "sphere", "center": [4.0, y, 1.0], "radius": 0.2} for y in (2.0, -2.0)]
+    for rock, name in zip(rocks, names):
+        if name is not None:
+            rock["name"] = name
+    path = tmp_path / "rocks.yaml"
+    path.write_text(yaml.safe_dump({**MINI, "obstacles": rocks}))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_SCENARIO_ERROR
+    assert f"scenario error: obstacles[1].name: {names[0]!r} already names obstacles[0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ from cloudnav.core import (
     ConstantAccelSegment, KinodynamicLimits, Trajectory, UavState, sample_times, voxel_keys,
 )
 from cloudnav.scenario import CompareConfig, ScenarioError, apply_overrides, load_scenario, scenario_from_dict
-from cloudnav.sensor import FRAME_DT, yaw_rotation
+from cloudnav.sensor import FRAME_DT, Environment, yaw_rotation
 from cloudnav.sim import _COVERAGE_CELL, _SWEEP_CHUNK, _SensedSpace, audit_ground_truth, simulate
 
 
@@ -37,19 +37,19 @@ def test_empty_world_reaches_goal_with_zero_replans():
     assert log.replan_count == 0
     assert sum(1 for ev in log.events if ev.kind == "plan") == 1
     final = log.frames[-1]
-    assert np.linalg.norm(final.p - np.array([9, 0, 1])) <= 0.3 + 1e-9
+    assert np.linalg.norm(final.state.p - np.array([9, 0, 1])) <= 0.3 + 1e-9
 
 
 def test_clock_advances_in_fixed_steps():
     log = simulate(mini_scenario())
-    ts = [fr.t for fr in log.frames]
+    ts = [fr.state.t for fr in log.frames]
     steps = np.diff(ts)
     assert np.allclose(steps, 0.02, atol=1e-12)
 
 
 def test_no_tracking_teleports():
     log = simulate(mini_scenario())
-    P = np.array([fr.p for fr in log.frames])
+    P = np.array([fr.state.p for fr in log.frames])
     jumps = np.linalg.norm(np.diff(P, axis=0), axis=1)
     assert jumps.max() <= 2.0 * 0.02 * np.sqrt(3) + 1e-6  # per-axis v_max over one frame
 
@@ -104,9 +104,9 @@ def test_simulation_deterministic_for_same_seed():
     assert a.outcome == b.outcome
     assert len(a.frames) == len(b.frames)
     for fa, fb in zip(a.frames, b.frames):
-        assert fa.t == fb.t
-        assert np.array_equal(fa.p, fb.p)
-        assert np.array_equal(fa.v, fb.v)
+        assert fa.state.t == fb.state.t
+        assert np.array_equal(fa.state.p, fb.state.p)
+        assert np.array_equal(fa.state.v, fb.state.v)
         assert fa.scan_size == fb.scan_size
         assert fa.tree_sizes == fb.tree_sizes
     assert [(e.t, e.kind, e.data) for e in a.events] == [(e.t, e.kind, e.data) for e in b.events]
@@ -173,11 +173,10 @@ def test_audit_flags_interpenetration():
     log = RunLog(scenario_name="x", seed=0)
     for i, x in enumerate((0.0, 5.0)):
         log.frames.append(
-            FrameRecord(index=i, t=0.02 * i, p=np.array([x, 0, 1.0]), v=np.zeros(3),
-                        a=np.zeros(3), scan_size=0, tree_sizes=[0, 0])
+            FrameRecord(index=i, state=UavState.hover([x, 0, 1.0], t=0.02 * i), scan_size=0, tree_sizes=[0, 0])
         )
     audit = audit_ground_truth(log, scenario)
-    assert audit.interpenetration
+    assert audit.min_distance < 0.0
     assert audit.per_obstacle["rock"] == pytest.approx(-1.0)
 
 
@@ -193,12 +192,31 @@ def test_audit_counts_an_unnamed_obstacle_in_the_minimum_only():
     log = RunLog(scenario_name="x", seed=0)
     for i, x in enumerate((0.0, 5.0)):
         log.frames.append(
-            FrameRecord(index=i, t=0.02 * i, p=np.array([x, 0, 1.0]), v=np.zeros(3),
-                        a=np.zeros(3), scan_size=0, tree_sizes=[0, 0])
+            FrameRecord(index=i, state=UavState.hover([x, 0, 1.0], t=0.02 * i), scan_size=0, tree_sizes=[0, 0])
         )
     audit = audit_ground_truth(log, scenario)
     assert audit.min_distance == pytest.approx(1.5)
     assert audit.per_obstacle == {"rock": pytest.approx(2.0), "pole": pytest.approx(2.0)}
+
+
+def test_a_loaded_and_flown_scenario_builds_one_environment(monkeypatch):
+    built = []
+    init = Environment.__init__
+
+    def counting_init(self, obstacles):
+        built.append(self)
+        init(self, obstacles)
+
+    monkeypatch.setattr(Environment, "__init__", counting_init)
+    scenario = load_scenario(resolve_scenario_path("hillside"), overrides=["duration=0.1"])
+    assert scenario.environment() is scenario.environment() is built[0]
+    simulate(scenario)
+    assert len(built) == 1
+
+
+def test_unnamed_obstacles_may_share_the_empty_name():
+    rocks = [{"name": "", "shape": "sphere", "center": [4.0, y, 1.0], "radius": 0.2} for y in (2.0, -2.0)]
+    assert [ob.name for ob in mini_scenario(obstacles=rocks).obstacles] == ["", ""]
 
 
 def test_scenario_missing_key_reports_path():
@@ -403,7 +421,7 @@ def test_short_duration_ends_in_timeout():
     assert log.final_time == pytest.approx(1.0)
     last = log.frames[-1]
     assert (last.index, last.flag) == (50, "timeout")
-    assert last.t == pytest.approx(1.0)
+    assert last.state.t == pytest.approx(1.0)
     assert all(fr.flag != "timeout" for fr in log.frames[:-1])
 
 

@@ -363,6 +363,23 @@ def test_check_trajectory_clear_when_point_outside_clearance():
     assert check_trajectory(m, traj, 0.45, 0.05) is None
 
 
+@pytest.mark.parametrize("t_from", [4.0, 4.0 + 1e-12, 9.0])
+@pytest.mark.parametrize("y, hit", [(0.2, True), (0.5, False)])
+def test_check_trajectory_from_its_end_or_past_it_checks_the_end_sample(t_from, y, hit):
+    m = TemporalLocalMap(MapConfig(resolution=0.001))
+    m.update(_scan([[4.0, y, 0.0]]))
+    traj = _straight_trajectory([0, 0, 0], [1, 0, 0], 4.0)
+    assert check_trajectory(m, traj, 0.45, 0.05, t_from=t_from) == (traj.t_end if hit else None)
+
+
+@pytest.mark.parametrize("t_from", [None, 9.0])
+@pytest.mark.parametrize("dt", [0.0, -0.05])
+def test_check_trajectory_refuses_a_step_that_is_not_positive(t_from, dt):
+    traj = _straight_trajectory([0, 0, 0], [1, 0, 0], 4.0)
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        check_trajectory(TemporalLocalMap(MapConfig()), traj, 0.45, dt, t_from=t_from)
+
+
 def test_dump_map(tmp_path):
     m = TemporalLocalMap(MapConfig(scans_per_tree=2))
     rng = np.random.default_rng(2)
