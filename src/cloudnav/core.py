@@ -72,6 +72,14 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be finite and > 0, got {tau}")
 
 
+def _constant_accel(p0: np.ndarray, v0: np.ndarray, u: np.ndarray, d: np.ndarray):
+    """Closed-form double-integrator states (P, V, A) at offsets d (T, 1) from
+    p0 and v0 under u; both segment and trajectory evaluation run through it,
+    so their bytes agree."""
+    P = p0 + v0 * d + 0.5 * u * d * d
+    return P, v0 + u * d, np.broadcast_to(u, P.shape).copy()
+
+
 @dataclass(frozen=True)
 class ConstantAccelSegment:
     """One constant-acceleration motion primitive used as a search edge."""
@@ -91,11 +99,7 @@ class ConstantAccelSegment:
     def states_at(self, dts: np.ndarray):
         """Closed-form double-integrator evaluation at segment-relative offsets.
         Returns (P, V, A)."""
-        dts = np.asarray(dts, dtype=float)[:, None]
-        p = self.start.p + self.start.v * dts + 0.5 * self.u * dts * dts
-        v = self.start.v + self.u * dts
-        a = np.broadcast_to(self.u, p.shape).copy()
-        return p, v, a
+        return _constant_accel(self.start.p, self.start.v, self.u, np.asarray(dts, dtype=float)[:, None])
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,6 @@ class Trajectory:
 
     segments: tuple
     t0: float
-    _bounds: tuple = field(init=False, repr=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -177,22 +180,18 @@ class Trajectory:
         if not segs:
             raise ValueError("trajectory needs at least one segment")
         object.__setattr__(self, "segments", segs)
-        bounds = [0.0]
-        for s in segs:
-            bounds.append(bounds[-1] + s.duration)
-        object.__setattr__(self, "_bounds", tuple(bounds))
         # states_at's per-segment rows: start p, start v and u of the constant-
         # acceleration segments (zero rows for the others, which it evaluates apart)
         ca = [isinstance(s, ConstantAccelSegment) for s in segs]
         rows = np.array([(s.start.p, s.start.v, s.u) if c else np.zeros((3, 3)) for s, c in zip(segs, ca)])
         other = tuple(i for i, c in enumerate(ca) if not c)
         durations = np.array([s.duration for s in segs])
-        sp, sv, u = rows[:, 0], rows[:, 1], rows[:, 2]
-        object.__setattr__(self, "_table", (np.asarray(bounds), durations, sp, sv, u, 0.5 * u, other))
+        bounds = np.concatenate([[0.0], np.cumsum(durations)])  # cumsum adds left to right
+        object.__setattr__(self, "_table", (bounds, durations, rows[:, 0], rows[:, 1], rows[:, 2], other))
 
     @property
     def duration(self) -> float:
-        return self._bounds[-1]
+        return float(self._table[0][-1])
 
     @property
     def t_end(self) -> float:
@@ -203,21 +202,18 @@ class Trajectory:
         if rel < -1e-9 or rel > self.duration + 1e-9:
             raise ValueError(f"t={t} outside trajectory span [{self.t0}, {self.t_end}]")
         P, V, A = self.states_at(np.array([t]))
-        return UavState(t=t, p=P[0], v=V[0], a=A[0])
+        # copied rows own their data: a view would keep its whole (1, 3) base alive
+        return UavState(t=t, p=P[0].copy(), v=V[0].copy(), a=A[0].copy())
 
     def states_at(self, times: np.ndarray):
         """Vectorized evaluation at absolute times. Returns (P, V, A) arrays."""
         times = np.asarray(times, dtype=float)
-        bounds, durations, sp, sv, u, hu, other = self._table
+        bounds, durations, sp, sv, u, other = self._table
         rel = np.clip(times - self.t0, 0.0, self.duration)
         idx = np.clip(np.searchsorted(bounds, rel, side="right") - 1, 0, len(self.segments) - 1)
         local = np.clip(rel - bounds[idx], 0.0, durations[idx])
-        # every sample as a constant-acceleration one, in ConstantAccelSegment's
-        # order of operations, so the bytes match evaluating segment by segment
-        d = local[:, None]
-        P = sp[idx] + sv[idx] * d + hu[idx] * d * d
-        V = sv[idx] + u[idx] * d
-        A = u[idx]
+        # every sample as a constant-acceleration one, then the others apart
+        P, V, A = _constant_accel(sp[idx], sv[idx], u[idx], local[:, None])
         for i in other:
             m = idx == i
             if m.any():

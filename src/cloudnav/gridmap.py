@@ -65,9 +65,10 @@ class OccupancyGrid:
         self.config = config
         self.log_odds = np.zeros(config.shape, dtype=float)
 
-    def cell_of(self, p) -> tuple:
-        c = np.floor((np.asarray(p, dtype=float) - self.config.origin) / self.config.resolution)
-        return tuple(c.astype(np.int64))
+    def cells(self, points) -> np.ndarray:
+        """Integer index of the cell holding each point (..., 3), in or out of the grid."""
+        c = (np.asarray(points, dtype=float) - self.config.origin) / self.config.resolution
+        return np.floor(c).astype(np.int64)
 
     def in_bounds(self, cells: np.ndarray) -> np.ndarray:
         shape = np.array(self.config.shape)
@@ -75,9 +76,6 @@ class OccupancyGrid:
 
     def occupied_mask(self) -> np.ndarray:
         return self.log_odds > 0.0
-
-    def probabilities(self) -> np.ndarray:
-        return 1.0 - 1.0 / (1.0 + np.exp(self.log_odds))
 
     def _clip_segments(self, origin: np.ndarray, ends: np.ndarray):
         """Liang-Barsky clip of each segment origin->end to the grid box.
@@ -117,9 +115,9 @@ class OccupancyGrid:
         stops = origin + tb[idx, None] * d
 
         shape = np.array(cfg.shape)
-        cell = np.floor((starts - cfg.origin) / res).astype(np.int64)
+        cell = self.cells(starts)
         np.clip(cell, 0, shape - 1, out=cell)
-        end_cell = np.floor((stops - cfg.origin) / res).astype(np.int64)
+        end_cell = self.cells(stops)
         np.clip(end_cell, 0, shape - 1, out=end_cell)
 
         step = np.where(d > 0, 1, -1).astype(np.int64)
@@ -153,15 +151,12 @@ class OccupancyGrid:
     def integrate_scan(self, sensor_origin, scan: PointCloud) -> None:
         """Apply one scan: misses along each ray, a hit at each in-bounds endpoint."""
         cfg = self.config
-        if len(scan) == 0:
-            return
-        origin = np.asarray(sensor_origin, dtype=float)
         ends = scan.points
-        ray_idx, cells = self.traverse(origin, ends)
+        ray_idx, cells = self.traverse(sensor_origin, ends)
         if len(cells) == 0:
             return
 
-        end_cells = np.floor((ends - cfg.origin) / cfg.resolution).astype(np.int64)
+        end_cells = self.cells(ends)
         end_ok = self.in_bounds(end_cells)
         # a traversal record is the ray's endpoint cell iff it matches that
         # ray's (in-bounds) end cell; straight rays visit each cell once
@@ -174,15 +169,6 @@ class OccupancyGrid:
         flat_lo = self.log_odds.reshape(-1)
         touched = delta != 0
         flat_lo[touched] = np.clip(flat_lo[touched] + delta[touched], CLAMP_MIN, CLAMP_MAX)
-
-    def export_rows(self):
-        """(i, j, k, probability) rows for every touched cell."""
-        touched = np.nonzero(self.log_odds != 0)
-        probs = self.probabilities()[touched]
-        return [
-            (int(i), int(j), int(k), float(p))
-            for (i, j, k), p in zip(np.stack(touched, axis=1), probs)
-        ]
 
 
 def bar_cells(grid: OccupancyGrid, bar_obstacle, t: float) -> set:
@@ -201,16 +187,18 @@ def bar_cells(grid: OccupancyGrid, bar_obstacle, t: float) -> set:
         [[0, 0, 0], [r, 0, 0], [-r, 0, 0], [0, r, 0], [0, -r, 0], [0, 0, r], [0, 0, -r]]
     )
     pts = (axis_pts[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-    cells = np.floor((pts - grid.config.origin) / grid.config.resolution).astype(np.int64)
+    cells = grid.cells(pts)
     ok = grid.in_bounds(cells)
     return {tuple(c) for c in cells[ok]}
 
 
 def export_grid_rows(grid: OccupancyGrid, path) -> None:
     """Write `i j k probability` rows for every touched cell, for slice plots."""
+    touched = np.nonzero(grid.log_odds != 0)
+    probs = 1.0 - 1.0 / (1.0 + np.exp(grid.log_odds[touched]))
     with open(path, "w") as f:
         f.write("i j k probability\n")
-        for i, j, k, p in grid.export_rows():
+        for i, j, k, p in zip(*touched, probs):
             f.write(f"{i} {j} {k} {p:.6f}\n")
 
 

@@ -105,7 +105,6 @@ class SearchReport:
     open_size: int = 0
     closed_size: int = 0
     wall_seconds: float = 0.0
-    analytic_connection: bool = False
     cost: float = math.nan
 
 
@@ -270,7 +269,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     open_heap: list = [(root.f, h0, next(counter), root, _prune_key(start.p, cell))]
     closed: dict[tuple, float] = {}
     report = SearchReport()
-    ae_last_d = math.inf
+    ae_last_d = math.inf  # so the root tries the analytic shot too
     tail = None
     outcome = "open_set_exhausted"
 
@@ -284,7 +283,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
         diff = node.state.p - goal
         d = math.sqrt(diff.dot(diff))  # np.linalg.norm of a vector, without its overhead
         at_goal = d <= cfg.goal_tolerance
-        if node is root or at_goal or ae_last_d - d >= 1.0:
+        if at_goal or ae_last_d - d >= 1.0:
             ae_last_d = d
             tail = analytic_expansion(node.state, goal, cfg, local_map)
             if tail is not None:
@@ -308,7 +307,6 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     report.outcome = outcome
     report.open_size = len(open_heap)
     report.closed_size = len(closed)
-    report.analytic_connection = tail is not None
     if outcome in ("analytic", "primitive"):
         traj, report.cost = _build_trajectory(node, tail, cfg)
     report.wall_seconds = time.perf_counter() - t_wall

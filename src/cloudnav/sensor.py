@@ -348,8 +348,6 @@ def generate_scan(
     noise = np.clip(rng.normal(0.0, RANGE_NOISE_SIGMA, len(dirs_w)), -bound, bound)
     t_hit = env.cast_rays(position, dirs_w, t, MAX_RANGE)
     mask = np.isfinite(t_hit)
-    if not mask.any():
-        return PointCloud.empty(stamp=t)
     ranges = np.maximum(t_hit[mask] + noise[mask], 1e-9)
     pts = position + dirs_w[mask] * ranges[:, None]
     return PointCloud(points=pts, stamp=t)

@@ -163,7 +163,7 @@ def _search_event(report: SearchReport, traj: Trajectory, sensed: _SensedSpace,
     return {
         "expansions": report.expansions,
         "cost": round(report.cost, 9),
-        "analytic": report.analytic_connection,
+        "analytic": report.outcome == "analytic",
         "unseen_cells": sensed.unseen_count(traj, cfg.check_dt),
     }
 
@@ -185,9 +185,11 @@ def _next_plan(
     cfg = scenario.planner_config
     goal = scenario.goal
     handover = t + _HANDOVER_DELAY
+    # with no trajectory to track, the plan starts hovering where the UAV is
+    start = UavState.hover(uav.p, t=handover) if active is None else None
     try:
         if active is None:
-            traj, report = plan(UavState.hover(uav.p, t=handover), goal, cfg, local_map)
+            traj, report = plan(start, goal, cfg, local_map)
             return "plan", traj, report, _search_event(report, traj, sensed, cfg), cfg.clearance
         check = cfg
         if active_clearance < cfg.clearance and local_map.any_within(uav.p, cfg.clearance)[0]:
@@ -199,9 +201,7 @@ def _next_plan(
     except StartInCollision:
         # Replan start state already violates the clearance (obstacle swept
         # onto the UAV): relax the clearance stepwise to escape.
-        if active is None:
-            start = UavState.hover(uav.p, t=handover)
-        else:
+        if active is not None:
             start = active.state_at(min(max(handover, active.t0), active.t_end))
         traj, report, used = relaxed_replan(start, goal, cfg, local_map)
         return "emergency_relax", traj, report, {

@@ -29,8 +29,8 @@ class KdTree:
     """3-d tree answering one query exactly: the distance from each query point
     to its nearest stored point, capped at a radius.
 
-    Backed by scipy's cKDTree; this wrapper adds empty-set handling and
-    inclusive radius semantics (distance <= r).
+    Backed by scipy's cKDTree, which also builds on an empty set and answers inf
+    there; this wrapper adds inclusive radius semantics (distance <= r).
 
     The tree splits at the sliding midpoint and keeps each node's full box
     (`balanced_tree=False, compact_nodes=False`): that builds in about half the
@@ -45,7 +45,7 @@ class KdTree:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
         self._points = pts
-        self._kd = cKDTree(pts, balanced_tree=False, compact_nodes=False) if len(pts) else None
+        self._kd = cKDTree(pts, balanced_tree=False, compact_nodes=False)
 
     @property
     def points(self) -> np.ndarray:
@@ -58,8 +58,6 @@ class KdTree:
     def nearest_distance(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Per query point of `pts` (..., 3), the distance to the nearest stored
         point if it is below the padded bound r + 1e-9, else inf."""
-        if self._kd is None:
-            return np.full(np.shape(pts)[:-1], np.inf)
         # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
         return self._kd.query(pts, k=1, distance_upper_bound=r + 1e-9)[0]
 

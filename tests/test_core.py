@@ -183,7 +183,7 @@ def test_trajectory_states_at_matches_per_segment_bytes():
         end_p, end_v, _ = seg.states_at(np.array([seg.duration]))
         s = UavState(t=s.t + seg.duration, p=end_p[0], v=end_v[0], a=np.zeros(3))
     traj = Trajectory(segments=tuple(segments), t0=2.0)
-    bounds = np.asarray(traj._bounds)
+    bounds = np.concatenate([[0.0], np.cumsum([seg.duration for seg in segments])])
     times = np.concatenate(
         [
             [1.5, 2.0 - 1e-12, traj.t_end, traj.t_end + 1e-12, traj.t_end + 3.0],
@@ -201,6 +201,21 @@ def test_trajectory_states_at_matches_per_segment_bytes():
         want = seg.states_at(np.clip(rel[m] - bounds[i], 0.0, seg.duration))
         for got, ref in zip((P[m], V[m], A[m]), want):
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_trajectory_state_at_owns_its_arrays():
+    """A sampled state holds its own rows, not views that keep a whole sample
+    block alive (frame records keep one state per frame)."""
+    s = UavState(t=0.0, p=[0.3, -1.2, 0.7], v=[0.4, 0.1, -0.2], a=[0, 0, 0])
+    ca = ConstantAccelSegment(start=s, u=[2.0, 0.0, -2.0], tau=0.6)
+    end_p, end_v, _ = ca.states_at(np.array([0.6]))
+    mid = UavState(t=0.6, p=end_p[0], v=end_v[0], a=np.zeros(3))
+    quintic = QuinticSegment.solve(mid, mid.p + 1.0, np.zeros(3), np.zeros(3), 0.9)
+    traj = Trajectory(segments=(ca, quintic), t0=0.0)
+    for t in (0.0, 0.3, 0.6, 1.0, traj.t_end):
+        state = traj.state_at(t)
+        for a in (state.p, state.v, state.a):
+            assert a.base is None and a.shape == (3,)
 
 
 def test_trajectory_rejects_out_of_span():

@@ -11,6 +11,7 @@ from cloudnav.gridmap import (
     GridConfig,
     OccupancyGrid,
     bar_cells,
+    export_grid_rows,
     thin_object_experiment,
 )
 from cloudnav.scenario import scenario_from_dict
@@ -71,7 +72,7 @@ def test_single_ray_bookkeeping():
     grid = make_grid(resolution=0.3)
     scan = PointCloud(points=np.array([[1.0, 0.0, 0.0]]))
     grid.integrate_scan([0, 0, 0], scan)
-    end_cell = grid.cell_of([1.0, 0, 0])
+    end_cell = tuple(grid.cells([1.0, 0, 0]))
     assert grid.log_odds[end_cell] == pytest.approx(LOG_ODDS_HIT)
     decreased = np.argwhere(grid.log_odds < 0)
     assert len(decreased) == 3  # cells strictly before the endpoint on the ray
@@ -128,7 +129,7 @@ def test_log_odds_clamped_after_arbitrary_updates():
         grid.integrate_scan([0, 0, 0], scan)
     assert grid.log_odds.max() <= CLAMP_MAX + 1e-12
     assert grid.log_odds.min() >= CLAMP_MIN - 1e-12
-    end_cell = grid.cell_of([1.0, 0, 0])
+    end_cell = tuple(grid.cells([1.0, 0, 0]))
     assert grid.log_odds[end_cell] == pytest.approx(CLAMP_MAX)
 
 
@@ -141,17 +142,22 @@ def test_update_cost_scales_with_ray_length():
     assert 3.5 <= ratio <= 4.5  # 8 m vs 2 m of cells
 
 
-def test_occupied_threshold_and_probabilities():
+def test_occupied_threshold_and_probabilities(tmp_path):
     grid = make_grid()
     scan = PointCloud(points=np.array([[1.0, 0.0, 0.0]]))
     grid.integrate_scan([0, 0, 0], scan)
+    hit = tuple(grid.cells([1.0, 0, 0]))
     occ = grid.occupied_mask()
-    assert occ[grid.cell_of([1.0, 0, 0])]
+    assert occ[hit]
     assert occ.sum() == 1
-    probs = grid.probabilities()
-    assert probs[grid.cell_of([1.0, 0, 0])] > 0.5
-    rows = grid.export_rows()
+    path = tmp_path / "grid.txt"
+    export_grid_rows(grid, path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "i j k probability"
     assert len(rows) == 4  # one hit cell + three miss cells
+    probs = {tuple(int(x) for x in r.split()[:3]): float(r.split()[3]) for r in rows}
+    assert probs[hit] > 0.5
+    assert all(p < 0.5 for c, p in probs.items() if c != hit)
 
 
 def _mini_compare_scenario(frames=8):

@@ -324,7 +324,7 @@ def test_search_report_dict_roundtrip():
     cfg = default_cfg()
     _, report = plan(UavState.hover([0, 0, 0]), [3, 0, 0], cfg, make_map())
     d = dataclasses.asdict(report)
-    for key in ("outcome", "expansions", "wall_seconds", "analytic_connection", "cost"):
+    for key in ("outcome", "expansions", "wall_seconds", "cost"):
         assert key in d
 
 

@@ -138,12 +138,16 @@ def test_moving_obstacle_ray_uses_pose_at_time():
 
 
 def test_generate_scan_empty_environment():
-    scan = generate_scan(
-        Environment([]), SensorModel(), [0, 0, 1], yaw_rotation(0.0), 0.0,
-        np.random.default_rng(0), frame_index=0,
-    )
+    sensor = SensorModel()
+    rng = np.random.default_rng(0)
+    scan = generate_scan(Environment([]), sensor, [0, 0, 1], yaw_rotation(0.0), 0.5, rng, frame_index=0)
     assert len(scan) == 0
-    assert scan.stamp == 0.0
+    assert scan.points.shape == (0, 3)
+    assert scan.stamp == 0.5
+    # noise for every ray, hit or miss: the stream stays where a frame of hits leaves it
+    ref = np.random.default_rng(0)
+    ref.normal(0.0, RANGE_NOISE_SIGMA, sensor.points_per_frame)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_points_per_frame():
