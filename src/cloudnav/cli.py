@@ -26,6 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .gridmap import thin_object_experiment
+from .planner import PLAN_BUDGET
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sensor import Capsule
 from .sim import RunLog, audit_ground_truth, simulate
@@ -84,6 +85,13 @@ def _stats(samples) -> dict:
     }
 
 
+def _plan_stats(plan_seconds) -> dict:
+    """`_stats` plus the number of plans over the loop's `PLAN_BUDGET` and the largest overrun."""
+    overruns = [s - PLAN_BUDGET for s in plan_seconds if s > PLAN_BUDGET]
+    return {**_stats(plan_seconds), "over_budget": len(overruns),
+            "max_overrun_ms": max(overruns, default=0.0) * 1e3}
+
+
 def build_report(log: RunLog, scenario: Scenario) -> RunReport:
     audit = audit_ground_truth(log, scenario)
     return RunReport(
@@ -98,7 +106,7 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
         timings={
             "map_update": _stats(log.map_update_seconds),
             "tree_build": _stats(log.tree_build_seconds),
-            "plan": _stats(log.plan_seconds),
+            "plan": _plan_stats(log.plan_seconds),
         },
     )
 

@@ -40,6 +40,15 @@ _COVERAGE_STEP = 0.25
 _SWEEP_CHUNK = 25
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """`np.unique(keys)` by a sort and a neighbour compare: numpy 2's `np.unique`
+    hashes, and on one frame's ~4000 keys that takes about seven times as long."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def _probe_disk_grid():
     """Unit-disk coordinates of the 57 probe rays: the centre and 4 rings of 14."""
     u = [0.0]
@@ -80,16 +89,16 @@ class _SensedSpace:
         reach = np.where(np.isfinite(hits), hits, _COVERAGE_RANGE)
         pts = position + dirs[:, None, :] * self._steps[None, :, None]
         keep = self._steps[None, :] <= reach[:, None] + _COVERAGE_STEP
-        return np.unique(voxel_keys(pts[keep], _COVERAGE_CELL))
+        return _sorted_unique(voxel_keys(pts[keep], _COVERAGE_CELL))
 
     def unseen_count(self, traj: Trajectory, dt: float) -> int:
         queued, self._queue = self._queue, []
         for i in range(0, len(queued), _SWEEP_CHUNK):
             swept = [self.mark(self._env, *pose) for pose in queued[i:i + _SWEEP_CHUNK]]
-            self._cells = np.union1d(self._cells, np.concatenate(swept))
+            self._cells = _sorted_unique(np.concatenate([self._cells, *swept]))
         ts = sample_times(traj.t0, traj.duration, dt)
         P, _, _ = traj.states_at(ts)
-        keys = np.unique(voxel_keys(P, _COVERAGE_CELL))
+        keys = _sorted_unique(voxel_keys(P, _COVERAGE_CELL))
         return int(np.count_nonzero(~np.isin(keys, self._cells)))
 
 

@@ -8,11 +8,14 @@ from cloudnav.cli import (
     BUNDLED_SCENARIOS,
     EXIT_OK,
     EXIT_SCENARIO_ERROR,
+    build_report,
     main,
     resolve_scenario_path,
     run,
 )
-from cloudnav.scenario import ScenarioError
+from cloudnav.core import UavState
+from cloudnav.scenario import ScenarioError, load_scenario
+from cloudnav.sim import FrameRecord, RunLog
 
 MINI = {
     "name": "mini_cli",
@@ -73,6 +76,21 @@ def test_run_writes_expected_outputs(mini_path, tmp_path):
     assert data["min_ground_truth_clearance"] > 0
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("frame,t,px,py,pz")
+
+
+@pytest.mark.parametrize(
+    "plan_seconds, over, overrun_ms",
+    [([], 0, 0.0), ([0.010, 0.030], 0, 0.0), ([0.010, 0.045, 0.031], 2, 15.0)],
+    ids=["no-plans", "within-budget", "two-over"],
+)
+def test_report_counts_plans_over_the_handover_budget(mini_path, plan_seconds, over, overrun_ms):
+    log = RunLog(scenario_name="mini_cli", seed=2, plan_seconds=plan_seconds)
+    log.frames = [FrameRecord(i, UavState.hover([x, 0.0, 1.0], t=0.02 * i), 0, [0, 0])
+                  for i, x in enumerate((0.0, 1.0))]
+    plan = build_report(log, load_scenario(mini_path)).timings["plan"]
+    assert plan["count"] == len(plan_seconds)
+    assert plan["over_budget"] == over  # PLAN_BUDGET is 30 ms; exactly 30 ms is within it
+    assert plan["max_overrun_ms"] == pytest.approx(overrun_ms)
 
 
 def test_run_is_byte_identical_for_same_seed(mini_path, tmp_path):

@@ -10,6 +10,7 @@ from cloudnav.core import (
     voxel_filter,
 )
 from cloudnav.spatial import (
+    _MERGE_AFTER,
     KdTree,
     MapConfig,
     TemporalLocalMap,
@@ -273,6 +274,34 @@ def test_map_collision_matches_bruteforce_union():
         assert m.nearest_distance(q, r) == want
         hits += bool(np.isfinite(want))
     assert 0 < hits < 300
+
+
+@pytest.mark.parametrize("sizes", [(300, 300), (0, 300), (300, 0)],
+                         ids=["both-trees", "first-empty", "second-empty"])
+def test_map_queries_match_bruteforce_before_and_after_merge(sizes):
+    rng = np.random.default_rng(31)
+    m = _two_tree_map(rng.uniform(-3, 0.5, (sizes[0], 3)), rng.uniform(-0.5, 3, (sizes[1], 3)))
+    union = np.concatenate([t.points for t in m.trees])
+    for i in range(2 * _MERGE_AFTER + 10):
+        r = rng.uniform(0.1, 0.8)
+        if i % 2:
+            q = rng.uniform(-3.5, 3.5, 3)
+            assert m.nearest_distance(q, r) == brute_nearest_distance(union, q, r)
+        else:
+            qs = rng.uniform(-3.5, 3.5, (50, 3))
+            assert np.array_equal(m.any_within(qs, r), brute_any_within(union, qs, r))
+        assert bool(m._merged) == (i >= _MERGE_AFTER)  # query i + 1 > _MERGE_AFTER read the merged tree
+
+
+def test_map_update_drops_the_merged_tree():
+    m = _two_tree_map(_ORIGIN, _FAR)
+    for _ in range(_MERGE_AFTER + 1):
+        assert m.any_within(_ORIGIN, 0.1)[0]
+    assert m._merged
+    m.update(_scan([[5.0, 5.0, 5.0]], stamp=2.0))  # the cycle wraps: tree 0 now holds only this scan
+    assert m.any_within([[5.0, 5.0, 5.0]], 0.1)[0]
+    assert not m.any_within(_ORIGIN, 0.1)[0]
+    assert m.nearest_distance([9.0, 9.0, 9.05], 0.1) == pytest.approx(0.05)
 
 
 def brute_any_within(points, qs, r):
