@@ -15,7 +15,7 @@ import pytest
 import cloudnav.sim
 from cloudnav.planner import PlannerConfig
 from cloudnav.spatial import MapUpdateInfo
-from test_sim import mini_scenario
+from test_sim import DROPPED_ROCK, mini_scenario
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,7 +65,9 @@ BAR = {
 ROCK = {"name": "rock", "shape": "sphere", "center": [0.6, 0.0, 1.0], "radius": 0.3}
 
 
-@pytest.mark.parametrize("obstacle", [BAR, ROCK], ids=["replan", "emergency"])
+@pytest.mark.parametrize(
+    "obstacle", [BAR, ROCK, DROPPED_ROCK], ids=["replan", "emergency", "emergency-tracked"]
+)
 def test_traced_flight_attributes_every_frame(obstacle):
     tracing = _load_tracing()
     scenario = mini_scenario(obstacles=[obstacle])

@@ -415,6 +415,30 @@ def test_obstacle_inside_clearance_at_start_takes_emergency_path():
     assert audit_ground_truth(log, scenario).min_distance == pytest.approx(0.3)
 
 
+DROPPED_ROCK = {
+    "name": "rock", "shape": "sphere", "center": [0.72, 0.0, 1.0], "radius": 0.3,
+    "schedule": [
+        {"t": 0.0, "offset": [0, 0, -60.0]},
+        {"t": 0.48, "offset": [0, 0, -60.0]},
+        {"t": 0.5, "offset": [0, 0, 0.0]},
+    ],
+}
+
+
+def test_obstacle_dropped_ahead_mid_flight_relaxes_from_the_tracked_trajectory():
+    # the sphere drops in 0.4 m ahead of the accelerating UAV, inside the
+    # clearance band: the relaxed plan starts on the tracked trajectory one
+    # handover ahead, not from a hover
+    scenario = mini_scenario(obstacles=[DROPPED_ROCK], duration=12.0)
+    log = simulate(scenario)
+    searches = [(ev.t, ev.kind) for ev in log.events if ev.kind != "map_wraparound"]
+    assert searches == [(0.0, "plan"), (0.5, "emergency_relax")]
+    assert log.events[1].data == {"clearance": 0.36, "expansions": 13}
+    assert log.outcome == "goal_reached"
+    assert log.replan_count == 1
+    assert audit_ground_truth(log, scenario).min_distance == pytest.approx(0.3908, abs=1e-4)
+
+
 def test_short_duration_ends_in_timeout():
     log = simulate(mini_scenario(duration=1.0))
     assert log.outcome == "timeout"
