@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -49,7 +50,7 @@ BUNDLED_SCENARIOS = ("indoor_bar", "forest_branch", "hillside", "thin_bar_compar
 
 
 def resolve_scenario_path(spec: str) -> str:
-    if os.path.exists(spec):
+    if os.path.isfile(spec):
         return spec
     if spec in BUNDLED_SCENARIOS:
         ref = resources.files("cloudnav").joinpath(f"scenarios/{spec}.yaml")
@@ -154,8 +155,11 @@ def run(scenario_path, out_dir, overrides: list[str] | None = None) -> RunReport
     write_trajectory_csv(log, os.path.join(out_dir, "trajectory.csv"))
     write_events_csv(log, os.path.join(out_dir, "events.csv"))
     dump_map(log.local_map, os.path.join(out_dir, "map_final"))
+    fields = asdict(report)
+    if not math.isfinite(report.min_ground_truth_clearance):  # no obstacles: JSON has no Infinity
+        fields["min_ground_truth_clearance"] = None
     with open(os.path.join(out_dir, "report.json"), "w") as f:
-        json.dump(asdict(report), f, indent=2, sort_keys=True)
+        json.dump(fields, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     return report
 

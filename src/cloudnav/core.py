@@ -264,10 +264,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @classmethod
-    def empty(cls, stamp: float = 0.0) -> "PointCloud":
-        return cls(points=np.empty((0, 3)), stamp=stamp)
-
 
 # Voxel keys pack the three cell indices into one int64 (21 bits per axis,
 # good for ~±100 km at 10 cm resolution).
@@ -289,26 +285,6 @@ def voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
     return (ijk[:, 0] << 42) | (ijk[:, 1] << 21) | ijk[:, 2]
 
 
-def voxel_filter(cloud: PointCloud, resolution: float) -> PointCloud:
-    """Downsample to one centroid per occupied voxel of a world-anchored grid.
-
-    Output points are ordered by packed voxel key, so the result is a pure
-    function of the input point set.
-    """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    pts = cloud.points
-    if len(pts) == 0:
-        return PointCloud.empty(stamp=cloud.stamp)
-    keys = voxel_keys(pts, resolution)
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    n = counts.astype(float)
-    cx = np.bincount(inverse, weights=pts[:, 0]) / n
-    cy = np.bincount(inverse, weights=pts[:, 1]) / n
-    cz = np.bincount(inverse, weights=pts[:, 2]) / n
-    return PointCloud(points=np.column_stack([cx, cy, cz]), stamp=cloud.stamp)
-
-
 def save_cloud_txt(cloud: PointCloud, path) -> None:
     """Columnar text export: header `stamp <t> count <n>`, then one `x y z` per line."""
     with open(path, "w") as f:
@@ -316,15 +292,3 @@ def save_cloud_txt(cloud: PointCloud, path) -> None:
         for x, y, z in cloud.points:
             f.write(f"{x:.9f} {y:.9f} {z:.9f}\n")
 
-
-def load_cloud_txt(path) -> PointCloud:
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 4 or header[0] != "stamp" or header[2] != "count":
-            raise ValueError(f"bad point-cloud header in {path}: {header}")
-        stamp = float(header[1])
-        count = int(header[3])
-        pts = np.loadtxt(f, ndmin=2) if count else np.empty((0, 3))
-    if pts.shape[0] != count:
-        raise ValueError(f"{path}: header count {count} != {pts.shape[0]} rows")
-    return PointCloud(points=pts, stamp=stamp)

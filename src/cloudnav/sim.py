@@ -17,9 +17,7 @@ import numpy as np
 from .core import Trajectory, UavState, sample_times, voxel_keys
 from .planner import (
     PLAN_BUDGET,
-    PlannerConfig,
     PlannerError,
-    SearchReport,
     StartInCollision,
     plan,
     relaxed_replan,
@@ -137,89 +135,70 @@ class RunLog:
         return float(np.linalg.norm(np.diff(P, axis=0), axis=1).sum())
 
 
-class _TrackingState:
-    """Current + pending trajectory bookkeeping: the UAV hovers at the start
-    until the first plan starts, and at a trajectory's end once it is over."""
-
-    def __init__(self, start_p: np.ndarray):
-        self.current: Trajectory | None = None
-        self.pending: Trajectory | None = None
-        self.clearance = math.inf  # the clearance active() was planned with
-        self.start_p = start_p
-
-    def active(self) -> Trajectory | None:
-        return self.pending if self.pending is not None else self.current
-
-    def state_at(self, t: float) -> UavState:
-        """The state at `t`; a pending trajectory that has started becomes current."""
-        if self.pending is not None and t >= self.pending.t0 - 1e-9:
-            self.current, self.pending = self.pending, None
-        src = self.current
-        if src is None:
-            return UavState.hover(self.start_p, t=t)
-        if t >= src.t_end:
-            return UavState.hover(src.end_state.p, t=t)
-        return src.state_at(t)
-
-
 # Plans start at the first frame at least one planning budget ahead.
 _HANDOVER_DELAY = math.ceil(PLAN_BUDGET / FRAME_DT - 1e-9) * FRAME_DT
 
 
-def _search_event(report: SearchReport, traj: Trajectory, sensed: _SensedSpace,
-                  cfg: PlannerConfig) -> dict:
-    """Event data of a `plan` or `replan` event."""
-    return {
-        "expansions": report.expansions,
-        "cost": round(report.cost, 9),
-        "analytic": report.outcome == "analytic",
-        "unseen_cells": sensed.unseen_count(traj, cfg.check_dt),
-    }
+class _Tracking:
+    """The trajectories the UAV tracks and the frame's replan decision. The UAV
+    hovers at the start until the first plan starts, and at a trajectory's end
+    once it is over."""
 
+    def __init__(self, scenario: Scenario, local_map: TemporalLocalMap, sensed: _SensedSpace):
+        self._scenario, self._map, self._sensed = scenario, local_map, sensed
+        self._current: Trajectory | None = None
+        self._pending: Trajectory | None = None
+        self._clearance = math.inf  # the clearance the newest trajectory was planned with
 
-def _next_plan(
-    scenario: Scenario,
-    local_map: TemporalLocalMap,
-    sensed: _SensedSpace,
-    t: float,
-    uav: UavState,
-    active: Trajectory | None,
-    active_clearance: float,
-):
-    """The plan this frame needs, as (event kind, trajectory, report, event
-    data, planned clearance), or None while the tracked trajectory stays clear.
+    def state_at(self, t: float) -> UavState:
+        """The state at `t`; a pending trajectory that has started becomes current."""
+        if self._pending is not None and t >= self._pending.t0 - 1e-9:
+            self._current, self._pending = self._pending, None
+        src = self._current
+        if src is None:
+            return UavState.hover(self._scenario.start_position, t=t)
+        if t >= src.t_end:
+            return UavState.hover(src.end_state.p, t=t)
+        return src.state_at(t)
 
-    Raises PlannerError when no plan can be found.
-    """
-    cfg = scenario.planner_config
-    goal = scenario.goal
-    handover = t + _HANDOVER_DELAY
-    # with no trajectory to track, the plan starts hovering where the UAV is
-    start = UavState.hover(uav.p, t=handover) if active is None else None
-    try:
-        if active is None:
-            traj, report = plan(start, goal, cfg, local_map)
-            return "plan", traj, report, _search_event(report, traj, sensed, cfg), cfg.clearance
+    def replan(self, t: float, uav: UavState):
+        """Install the plan this frame needs and return (event kind, search
+        report, event data), or None while the tracked trajectory stays clear.
+
+        Raises PlannerError when no plan can be found.
+        """
+        cfg, goal, local_map = self._scenario.planner_config, self._scenario.goal, self._map
+        active = self._pending if self._pending is not None else self._current
+        handover = t + _HANDOVER_DELAY
         check = cfg
-        if active_clearance < cfg.clearance and local_map.any_within(uav.p, cfg.clearance)[0]:
-            # a relaxed plan keeps its own clearance while the UAV is inside the full band
-            check = replace(cfg, clearance=active_clearance)
-        decision = replan_step(active, max(t, active.t0), local_map, check, goal)
-        if decision.action == "keep":
-            return None
-    except StartInCollision:
-        # Replan start state already violates the clearance (obstacle swept
-        # onto the UAV): relax the clearance stepwise to escape.
-        if active is not None:
-            start = active.state_at(min(max(handover, active.t0), active.t_end))
-        traj, report, used = relaxed_replan(start, goal, cfg, local_map)
-        return "emergency_relax", traj, report, {
-            "clearance": round(used, 9), "expansions": report.expansions
-        }, used
-    traj, report = decision.trajectory, decision.report
-    data = {"collision_time": round(decision.collision_time, 9)}
-    data.update(_search_event(report, traj, sensed, cfg))
-    return "replan", traj, report, data, check.clearance
+        try:
+            if active is None:
+                # with no trajectory to track, the plan starts hovering where the UAV is
+                traj, report = plan(UavState.hover(uav.p, t=handover), goal, cfg, local_map)
+                kind, data = "plan", {}
+            else:
+                if self._clearance < cfg.clearance and local_map.any_within(uav.p, cfg.clearance)[0]:
+                    # a relaxed plan keeps its own clearance while the UAV is inside the full band
+                    check = replace(cfg, clearance=self._clearance)
+                decision = replan_step(active, max(t, active.t0), local_map, check, goal)
+                if decision.action == "keep":
+                    return None
+                traj, report = decision.trajectory, decision.report
+                kind, data = "replan", {"collision_time": round(decision.collision_time, 9)}
+        except StartInCollision:
+            # Replan start state already violates the clearance (obstacle swept
+            # onto the UAV): relax the clearance stepwise to escape.
+            start = (UavState.hover(uav.p, t=handover) if active is None
+                     else active.state_at(min(max(handover, active.t0), active.t_end)))
+            traj, report, clearance = relaxed_replan(start, goal, cfg, local_map)
+            kind, data = "emergency_relax", {"clearance": round(clearance, 9), "expansions": report.expansions}
+        else:
+            data.update(expansions=report.expansions, cost=round(report.cost, 9),
+                        analytic=report.outcome == "analytic",
+                        unseen_cells=self._sensed.unseen_count(traj, cfg.check_dt))
+            clearance = check.clearance
+        self._pending, self._clearance = traj, clearance
+        return kind, report, data
 
 
 def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
@@ -235,8 +214,8 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
     log = RunLog(scenario_name=scenario.name, seed=seed, local_map=local_map)
     uav = UavState.hover(scenario.start_position, t=0.0)
     yaw = scenario.start_yaw
-    tracking = _TrackingState(uav.p)
     sensed = _SensedSpace(env)
+    tracking = _Tracking(scenario, local_map, sensed)
 
     def record(k: int, state: UavState, scan_size: int, flag: str):
         log.frames.append(FrameRecord(k, state, scan_size, local_map.tree_sizes, flag))
@@ -264,14 +243,13 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
             )
 
         try:
-            step = _next_plan(scenario, local_map, sensed, t, uav, tracking.active(), tracking.clearance)
+            step = tracking.replan(t, uav)
         except PlannerError as e:
             log.events.append(SimEvent(t=t, kind="planner_failure", data={"reason": str(e)}))
             return _terminate("planner_failure", k, uav, len(scan))
         flag = ""
         if step is not None:
-            flag, traj, report, data, tracking.clearance = step
-            tracking.pending = traj
+            flag, report, data = step
             log.plan_seconds.append(report.wall_seconds)
             if flag != "plan":
                 log.replan_count += 1

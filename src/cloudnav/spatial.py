@@ -11,8 +11,8 @@ tree's points, which answers the same bits, until the next update.
 The tree being filled is not re-filtered from its raw scans on every update:
 the map keeps running per-voxel coordinate sums and counts for it and folds
 each new scan into them, so an update costs O(scan + voxels) instead of
-O(H * scan). The result is bit-identical to `core.voxel_filter` over the
-concatenated block (see `TemporalLocalMap`).
+O(H * scan). The result is bit-identical to the test oracle `voxel_filter`
+(`tests/oracles.py`) over the concatenated block (see `TemporalLocalMap`).
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class MapUpdateInfo:
     tree_index: int
     wrapped: bool
     raw_accumulated: int
-    filtered_size: int
     filter_seconds: float
     build_seconds: float
     total_seconds: float
@@ -116,8 +115,8 @@ class TemporalLocalMap:
     The accumulation is kept as running voxel sums, not as raw scans: sorted
     packed voxel keys, per-voxel x/y/z sums and per-voxel point counts. Each
     scan's points are added to the sums one at a time in arrival order, and
-    the centroids are sums / counts in key order. `core.voxel_filter` sums
-    each voxel with `np.bincount`, which also adds left to right starting
+    the centroids are sums / counts in key order. The oracle `voxel_filter`
+    sums each voxel with `np.bincount`, which also adds left to right starting
     from 0.0, so the running sums round exactly as re-filtering the
     concatenated block would and the trees are bit-identical to it. (Summing
     the new scan per voxel first and then adding that partial sum would
@@ -193,7 +192,6 @@ class TemporalLocalMap:
             tree_index=tree_index,
             wrapped=wrapped,
             raw_accumulated=self._raw,
-            filtered_size=len(centroids),
             filter_seconds=t_build - t_start,
             build_seconds=t_end - t_build,
             total_seconds=t_end - t_start,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cloudnav.cli import resolve_scenario_path, run
-from cloudnav.core import ConstantAccelSegment, PointCloud, UavState, voxel_filter
+from cloudnav.core import ConstantAccelSegment, PointCloud, UavState
 from cloudnav.gridmap import thin_object_experiment
 from cloudnav.planner import (
     PlannerConfig,

@@ -8,6 +8,7 @@ from cloudnav.cli import (
     BUNDLED_SCENARIOS,
     EXIT_OK,
     EXIT_SCENARIO_ERROR,
+    EXIT_TIMEOUT,
     build_report,
     main,
     resolve_scenario_path,
@@ -61,6 +62,28 @@ def test_resolve_bundled_names_exist():
         assert os.path.exists(path)
     with pytest.raises(ScenarioError):
         resolve_scenario_path("no_such_scenario")
+
+
+def test_a_directory_does_not_shadow_a_bundled_scenario(tmp_path, monkeypatch):
+    # `--out indoor_bar` leaves a directory named like the bundled scenario
+    (tmp_path / "indoor_bar").mkdir()
+    monkeypatch.chdir(tmp_path)
+    path = resolve_scenario_path("indoor_bar")
+    assert os.path.isfile(path) and path.endswith("indoor_bar.yaml")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_report_of_an_obstacle_free_run_is_strict_json(tmp_path, capsys):
+    path = tmp_path / "empty.yaml"
+    path.write_text(yaml.safe_dump({**MINI, "duration": 0.1, "obstacles": []}))
+    out = tmp_path / "out"
+    assert main([str(path), "--out", str(out)]) == EXIT_TIMEOUT
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    assert report["min_ground_truth_clearance"] is None
+    assert "min clearance inf m" in capsys.readouterr().out
 
 
 def test_run_writes_expected_outputs(mini_path, tmp_path):

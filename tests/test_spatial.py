@@ -6,8 +6,6 @@ from cloudnav.core import (
     PointCloud,
     Trajectory,
     UavState,
-    load_cloud_txt,
-    voxel_filter,
 )
 from cloudnav.spatial import (
     _MERGE_AFTER,
@@ -17,6 +15,8 @@ from cloudnav.spatial import (
     check_trajectory,
     dump_map,
 )
+
+from oracles import load_cloud_txt, voxel_filter
 
 
 def brute_nearest_distance(points, q, r):
@@ -164,7 +164,7 @@ def _assert_matches_oracle(m, info, scans, h, n, resolution):
     block_start = (len(scans) - 1) // h * h
     block = np.concatenate([s.points for s in scans[block_start:]])
     assert info.raw_accumulated == len(block)
-    assert info.filtered_size == len(want[info.tree_index])
+    assert m.tree_sizes[info.tree_index] == len(want[info.tree_index])
 
 
 def test_running_sums_match_replay_oracle_paper_parameters():
