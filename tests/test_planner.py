@@ -386,6 +386,8 @@ def _digest_map():
 
 _HOVER = UavState.hover([0.0, 0.0, 0.0])
 _MOVING = UavState(t=0.5, p=[0.0, 0.0, 0.0], v=[-0.8, 0.4, 0.1], a=[0.0, 0.0, 0.0])
+# at v_max on x: every +x control breaks the velocity bound from the first expansion
+_ON_BOUND = UavState(t=0.0, p=[0.0, 2.5, 0.0], v=[2.0, 0.0, 0.0], a=[0.0, 0.0, 0.0])
 # (start, goal, extra PlannerConfig fields, sha256 of the search's outcome and trajectory)
 _DIGEST_CASES = {
     "hover-far": (
@@ -417,6 +419,12 @@ _DIGEST_CASES = {
         (8.0, -1.0, -1.0),
         {"velocity_bound": "norm"},
         "ac2d513aa7586d43568054191083b15ea992a2927e5a4dc46576d076b8f4eba1",
+    ),
+    "on-bound": (
+        _ON_BOUND,
+        (5.5, -1.5, 0.5),
+        {},
+        "1d26e8be45c027a35402b1d5d679e5c75afe4b377102b9113f600e16da7a384f",
     ),
     "inside-shell": (
         _HOVER,
@@ -451,7 +459,7 @@ def _search_digest(start, goal, cfg, local_map) -> str:
 
 @pytest.mark.parametrize("case", sorted(_DIGEST_CASES))
 def test_plan_digests_are_pinned(case):
-    """Pins every byte of six searches: a speed-up of the search loop must not
+    """Pins every byte of seven searches: a speed-up of the search loop must not
     change which nodes it expands, in what order, or the trajectory it returns."""
     start, goal, extra, want = _DIGEST_CASES[case]
     cfg = default_cfg(max_expansions=1500, **extra)
