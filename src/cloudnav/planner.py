@@ -90,12 +90,18 @@ class PlannerConfig:
         return self.clearance / (2.0 * self.limits.v_max)
 
 
-@dataclass(slots=True)
 class SearchNode:
-    state: UavState
-    g: float
-    f: float
-    parent: "SearchNode | None" = None
+    """A searched state's t, p, v and a (its incoming control), its costs g and f,
+    its parent and its dedup-grid cell; the UavState is built only when asked for."""
+
+    __slots__ = ("t", "p", "v", "a", "g", "f", "parent", "key")
+
+    def __init__(self, t, p, v, a, g, f, parent=None, key=None):
+        self.t, self.p, self.v, self.a, self.g, self.f, self.parent, self.key = t, p, v, a, g, f, parent, key
+
+    @property
+    def state(self) -> UavState:
+        return UavState._unchecked(self.t, self.p, self.v, self.a)
 
 
 @dataclass
@@ -119,16 +125,17 @@ def control_set(a_max: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _primitive_terms(a_max: float, tau: float, dt: float):
-    """Node-independent terms of the 27 primitives, read-only: their edge costs,
-    u * t at the sample times t = 0 .. tau (27, T, 3), and the times after 0
-    (1, T - 1, 1) with 0.5 * u * t * t there (27, T - 1, 3)."""
+    """Node-independent terms of the 27 primitives: U's rows and edge costs as lists; read-only,
+    u * t at the sample times t = 0 .. tau (27, T, 3) and at the first and last (27, 2, 3), and
+    the times after 0 (1, T - 1, 1) with 0.5 * u * t * t there (27, T - 1, 3)."""
     U = control_set(a_max)
     T = sample_times(0.0, tau, dt)[None, :, None]  # includes both endpoints
     costs = ((U * U).sum(axis=1) + TIME_WEIGHT) * tau
-    terms = (costs, U[:, None, :] * T, T[:, 1:], (0.5 * U[:, None, :] * T * T)[:, 1:])
+    ut = U[:, None, :] * T
+    terms = (ut, ut[:, [0, -1]], T[:, 1:], (0.5 * U[:, None, :] * T * T)[:, 1:])
     for a in terms:
         a.setflags(write=False)
-    return terms
+    return (list(U), costs.tolist(), *terms)
 
 
 def heuristic(state: UavState, goal, cfg: PlannerConfig) -> float:
@@ -147,42 +154,51 @@ def _velocity_ok(V: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
     return ok.all(axis=-1)
 
 
+def _prune_keys(P: np.ndarray, cell: float) -> list[tuple]:
+    """Dedup-grid cells of the positions P (n, 3), math.floor(x / cell) per axis;
+    the scenario loader keeps every reachable index inside int64."""
+    return list(map(tuple, np.floor(P / cell).astype(np.int64).tolist()))
+
+
 def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, goal) -> list[SearchNode]:
     """All feasible children of `node` under the 27 motion primitives.
 
     A primitive survives if every sampled velocity respects the configured
     velocity bound and no sampled position lies within the clearance of any
-    map point. Children are returned in control order, ranked toward `goal`.
+    map point. Children, with their dedup-grid cells, come in control order, ranked toward `goal`.
     """
     limits = cfg.limits
-    U = control_set(limits.a_max)
     tau = limits.primitive_duration
-    costs, ut, T1, half_ut2 = _primitive_terms(limits.a_max, tau, cfg.check_dt)
-    p0, v0 = node.state.p, node.state.v
+    U_rows, costs, ut, ut_ends, T1, half_ut2 = _primitive_terms(limits.a_max, tau, cfg.check_dt)
+    p0, v0 = node.p, node.v
 
-    # (27, T, 3) sampled velocities under each control; positions, in the
-    # order p0 + v0 * t + 0.5 * u * t * t, only for the controls within the
-    # velocity bound and only after t = 0, the parent state, already known clear
-    V = v0 + ut
-    cand = np.flatnonzero(_velocity_ok(V, cfg))
+    # Per-axis velocities at the first and last samples only: fl(v0 + fl(u * t)) is
+    # monotone in t, as rounding is, so no sample between breaks a bound both ends
+    # keep; norm-bound ones at every sample. Positions, p0 + v0 * t + 0.5 * u * t * t,
+    # only for controls within the bound and after t = 0, the parent, known clear.
+    if cfg.velocity_bound == "per_axis":
+        V = v0 + ut_ends
+        cand = (np.abs(V).max(axis=(1, 2)) <= limits.v_max).nonzero()[0]
+    else:
+        V = v0 + ut
+        cand = _velocity_ok(V, cfg).nonzero()[0]
     if len(cand) == 0:
         return []
     P = (p0 + v0 * T1) + half_ut2[cand]
     hits = local_map.any_within(P.reshape(-1, 3), cfg.clearance).reshape(len(cand), -1)
     keep = ~hits.any(axis=1)
-    surv = cand[keep]
-    if len(surv) == 0:
+    surv = cand[keep].tolist()
+    if not surv:
         return []
     P_end = P[keep, -1]
-    V_end = V[surv, -1]
-    G = node.g + costs[surv]
     h = np.linalg.norm(P_end - np.asarray(goal, dtype=float), axis=1) * (TIME_WEIGHT / limits.v_max)
-    F = G + HEURISTIC_WEIGHT * h
-    t_child = node.state.t + tau
+    t_child = node.t + tau
+    G = [node.g + costs[i] for i in surv]
+    keys = _prune_keys(P_end, cfg.prune_cell)
     # U's rows are read-only, so children share them as their acceleration (incoming control)
     return [
-        SearchNode(UavState._unchecked(t_child, P_end[j], V_end[j], U[i]), g, f, node)
-        for j, (i, g, f) in enumerate(zip(surv.tolist(), G.tolist(), F.tolist()))
+        SearchNode(t_child, p, v, U_rows[i], g, g + HEURISTIC_WEIGHT * hj, node, key)
+        for i, g, p, v, hj, key in zip(surv, G, P_end, V[surv, -1], h.tolist(), keys)
     ]
 
 
@@ -232,19 +248,14 @@ def _build_trajectory(node: SearchNode, tail: QuinticSegment | None, cfg: Planne
     segments = []
     cur = node
     while cur.parent is not None:
-        segments.append(ConstantAccelSegment(start=cur.parent.state, u=cur.state.a, tau=tau))
+        segments.append(ConstantAccelSegment(start=cur.parent.state, u=cur.a, tau=tau))
         cur = cur.parent
     segments.reverse()
     cost = node.g
     if tail is not None:
         segments.append(tail)
         cost += TIME_WEIGHT * tail.duration + _segment_effort(tail, cfg.check_dt)
-    return Trajectory(segments=tuple(segments), t0=cur.state.t), cost
-
-
-def _prune_key(p: np.ndarray, cell: float) -> tuple:
-    x, y, z = p.tolist()
-    return (math.floor(x / cell), math.floor(y / cell), math.floor(z / cell))
+    return Trajectory(segments=tuple(segments), t0=cur.t), cost
 
 
 def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap):
@@ -260,13 +271,12 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     if dist <= cfg.clearance:
         raise StartInCollision(dist)
 
-    cell = cfg.prune_cell
     h0 = HEURISTIC_WEIGHT * heuristic(start, goal, cfg)
-    root = SearchNode(state=start, g=0.0, f=h0)
+    key = _prune_keys(start.p[None], cfg.prune_cell)[0]
+    root = SearchNode(start.t, start.p, start.v, start.a, 0.0, h0, None, key)
     counter = itertools.count()
-    # heap entries: (f, h, unique counter, node, prune key); the counter settles
-    # every tie, so the node and its key are never compared
-    open_heap: list = [(root.f, h0, next(counter), root, _prune_key(start.p, cell))]
+    # heap entries: (f, h, unique counter, node); the counter settles every tie
+    open_heap: list = [(root.f, h0, next(counter), root)]
     closed: dict[tuple, float] = {}
     report = SearchReport()
     ae_last_d = math.inf  # so the root tries the analytic shot too
@@ -274,13 +284,13 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     outcome = "open_set_exhausted"
 
     while open_heap:
-        _, _, _, node, key = heapq.heappop(open_heap)
-        best = closed.get(key)
+        node = heapq.heappop(open_heap)[3]
+        best = closed.get(node.key)
         if best is not None and best <= node.g:
             continue
-        closed[key] = node.g
+        closed[node.key] = node.g
 
-        diff = node.state.p - goal
+        diff = node.p - goal
         d = math.sqrt(diff.dot(diff))  # np.linalg.norm of a vector, without its overhead
         at_goal = d <= cfg.goal_tolerance
         if at_goal or ae_last_d - d >= 1.0:
@@ -298,11 +308,10 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
             break
         report.expansions += 1
         for child in expand(node, cfg, local_map, goal):
-            ckey = _prune_key(child.state.p, cell)
-            cbest = closed.get(ckey)
+            cbest = closed.get(child.key)
             if cbest is not None and cbest <= child.g:
                 continue
-            heapq.heappush(open_heap, (child.f, child.f - child.g, next(counter), child, ckey))
+            heapq.heappush(open_heap, (child.f, child.f - child.g, next(counter), child))
 
     report.outcome = outcome
     report.open_size = len(open_heap)

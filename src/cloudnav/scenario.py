@@ -18,7 +18,7 @@ import yaml
 
 from .core import _KEY_OFFSET, KinodynamicLimits
 from .gridmap import GridConfig
-from .planner import MAX_PRIMITIVE_SAMPLES, PlannerConfig
+from .planner import MAX_PRIMITIVE_SAMPLES, PLAN_BUDGET, PlannerConfig
 from .sensor import MAX_RANGE, Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
 from .spatial import MapConfig
 
@@ -171,7 +171,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     map_config = _build(MapConfig, "map", **_section(top.get("map", {}), "map", "map"))
     # voxel_keys indexes _KEY_OFFSET cells each way from 0 on every axis: enough
     # for every point within sensor range of the start and the goal
-    reach = MAX_RANGE + float(np.abs([*start_p, *goal]).max())
+    farthest = float(np.abs([*start_p, *goal]).max())
+    reach = MAX_RANGE + farthest
     if reach / map_config.resolution >= _KEY_OFFSET:
         raise ScenarioError(f"map.resolution: {map_config.resolution:g} m cannot index points {reach:g} m "
                             f"from the origin; it must exceed {reach / _KEY_OFFSET:g}")
@@ -179,7 +180,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     limits = {f.name: pl.pop(f.name) for f in fields(KinodynamicLimits) if f.name in pl}
     planner_config = _build(PlannerConfig, "planner", limits=_build(KinodynamicLimits, "planner", **limits), **pl)
     # planner envelope: primitives from rest keep to v_max and leave the dedup cell
-    lim, cell = planner_config.limits, planner_config.prune_cell
+    lim, cell, n_max = planner_config.limits, planner_config.prune_cell, planner_config.max_expansions
     if lim.a_max * lim.primitive_duration > lim.v_max:
         raise ScenarioError(f"planner.a_max, planner.primitive_duration: a_max*primitive_duration = "
                             f"{lim.a_max * lim.primitive_duration:g} exceeds planner.v_max = {lim.v_max:g}")
@@ -191,6 +192,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError(f"planner.clearance, planner.v_max, planner.primitive_duration: "
                             f"{2 * lim.v_max * lim.primitive_duration / planner_config.clearance:.3g} samples per "
                             f"primitive exceed MAX_PRIMITIVE_SAMPLES = {MAX_PRIMITIVE_SAMPLES}")
+    # the search's int64 cell index holds a flight's travel and one search's primitives beyond it
+    reach = farthest + lim.v_max * (top["duration"] + PLAN_BUDGET + n_max * lim.primitive_duration)
+    if reach / cell >= 2**63:
+        raise ScenarioError(f"planner.prune_cell: {cell:g} m cannot index positions {reach:g} m from the origin; "
+                            f"it must exceed {reach / 2**63:g}")
 
     obstacles = tuple(_parse_obstacle(o, i) for i, o in enumerate(top.get("obstacles", [])))
     first = {}  # index of the obstacle each name was first given to; "" is unnamed

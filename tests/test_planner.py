@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from cloudnav.core import ConstantAccelSegment, KinodynamicLimits, PointCloud, UavState
+from cloudnav.core import ConstantAccelSegment, KinodynamicLimits, PointCloud, UavState, sample_times
 from cloudnav.planner import (
     PLAN_BUDGET,
     TIME_WEIGHT,
@@ -12,6 +14,7 @@ from cloudnav.planner import (
     PlanningFailed,
     SearchNode,
     StartInCollision,
+    _prune_keys,
     analytic_expansion,
     control_set,
     expand,
@@ -46,8 +49,12 @@ def sphere_shell(center, radius, n=600):
     return np.asarray(center, dtype=float) + radius * pts
 
 
+def node_at(state):
+    return SearchNode(state.t, state.p, state.v, state.a, g=0.0, f=0.0)
+
+
 def rest_node(p=(0, 0, 0)):
-    return SearchNode(state=UavState.hover(list(p)), g=0.0, f=0.0)
+    return node_at(UavState.hover(list(p)))
 
 
 def test_control_set_is_27_deterministic():
@@ -73,23 +80,71 @@ def test_expand_enclosed_by_point_shell_yields_zero():
 
 
 def test_expand_velocity_saturated_axis_yields_18():
-    node = SearchNode(
-        state=UavState(t=0.0, p=[0, 0, 0], v=[2.0, 0, 0], a=[0, 0, 0]), g=0.0, f=0.0
-    )
+    node = node_at(UavState(t=0.0, p=[0, 0, 0], v=[2.0, 0, 0], a=[0, 0, 0]))
     children = expand(node, default_cfg(), make_map(), [5, 0, 0])
     assert len(children) == 18
     assert all(c.state.a[0] <= 0.0 for c in children)
 
 
 def test_expand_norm_mode_bounds_speed():
-    node = SearchNode(
-        state=UavState(t=0.0, p=[0, 0, 0], v=[2.0, 0, 0], a=[0, 0, 0]), g=0.0, f=0.0
-    )
+    node = node_at(UavState(t=0.0, p=[0, 0, 0], v=[2.0, 0, 0], a=[0, 0, 0]))
     cfg = default_cfg(velocity_bound="norm")
     children = expand(node, cfg, make_map(), [5, 0, 0])
     assert 0 < len(children) < 18
     for c in children:
         assert np.linalg.norm(c.state.v) <= 2.0 + 1e-12
+
+
+def _floor_keys(P, cell):
+    """Oracle: the dedup-grid cells one coordinate at a time, with math.floor."""
+    return [tuple(math.floor(x / cell) for x in p.tolist()) for p in np.atleast_2d(P)]
+
+
+def test_prune_keys_match_math_floor():
+    # floor, not truncation, below 0; x / cell, not np.floor_divide (1.0 // 0.1 is 9.0);
+    # -0.0 lands in the cell of 0.0
+    for cell in (0.1, 0.225, 0.36, 1.0):
+        ks = np.arange(-7, 8)
+        P = np.concatenate([
+            np.stack([ks * cell, ks * cell + 0.5 * cell, -(ks * cell)], axis=1),
+            [[1.0, -1.0, -0.0], [-0.0, 0.3, -0.3], [-1e-300, 1e-300, -0.0]],
+        ])
+        assert _prune_keys(P, cell) == _floor_keys(P, cell)
+    assert _prune_keys(np.array([[-0.0, -0.0, -0.0]]), 0.1) == [(0, 0, 0)]
+
+
+def test_expand_children_carry_their_prune_keys():
+    # cell = the end offset of a full-thrust primitive from rest, so children
+    # from a node on the grid land on exact multiples of it
+    d = 0.5 * 2.0 * 0.6 * 0.6
+    for cell, p in itertools.product((d, d / 2, 0.225), ((0, 0, 0), (-3 * d, -d, 5 * d), (-2.3, -0.01, -7.9))):
+        cfg = default_cfg(prune_cell=cell)
+        children = expand(rest_node(p), cfg, make_map(), [5, 0, 0])
+        assert len(children) == 27
+        assert [c.key for c in children] == _floor_keys(np.array([c.p for c in children]), cell)
+
+
+def test_expand_end_point_velocity_test_equals_sampled_test():
+    # per axis: the bound itself, the entry speed from which full thrust just
+    # reaches it, their neighbouring floats, and -0.0
+    cfg = default_cfg()
+    v_max, a_max, tau = cfg.limits.v_max, cfg.limits.a_max, cfg.limits.primitive_duration
+    U = control_set(a_max)
+    ut = U[:, None, :] * sample_times(0.0, tau, cfg.check_dt)[None, :, None]
+    edges = [s * e for s in (1.0, -1.0) for e in (v_max, v_max - a_max * tau)]
+    values = sorted({x for e in edges for x in (e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf))}) + [-0.0]
+    empty = make_map()
+    kept = 0
+    for v0 in itertools.product(values, repeat=3):
+        V = np.array(v0) + ut
+        sampled = (np.abs(V) <= v_max).all(axis=-1).all(axis=-1)  # every sample, every axis
+        node = node_at(UavState(t=0.0, p=[0.0, 0.0, 0.0], v=list(v0), a=[0.0, 0.0, 0.0]))
+        children = expand(node, cfg, empty, [5, 0, 0])
+        assert [tuple(c.a) for c in children] == [tuple(u) for u in U[sampled]], v0
+        for c, i in zip(children, np.flatnonzero(sampled)):
+            assert np.array_equal(c.v, V[i, -1])
+        kept += len(children)
+    assert 0 < kept < 27 * len(values) ** 3
 
 
 def test_expand_costs_accumulate():

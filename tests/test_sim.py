@@ -367,6 +367,7 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("compare.grid_resolution=-1", "compare.grid_resolution"),
     ("compare.size=[0, 1, 1]", "compare.size"),
     ("map.resolution=1.0e-300", "map.resolution"),  # too fine for voxel_keys to index the sensor range
+    ("planner.prune_cell=1.0e-310", "planner.prune_cell"),  # too fine for the search's int64 dedup-cell index
     ("sensor.points_per_second=1.0e+300", "sensor.points_per_second"),  # one frame's rays not allocatable
     ("compare.size=[1.0e+6, 1.0e+6, 1.0e+6]", "compare.size"),  # the grid's cells not allocatable
     ("compare.grid_resolution=1.0e-3", "compare.grid_resolution"),
