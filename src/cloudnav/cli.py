@@ -26,10 +26,10 @@ from importlib import resources
 
 import numpy as np
 
-from .gridmap import thin_object_experiment
+from .gridmap import GridConfig, OccupancyGrid, bar_cells, thin_object_experiment
 from .planner import PLAN_BUDGET
 from .scenario import Scenario, ScenarioError, load_scenario
-from .sensor import Capsule
+from .sensor import FRAME_DT, Capsule
 from .sim import RunLog, audit_ground_truth, simulate
 from .spatial import dump_map
 
@@ -170,10 +170,17 @@ def compare_maps(scenario_path, out_dir, overrides: list[str] | None = None) -> 
     scenario = load_scenario(scenario_path, overrides=overrides)
     if scenario.compare is None:
         raise ScenarioError("scenario.compare: --compare-maps needs a compare section")
-    bar = scenario.obstacle_by_name(scenario.compare.bar).shape
-    if not isinstance(bar, Capsule):
-        raise ScenarioError(f"compare.bar: {scenario.compare.bar!r} is a {type(bar).__name__.lower()}; "
+    comp = scenario.compare
+    bar = scenario.obstacle_by_name(comp.bar)
+    if not isinstance(bar.shape, Capsule):
+        raise ScenarioError(f"compare.bar: {comp.bar!r} is a {type(bar.shape).__name__.lower()}; "
                             "--compare-maps must name a capsule bar")
+    # a grid without a bar cell would report an occupied fraction of 0, as if it saw through the bar
+    t_end = (comp.frames - 1) * FRAME_DT  # the experiment's last scan
+    for res in (comp.grid_resolution, *comp.sweep):
+        if not bar_cells(OccupancyGrid(GridConfig(resolution=res, origin=comp.origin, size=comp.size)), bar, t_end):
+            raise ScenarioError(f"compare.origin, compare.size: the {res:g} m grid holds no cell of the bar "
+                                f"{comp.bar!r} at t = {t_end:g} s")
     _make_out_dir(out_dir)
     report = thin_object_experiment(scenario, export_dir=out_dir)
     with open(os.path.join(out_dir, "compare_maps.json"), "w") as f:

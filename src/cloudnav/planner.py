@@ -70,7 +70,8 @@ class PlannerConfig:
     goal_tolerance: float = 0.3
     prune_cell: float | None = None  # None: half the clearance, resolved at construction
     max_expansions: int = 20000
-    velocity_bound: str = "per_axis"  # or "norm"
+    # The bound is per axis; not settable, kept as a field for perfbench's check_plan to read.
+    velocity_bound: str = field(default="per_axis", init=False)
 
     def __post_init__(self):
         if self.clearance <= 0 or self.goal_tolerance <= 0:
@@ -81,8 +82,6 @@ class PlannerConfig:
             raise ValueError("prune_cell must be > 0")
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
-        if self.velocity_bound not in ("per_axis", "norm"):
-            raise ValueError("velocity_bound must be 'per_axis' or 'norm'")
 
     @property
     def check_dt(self) -> float:
@@ -126,13 +125,12 @@ def control_set(a_max: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _primitive_terms(a_max: float, tau: float, dt: float):
     """Node-independent terms of the 27 primitives: U's rows and edge costs as lists; read-only,
-    u * t at the sample times t = 0 .. tau (27, T, 3) and at the first and last (27, 2, 3), and
-    the times after 0 (1, T - 1, 1) with 0.5 * u * t * t there (27, T - 1, 3)."""
+    u * t at the first and last sample times t = 0 and tau (27, 2, 3), and the sample times
+    after 0 (1, T - 1, 1) with 0.5 * u * t * t there (27, T - 1, 3)."""
     U = control_set(a_max)
     T = sample_times(0.0, tau, dt)[None, :, None]  # includes both endpoints
     costs = ((U * U).sum(axis=1) + TIME_WEIGHT) * tau
-    ut = U[:, None, :] * T
-    terms = (ut, ut[:, [0, -1]], T[:, 1:], (0.5 * U[:, None, :] * T * T)[:, 1:])
+    terms = (U[:, None, :] * T[:, [0, -1]], T[:, 1:], (0.5 * U[:, None, :] * T * T)[:, 1:])
     for a in terms:
         a.setflags(write=False)
     return (list(U), costs.tolist(), *terms)
@@ -144,16 +142,6 @@ def heuristic(state: UavState, goal, cfg: PlannerConfig) -> float:
     return TIME_WEIGHT * d / cfg.limits.v_max
 
 
-def _velocity_ok(V: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
-    """Velocity-limit mask over the leading axes of V (..., samples, 3)."""
-    v_max = cfg.limits.v_max
-    if cfg.velocity_bound == "per_axis":
-        ok = (np.abs(V) <= v_max).all(axis=-1)
-    else:
-        ok = np.linalg.norm(V, axis=-1) <= v_max
-    return ok.all(axis=-1)
-
-
 def _prune_keys(P: np.ndarray, cell: float) -> list[tuple]:
     """Dedup-grid cells of the positions P (n, 3), math.floor(x / cell) per axis;
     the scenario loader keeps every reachable index inside int64."""
@@ -163,25 +151,21 @@ def _prune_keys(P: np.ndarray, cell: float) -> list[tuple]:
 def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, goal) -> list[SearchNode]:
     """All feasible children of `node` under the 27 motion primitives.
 
-    A primitive survives if every sampled velocity respects the configured
-    velocity bound and no sampled position lies within the clearance of any
-    map point. Children, with their dedup-grid cells, come in control order, ranked toward `goal`.
+    A primitive survives if every sampled velocity keeps to v_max on each axis
+    and no sampled position lies within the clearance of any map point.
+    Children, with their dedup-grid cells, come in control order, ranked toward `goal`.
     """
     limits = cfg.limits
     tau = limits.primitive_duration
-    U_rows, costs, ut, ut_ends, T1, half_ut2 = _primitive_terms(limits.a_max, tau, cfg.check_dt)
+    U_rows, costs, ut_ends, T1, half_ut2 = _primitive_terms(limits.a_max, tau, cfg.check_dt)
     p0, v0 = node.p, node.v
 
-    # Per-axis velocities at the first and last samples only: fl(v0 + fl(u * t)) is
-    # monotone in t, as rounding is, so no sample between breaks a bound both ends
-    # keep; norm-bound ones at every sample. Positions, p0 + v0 * t + 0.5 * u * t * t,
-    # only for controls within the bound and after t = 0, the parent, known clear.
-    if cfg.velocity_bound == "per_axis":
-        V = v0 + ut_ends
-        cand = (np.abs(V).max(axis=(1, 2)) <= limits.v_max).nonzero()[0]
-    else:
-        V = v0 + ut
-        cand = _velocity_ok(V, cfg).nonzero()[0]
+    # Velocities at the first and last samples only: fl(v0 + fl(u * t)) is monotone
+    # in t, as rounding is, so no sample between breaks a bound both ends keep.
+    # Positions, p0 + v0 * t + 0.5 * u * t * t, only for controls within the bound
+    # and after t = 0, the parent, known clear.
+    V = v0 + ut_ends
+    cand = (np.abs(V).max(axis=(1, 2)) <= limits.v_max).nonzero()[0]
     if len(cand) == 0:
         return []
     P = (p0 + v0 * T1) + half_ut2[cand]
@@ -224,7 +208,7 @@ def analytic_expansion(
         # would otherwise be sampled only at their endpoints
         ts = sample_times(0.0, tau, min(cfg.check_dt, tau / 8.0))
         P, V, A = seg.states_at(ts)
-        if not _velocity_ok(V, cfg):
+        if not (np.abs(V) <= cfg.limits.v_max).all():  # a NaN fails too
             continue
         if (np.abs(A) > cfg.limits.a_max + 1e-9).any():
             continue

@@ -83,7 +83,7 @@ _KEYS = {
     "sensor": {"points_per_second": NUM},
     "map": {"scans_per_tree": INT, "resolution": NUM},
     "planner": {"v_max": NUM, "a_max": NUM, "primitive_duration": NUM, "clearance": NUM,
-                "goal_tolerance": NUM, "prune_cell": NUM, "max_expansions": INT, "velocity_bound": TEXT},
+                "goal_tolerance": NUM, "prune_cell": NUM, "max_expansions": INT},
     "compare": {"frames": INT, "grid_resolution": NUM, "sweep": NUMS, "origin": VEC, "size": VEC,
                 "bar": TEXT, "wall": TEXT},
     "sphere": {**_OBSTACLE, "center": VEC, "radius": NUM},
@@ -195,8 +195,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     # the search's int64 cell index holds a flight's travel and one search's primitives beyond it
     reach = farthest + lim.v_max * (top["duration"] + PLAN_BUDGET + n_max * lim.primitive_duration)
     if reach / cell >= 2**63:
-        raise ScenarioError(f"planner.prune_cell: {cell:g} m cannot index positions {reach:g} m from the origin; "
-                            f"it must exceed {reach / 2**63:g}")
+        raise ScenarioError(f"start.position, scenario.goal, scenario.duration, planner.v_max, planner.primitive_duration, "
+                            f"planner.max_expansions, planner.prune_cell: a {cell:g} m dedup cell cannot index "
+                            f"positions {reach:g} m from the origin; it must exceed {reach / 2**63:g}")
 
     obstacles = tuple(_parse_obstacle(o, i) for i, o in enumerate(top.get("obstacles", [])))
     first = {}  # index of the obstacle each name was first given to; "" is unnamed

@@ -74,9 +74,9 @@ class Capsule:
         object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float))
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
-        if np.allclose(self.p0, self.p1):
-            raise ValueError("capsule endpoints must differ")
         axis = self.p1 - self.p0  # the unit axis and length, fixed per capsule
+        if not axis @ axis > 0:  # the divisor of distances; far-away short capsules pass
+            raise ValueError("capsule endpoints must differ")
         object.__setattr__(self, "length", np.linalg.norm(axis))
         object.__setattr__(self, "a_hat", axis / self.length)
 

@@ -43,7 +43,6 @@ def perturb(raw: dict, rng: np.random.Generator) -> dict:
         "clearance": float(rng.uniform(0.5, 1.0) * min(0.6, a_max * tau * tau)),
         "goal_tolerance": float(rng.uniform(0.1, 0.6)),
         "max_expansions": int(rng.integers(1, 500)),
-        "velocity_bound": str(rng.choice(["per_axis", "norm"])),
     }
     for ob in raw["obstacles"]:
         shift = rng.uniform(-0.3, 0.3, 3)

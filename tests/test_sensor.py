@@ -164,6 +164,19 @@ def test_sensor_refuses_fewer_than_one_ray_per_frame():
     assert SensorModel(points_per_second=25.01).points_per_frame == 1
 
 
+def test_capsule_refuses_only_endpoints_its_distances_cannot_tell_apart():
+    # 1 cm long, 2 km out: a tolerance relative to position took these for one point
+    far = Capsule(p0=[2000.0, 0.0, 1.0], p1=[2000.01, 0.0, 1.0], radius=0.1)
+    d = far.distances(np.array([[2000.005, 0.0, 1.5], [1990.0, 0.0, 1.0], [2000.0, 0.0, 1.0]]))
+    assert np.isfinite(d).all()
+    assert d == pytest.approx([0.4, 9.9, -0.1])
+    # the axis's squared length, distances' divisor, is 0 for coincident endpoints
+    # and for endpoints 1e-200 apart, whose square underflows
+    for p0, p1 in (([2000.0, 0.0, 1.0], [2000.0, 0.0, 1.0]), ([0.0, 0.0, 0.0], [1e-200, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="capsule endpoints must differ"):
+            Capsule(p0=p0, p1=p1, radius=0.1)
+
+
 def _bar_env():
     return Environment([Obstacle(shape=Capsule(p0=[3, 0, 0.2], p1=[3, 0, 2.2], radius=0.01), name="bar")])
 

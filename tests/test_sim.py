@@ -301,6 +301,9 @@ BAR_AND_WALL = [
     {"name": "bar", "shape": "sphere", "center": [3.0, 0.0, 1.0], "radius": 0.1},
     {"name": "wall", "shape": "box", "lo": [5.0, -1.0, 0.0], "hi": [5.3, 1.0, 2.0]},
 ]
+# every key that sets the reach / cell ratio the search's int64 dedup-cell index must hold
+_DEDUP_REACH = ("start.position, scenario.goal, scenario.duration, planner.v_max, planner.primitive_duration, "
+                "planner.max_expansions, planner.prune_cell")
 
 
 def test_omitted_limits_and_compare_keys_take_dataclass_defaults():
@@ -335,6 +338,7 @@ def test_non_mapping_planner_section_is_refused():
     ("durations=0.1", "scenario.durations"),
     ("start.yawn=1", "start.yawn"),
     ("compare.frame=2", "compare.frame"),
+    ("planner.velocity_bound=norm", "planner.velocity_bound"),  # the bound is per axis, not a setting
     # each obstacle takes its own shape's keys only
     pytest.param("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.1}, "
                  "{shape: box, lo: [5, -1, 0], hi: [5.3, 1, 2], schedul: [{t: 0, offset: [0, 0, 1]}]}]",
@@ -367,7 +371,9 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("compare.grid_resolution=-1", "compare.grid_resolution"),
     ("compare.size=[0, 1, 1]", "compare.size"),
     ("map.resolution=1.0e-300", "map.resolution"),  # too fine for voxel_keys to index the sensor range
-    ("planner.prune_cell=1.0e-310", "planner.prune_cell"),  # too fine for the search's int64 dedup-cell index
+    # too fine a cell, or too far a reach, for the search's int64 dedup-cell index
+    ("planner.prune_cell=1.0e-310", _DEDUP_REACH),
+    ("planner.max_expansions=1000000000000000000000000", _DEDUP_REACH),
     ("sensor.points_per_second=1.0e+300", "sensor.points_per_second"),  # one frame's rays not allocatable
     ("compare.size=[1.0e+6, 1.0e+6, 1.0e+6]", "compare.size"),  # the grid's cells not allocatable
     ("compare.grid_resolution=1.0e-3", "compare.grid_resolution"),
