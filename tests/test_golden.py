@@ -3,7 +3,8 @@
 For a given (scenario, seed), `trajectory.csv`, `events.csv` and every file of
 `map_final/` are byte-stable. The digests below pin the bytes of three bundled
 scenarios at seed 1; a change that moves any of them must say which bytes
-moved and why, and record the new digests here.
+moved and why, and record the new digests here. `GOLDEN_COMPARE` pins the
+same for the thin-bar comparison's outputs.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import pathlib
 
 import pytest
 
-from cloudnav.cli import resolve_scenario_path, run
+from cloudnav.cli import compare_maps, resolve_scenario_path, run
 
 GOLDEN = {
     "indoor_bar": {
@@ -37,6 +38,14 @@ GOLDEN = {
         "trajectory.csv": "6727028bfe6f0a842fc06ec24c3ba78ca03b52a1b927ed76a00a2566c639cc18",
     },
 }
+# `compare_maps` on thin_bar_compare at seed 1 and 8 frames
+GOLDEN_COMPARE = {
+    "compare_maps.json": "dcfb33cf2f33097bd1b7fb5a43127b2c8b233d2d37c1a507e2f8138e08b6d60d",
+    "grid_occupancy.txt": "bd667cb133dea059deeca96d4a54a5f2cee4e649ac4461aa0087e318d3de5108",
+    "pointcloud_map/counters.txt": "d11f7757c62e085877dd09610fa40e7412d40641164cd10bdcc9ee4fb7fff623",
+    "pointcloud_map/tree0.txt": "0fa6a4eed4dd09fc199f391214191545d0280b3f0038946d7efe6f1556c40eb8",
+    "pointcloud_map/tree1.txt": "b1d4f229eda04a3aa783a44b41336512e6038b227a98a08df3860a9b338fcb81",
+}
 # The benchmark checks the flight digests of the same runs (its seed 1).
 BENCHMARK_WORKLOADS = {"indoor_bar": "flight_indoor", "hillside": "flight_hillside"}
 EXPECTED_JSON = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -55,6 +64,11 @@ def test_bundled_run_bytes_match_golden(name, tmp_path):
     report = run(resolve_scenario_path(name), out_dir=tmp_path, overrides=["seed=1"])
     assert report.outcome == "goal_reached"
     assert _digests(tmp_path) == GOLDEN[name]
+
+
+def test_compare_maps_bytes_match_golden(tmp_path):
+    compare_maps(resolve_scenario_path("thin_bar_compare"), tmp_path, overrides=["seed=1", "compare.frames=8"])
+    assert _digests(tmp_path) == GOLDEN_COMPARE
 
 
 def test_golden_flights_match_benchmark_record():
