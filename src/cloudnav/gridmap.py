@@ -27,6 +27,8 @@ CLAMP_MIN = -2.0
 CLAMP_MAX = 3.5
 # Ceiling on a grid's cells, so its log-odds array stays allocatable (80 MB).
 MAX_GRID_CELLS = 10**7
+# The obstacles the comparison reads: the thin bar, and the wall behind it that its ablation removes.
+BAR, WALL = "bar", "wall"
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,13 @@ class GridConfig:
     def shape(self) -> tuple:
         return tuple(int(math.ceil(s / self.resolution)) for s in self.size)
 
+    def cells(self, points) -> np.ndarray:
+        """Integer index of the cell holding each point (..., 3), in or out of the grid."""
+        return np.floor((np.asarray(points, dtype=float) - self.origin) / self.resolution).astype(np.int64)
+
+    def in_bounds(self, cells: np.ndarray) -> np.ndarray:
+        return ((cells >= 0) & (cells < np.array(self.shape))).all(axis=-1)
+
 
 class OccupancyGrid:
     """Dense grid of per-cell log-odds with hit/miss ray updates.
@@ -64,15 +73,6 @@ class OccupancyGrid:
     def __init__(self, config: GridConfig):
         self.config = config
         self.log_odds = np.zeros(config.shape, dtype=float)
-
-    def cells(self, points) -> np.ndarray:
-        """Integer index of the cell holding each point (..., 3), in or out of the grid."""
-        c = (np.asarray(points, dtype=float) - self.config.origin) / self.config.resolution
-        return np.floor(c).astype(np.int64)
-
-    def in_bounds(self, cells: np.ndarray) -> np.ndarray:
-        shape = np.array(self.config.shape)
-        return ((cells >= 0) & (cells < shape)).all(axis=-1)
 
     def occupied_mask(self) -> np.ndarray:
         return self.log_odds > 0.0
@@ -115,9 +115,9 @@ class OccupancyGrid:
         stops = origin + tb[idx, None] * d
 
         shape = np.array(cfg.shape)
-        cell = self.cells(starts)
+        cell = cfg.cells(starts)
         np.clip(cell, 0, shape - 1, out=cell)
-        end_cell = self.cells(stops)
+        end_cell = cfg.cells(stops)
         np.clip(end_cell, 0, shape - 1, out=end_cell)
 
         step = np.where(d > 0, 1, -1).astype(np.int64)
@@ -156,8 +156,8 @@ class OccupancyGrid:
         if len(cells) == 0:
             return
 
-        end_cells = self.cells(ends)
-        end_ok = self.in_bounds(end_cells)
+        end_cells = cfg.cells(ends)
+        end_ok = cfg.in_bounds(end_cells)
         # a traversal record is the ray's endpoint cell iff it matches that
         # ray's (in-bounds) end cell; straight rays visit each cell once
         is_hit = end_ok[ray_idx] & (cells == end_cells[ray_idx]).all(axis=1)
@@ -171,15 +171,15 @@ class OccupancyGrid:
         flat_lo[touched] = np.clip(flat_lo[touched] + delta[touched], CLAMP_MIN, CLAMP_MAX)
 
 
-def bar_cells(grid: OccupancyGrid, bar_obstacle, t: float) -> set:
-    """Ground-truth set of grid cells overlapping the bar at time t, computed by
-    sampling the capsule axis and surface ten times per cell."""
+def bar_cells(config: GridConfig, bar_obstacle, t: float) -> set:
+    """Ground-truth set of the grid's cells overlapping the capsule bar at time t,
+    computed by sampling its axis and surface ten times per cell."""
     shape = bar_obstacle.shape
     off = bar_obstacle.offset_at(float(t))
     p0 = shape.p0 + off
     p1 = shape.p1 + off
     r = shape.radius
-    step = grid.config.resolution / 10
+    step = config.resolution / 10
     n = max(int(math.ceil(np.linalg.norm(p1 - p0) / step)), 1)
     u = np.linspace(0.0, 1.0, n + 1)
     axis_pts = p0 + u[:, None] * (p1 - p0)
@@ -187,8 +187,8 @@ def bar_cells(grid: OccupancyGrid, bar_obstacle, t: float) -> set:
         [[0, 0, 0], [r, 0, 0], [-r, 0, 0], [0, r, 0], [0, -r, 0], [0, 0, r], [0, 0, -r]]
     )
     pts = (axis_pts[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-    cells = grid.cells(pts)
-    ok = grid.in_bounds(cells)
+    cells = config.cells(pts)
+    ok = config.in_bounds(cells)
     return {tuple(c) for c in cells[ok]}
 
 
@@ -211,13 +211,13 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
     number of bar-surface points held by the point-cloud map, the same fraction
     without the background wall (ablation), and a resolution sweep. With
     `export_dir` set, the main-resolution grid and the point-cloud map are
-    written there for plotting. The scenario needs a compare section;
-    `cli.compare_maps` refuses one without.
+    written there for plotting. The main resolution is the sweep's first. The
+    scenario needs a compare section, which the loader has checked: every grid
+    holds a cell of the capsule bar.
     """
     comp = scenario.compare
     sensor = scenario.sensor
-    bar = scenario.obstacle_by_name(comp.bar)
-    wall = scenario.obstacle_by_name(comp.wall)
+    bar = scenario.obstacle_by_name(BAR)
     pose_p = scenario.start_position
     R = yaw_rotation(scenario.start_yaw)
 
@@ -228,28 +228,24 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
             for k in range(comp.frames)
         ]
 
-    t_end = (comp.frames - 1) * FRAME_DT
+    t_end = comp.last_scan_time
 
     def run_grid(resolution: float, scans: list) -> tuple:
-        grid = OccupancyGrid(
-            GridConfig(resolution=resolution, origin=comp.origin, size=comp.size)
-        )
+        config = GridConfig(resolution=resolution, origin=comp.origin, size=comp.size)
+        grid = OccupancyGrid(config)
         for scan in scans:
             grid.integrate_scan(pose_p, scan)
-        cells = bar_cells(grid, bar, t_end)
+        cells = bar_cells(config, bar, t_end)
         occ = grid.occupied_mask()
-        occupied = sum(1 for c in cells if occ[c])
-        fraction = occupied / len(cells) if cells else 0.0
-        return fraction, grid
+        return sum(1 for c in cells if occ[c]) / len(cells), grid
 
     full = cast(scenario.environment())
-    no_wall = cast(Environment([ob for ob in scenario.obstacles if ob.name != wall.name]))
+    no_wall = cast(Environment([ob for ob in scenario.obstacles if ob.name != WALL]))
 
-    # each resolution is built once, also the main one when the sweep repeats it
-    grids = {res: run_grid(res, full) for res in dict.fromkeys((comp.grid_resolution, *comp.sweep))}
-    main_fraction, main_grid = grids[comp.grid_resolution]
-    no_wall_fraction, _ = run_grid(comp.grid_resolution, no_wall)
-    sweep = {res: grids[res][0] for res in comp.sweep}
+    # each resolution is built once, also one the sweep repeats
+    grids = {res: run_grid(res, full) for res in dict.fromkeys(comp.sweep)}
+    main_fraction, main_grid = grids[comp.sweep[0]]
+    no_wall_fraction, _ = run_grid(comp.sweep[0], no_wall)
 
     # point-cloud side: the same scans through the temporal local map
     local_map = TemporalLocalMap(scenario.map_config)
@@ -266,10 +262,10 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
 
     return {
         "frames": comp.frames,
-        "grid_resolution": comp.grid_resolution,
+        "grid_resolution": comp.sweep[0],
         "bar_cell_occupied_fraction": main_fraction,
         "pointcloud_bar_points": bar_points,
         "no_wall_occupied_fraction": no_wall_fraction,
-        "resolution_sweep": {f"{res:g}": frac for res, frac in sweep.items()},
+        "resolution_sweep": {f"{res:g}": fraction for res, (fraction, _) in grids.items()},
         "map_tree_sizes": local_map.tree_sizes,
     }

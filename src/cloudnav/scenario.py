@@ -17,9 +17,9 @@ import numpy as np
 import yaml
 
 from .core import _KEY_OFFSET, KinodynamicLimits
-from .gridmap import GridConfig
+from .gridmap import BAR, WALL, GridConfig, bar_cells
 from .planner import MAX_PRIMITIVE_SAMPLES, PLAN_BUDGET, PlannerConfig
-from .sensor import MAX_RANGE, Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
+from .sensor import FRAME_DT, MAX_RANGE, Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
 from .spatial import MapConfig
 
 
@@ -29,15 +29,18 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class CompareConfig:
-    """Settings for the occupancy-grid vs point-cloud thin-object comparison."""
+    """Settings for the occupancy-grid vs point-cloud comparison of the obstacles
+    named `gridmap.BAR` and `gridmap.WALL`; the main grid is the sweep's first."""
 
     frames: int = 50
-    grid_resolution: float = 0.3
     sweep: tuple = (0.3, 0.2, 0.1, 0.05)
     origin: np.ndarray = field(default_factory=lambda: np.array([-0.5, -4.0, -0.5]))
     size: np.ndarray = field(default_factory=lambda: np.array([7.0, 8.0, 4.5]))
-    bar: str = "bar"
-    wall: str = "wall"
+
+    @property
+    def last_scan_time(self) -> float:
+        """Time of the comparison's last scan, at which the bar's cells are taken."""
+        return (self.frames - 1) * FRAME_DT
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class Scenario:
 
 
 # The kinds of value a key takes; each names itself in the refusal message.
-NUM, INT, VEC, NUMS = "a finite number", "an integer", "a finite [x, y, z]", "a list of finite numbers"
+NUM, INT, VEC, NUMS = "a finite number", "an integer", "a finite [x, y, z]", "a non-empty list of finite numbers"
 TEXT, MAP, LIST = "a string", "a mapping", "a list"
 
 _OBSTACLE = {"shape": TEXT, "name": TEXT, "schedule": LIST}
@@ -84,8 +87,7 @@ _KEYS = {
     "map": {"scans_per_tree": INT, "resolution": NUM},
     "planner": {"v_max": NUM, "a_max": NUM, "primitive_duration": NUM, "clearance": NUM,
                 "goal_tolerance": NUM, "prune_cell": NUM, "max_expansions": INT},
-    "compare": {"frames": INT, "grid_resolution": NUM, "sweep": NUMS, "origin": VEC, "size": VEC,
-                "bar": TEXT, "wall": TEXT},
+    "compare": {"frames": INT, "sweep": NUMS, "origin": VEC, "size": VEC},
     "sphere": {**_OBSTACLE, "center": VEC, "radius": NUM},
     "capsule": {**_OBSTACLE, "p0": VEC, "p1": VEC, "radius": NUM},
     "box": {**_OBSTACLE, "lo": VEC, "hi": VEC},
@@ -109,7 +111,8 @@ def _check(value, kind: str, key: str):
         if ok and key in _FLOORS and value < _FLOORS[key]:
             raise ScenarioError(f"{key}: must be >= {_FLOORS[key]}, got {value!r}")
     elif kind is VEC or kind is NUMS:
-        ok = isinstance(value, (list, tuple)) and (kind is NUMS or len(value) == 3) and all(map(_finite, value))
+        ok = (isinstance(value, (list, tuple)) and (len(value) == 3 if kind is VEC else len(value) > 0)
+              and all(map(_finite, value)))
     else:
         ok = isinstance(value, {TEXT: str, MAP: dict, LIST: list}[kind])
     if not ok:
@@ -208,14 +211,22 @@ def scenario_from_dict(raw: dict) -> Scenario:
     compare = None
     if "compare" in top:
         compare = CompareConfig(**_section(top["compare"], "compare", "compare"))
-        # the grids --compare-maps builds, checked now by the grid's own ranges
+        # the grids the comparison builds, checked first by the grid's own ranges
         _build(GridConfig, "compare.size", resolution=1.0, origin=compare.origin, size=compare.size)
-        for key, res in (("grid_resolution", compare.grid_resolution), *(("sweep", r) for r in compare.sweep)):
-            _build(GridConfig, f"compare.{key}", resolution=res, origin=compare.origin, size=compare.size)
-        names = {ob.name for ob in obstacles}
-        for key in ("bar", "wall"):
-            if getattr(compare, key) not in names:
-                raise ScenarioError(f"compare.{key}: no obstacle named {getattr(compare, key)!r}")
+        grids = [_build(GridConfig, "compare.sweep", resolution=res, origin=compare.origin, size=compare.size)
+                 for res in compare.sweep]
+        for name in (BAR, WALL):
+            if name not in first:
+                raise ScenarioError(f"compare: no obstacle named {name!r}")
+        bar = obstacles[first[BAR]]
+        if not isinstance(bar.shape, Capsule):
+            raise ScenarioError(f"obstacles[{first[BAR]}].shape: the compared bar {BAR!r} must be a capsule, "
+                                f"got {type(bar.shape).__name__.lower()}")
+        # a grid without a bar cell would report an occupied fraction of 0, as if it saw through the bar
+        for grid in grids:
+            if not bar_cells(grid, bar, compare.last_scan_time):
+                raise ScenarioError(f"compare.origin, compare.size: the {grid.resolution:g} m grid holds no cell "
+                                    f"of the bar {BAR!r} at t = {compare.last_scan_time:g} s")
 
     scenario = Scenario(
         name=top.get("name", "unnamed"),

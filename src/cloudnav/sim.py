@@ -121,14 +121,21 @@ class RunLog:
     scenario_name: str
     seed: int
     outcome: str = "timeout"
-    final_time: float = 0.0
-    replan_count: int = 0
     frames: list = field(default_factory=list)
     events: list = field(default_factory=list)
     map_update_seconds: list = field(default_factory=list)
     tree_build_seconds: list = field(default_factory=list)
     plan_seconds: list = field(default_factory=list)
     local_map: TemporalLocalMap | None = None
+
+    @property
+    def final_time(self) -> float:
+        return self.frames[-1].state.t
+
+    @property
+    def replan_count(self) -> int:
+        """Replacements of the tracked plan: replans and emergency replans."""
+        return sum(ev.kind in ("replan", "emergency_relax") for ev in self.events)
 
     def path_length(self) -> float:
         P = np.array([fr.state.p for fr in self.frames])
@@ -222,7 +229,6 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
 
     def _terminate(outcome: str, k: int, state: UavState, scan_size: int = 0) -> RunLog:
         log.outcome = outcome
-        log.final_time = k * FRAME_DT
         record(k, state, scan_size, outcome)
         return log
 
@@ -251,8 +257,6 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
         if step is not None:
             flag, report, data = step
             log.plan_seconds.append(report.wall_seconds)
-            if flag != "plan":
-                log.replan_count += 1
             log.events.append(SimEvent(t=t, kind=flag, data=data))
         record(k, uav, len(scan), flag)
 

@@ -44,7 +44,7 @@ MINI_CMP = {
         {"name": "bar", "shape": "capsule", "p0": [3.0, 0.0, 0.2], "p1": [3.0, 0.0, 2.2], "radius": 0.01},
         {"name": "wall", "shape": "box", "lo": [5.0, -3.8, -0.6], "hi": [5.3, 3.8, 4.6]},
     ],
-    "compare": {"frames": 6, "grid_resolution": 0.3, "sweep": [0.3],
+    "compare": {"frames": 6, "sweep": [0.3],
                 "origin": [2.0, -1.5, -0.5], "size": [2.1, 3.0, 3.6]},
 }
 
@@ -159,8 +159,8 @@ def test_cli_main_exit_codes(mini_path, tmp_path):
     # removed settings are unknown keys now, as are typos at the top level,
     # under start and under compare
     for override in ("sensor.pattern=uniform", "planner.heuristic_weight=2", "map.clearance=0.3",
-                     "sensor.frame_rate=50", "planner.velocity_bound=per_axis", "durations=0.1", "start.yawn=1",
-                     "compare.frame=2"):
+                     "sensor.frame_rate=50", "planner.velocity_bound=per_axis", "compare.grid_resolution=0.3",
+                     "compare.bar=bar", "compare.wall=bar", "durations=0.1", "start.yawn=1", "compare.frame=2"):
         out = tmp_path / override.split("=")[0]
         assert main([mini_path, "--out", str(out), "--set", override]) == EXIT_SCENARIO_ERROR
         assert not out.exists()
@@ -222,7 +222,8 @@ def test_cli_compare_maps_refuses_a_bar_that_is_not_a_capsule(tmp_path, capsys, 
     path = tmp_path / "cmp.yaml"
     path.write_text(yaml.safe_dump(scene))
     assert main([str(path), "--compare-maps", "--out", str(tmp_path / "out")]) == EXIT_SCENARIO_ERROR
-    assert f"compare.bar: 'bar' is a {bar['shape']}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"obstacles[0].shape: the compared bar 'bar' must be a capsule, got {bar['shape']}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -235,9 +236,9 @@ def test_cli_compare_maps_refuses_a_grid_that_misses_the_bar(tmp_path, capsys):
     assert main([*argv, "--set", "compare.origin=[20.0, -1.5, -0.5]"]) == EXIT_SCENARIO_ERROR
     assert "scenario error: compare.origin, compare.size: " in capsys.readouterr().err
     assert not out.exists()
-    # so is a sweep grid that misses it: the bar starts at z = 0.19, which the 0.4 m grid
+    # so is a sweep grid that misses it: the bar starts at z = 0.19, which the main 0.4 m grid
     # (two cells up from z = -0.5) holds and the 0.1 m one (six cells) does not
-    sizes = ["--set", "compare.size=[2.1, 3.0, 0.6]", "--set", "compare.grid_resolution=0.4"]
+    sizes = ["--set", "compare.size=[2.1, 3.0, 0.6]"]
     assert main([*argv, *sizes, "--set", "compare.sweep=[0.4, 0.1]"]) == EXIT_SCENARIO_ERROR
     assert "scenario error: compare.origin, compare.size: the 0.1 m grid " in capsys.readouterr().err
     assert not out.exists()

@@ -32,7 +32,7 @@ def dense_sample_cells(grid, origin, end, step_divisor=10):
     ts = np.linspace(0.0, 1.0, n + 1)
     pts = origin + ts[:, None] * (end - origin)
     cells = np.floor((pts - cfg.origin) / cfg.resolution).astype(np.int64)
-    ok = grid.in_bounds(cells)
+    ok = cfg.in_bounds(cells)
     return {tuple(c) for c in cells[ok]}
 
 
@@ -72,7 +72,7 @@ def test_single_ray_bookkeeping():
     grid = make_grid(resolution=0.3)
     scan = PointCloud(points=np.array([[1.0, 0.0, 0.0]]))
     grid.integrate_scan([0, 0, 0], scan)
-    end_cell = tuple(grid.cells([1.0, 0, 0]))
+    end_cell = tuple(grid.config.cells([1.0, 0, 0]))
     assert grid.log_odds[end_cell] == pytest.approx(LOG_ODDS_HIT)
     decreased = np.argwhere(grid.log_odds < 0)
     assert len(decreased) == 3  # cells strictly before the endpoint on the ray
@@ -116,7 +116,7 @@ def test_traversal_clipped_to_grid():
     # ray passes through the grid but starts and ends outside
     ray_idx, cells = grid.traverse([-1.0, 0.25, 0.25], np.array([[5.0, 0.25, 0.25]]))
     assert len(cells) == 4
-    assert grid.in_bounds(cells).all()
+    assert grid.config.in_bounds(cells).all()
     # fully outside: nothing
     ray_idx, cells = grid.traverse([-1.0, 5.0, 0.25], np.array([[5.0, 5.0, 0.25]]))
     assert len(cells) == 0
@@ -129,7 +129,7 @@ def test_log_odds_clamped_after_arbitrary_updates():
         grid.integrate_scan([0, 0, 0], scan)
     assert grid.log_odds.max() <= CLAMP_MAX + 1e-12
     assert grid.log_odds.min() >= CLAMP_MIN - 1e-12
-    end_cell = tuple(grid.cells([1.0, 0, 0]))
+    end_cell = tuple(grid.config.cells([1.0, 0, 0]))
     assert grid.log_odds[end_cell] == pytest.approx(CLAMP_MAX)
 
 
@@ -146,7 +146,7 @@ def test_occupied_threshold_and_probabilities(tmp_path):
     grid = make_grid()
     scan = PointCloud(points=np.array([[1.0, 0.0, 0.0]]))
     grid.integrate_scan([0, 0, 0], scan)
-    hit = tuple(grid.cells([1.0, 0, 0]))
+    hit = tuple(grid.config.cells([1.0, 0, 0]))
     occ = grid.occupied_mask()
     assert occ[hit]
     assert occ.sum() == 1
@@ -175,7 +175,6 @@ def _mini_compare_scenario(frames=8):
             ],
             "compare": {
                 "frames": frames,
-                "grid_resolution": 0.3,
                 "sweep": [0.3],
                 "origin": [2.0, -1.5, -0.5],
                 "size": [2.1, 3.0, 3.6],
@@ -193,8 +192,8 @@ def test_thin_object_experiment_qualitative_ordering():
 
 def test_bar_cells_cover_bar_column():
     scenario = _mini_compare_scenario()
-    grid = make_grid(resolution=0.3, origin=(2.0, -1.5, -0.5), size=(2.1, 3.0, 3.6))
-    cells = bar_cells(grid, scenario.obstacle_by_name("bar"), 0.0)
+    config = GridConfig(resolution=0.3, origin=[2.0, -1.5, -0.5], size=[2.1, 3.0, 3.6])
+    cells = bar_cells(config, scenario.obstacle_by_name("bar"), 0.0)
     assert len(cells) >= 6  # 2 m bar at 0.3 m cells
     xs = {c[0] for c in cells}
     ys = {c[1] for c in cells}

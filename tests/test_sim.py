@@ -296,9 +296,9 @@ def test_planner_clearance_lives_under_planner():
     assert cfg.prune_cell == 0.2
 
 
-# the obstacles a compare section names by default
+# the obstacles a compare section compares, its bar inside CompareConfig's default extent
 BAR_AND_WALL = [
-    {"name": "bar", "shape": "sphere", "center": [3.0, 0.0, 1.0], "radius": 0.1},
+    {"name": "bar", "shape": "capsule", "p0": [3.0, 0.0, 0.2], "p1": [3.0, 0.0, 2.2], "radius": 0.01},
     {"name": "wall", "shape": "box", "lo": [5.0, -1.0, 0.0], "hi": [5.3, 1.0, 2.0]},
 ]
 # every key that sets the reach / cell ratio the search's int64 dedup-cell index must hold
@@ -319,7 +319,7 @@ def test_omitted_limits_and_compare_keys_take_dataclass_defaults():
     ("planner", "a_max", True),
     ("planner", "primitive_duration", None),
     ("compare", "frames", "many"),
-    ("compare", "grid_resolution", [0.3]),
+    ("compare", "sweep", 0.3),
     ("compare", "origin", [1.0, 2.0]),
     ("compare", "size", "big"),
     ("compare", "sweep", [0.3, -0.1]),
@@ -339,6 +339,11 @@ def test_non_mapping_planner_section_is_refused():
     ("start.yawn=1", "start.yawn"),
     ("compare.frame=2", "compare.frame"),
     ("planner.velocity_bound=norm", "planner.velocity_bound"),  # the bound is per axis, not a setting
+    # the main grid is the sweep's first, and the obstacles compared are the ones named bar and wall
+    ("compare.grid_resolution=0.3", "compare.grid_resolution"),
+    ("compare.bar=bar", "compare.bar"),
+    ("compare.wall=wall", "compare.wall"),
+    ("compare.wall=bar", "compare.wall"),  # the ablation deleted the bar itself and reported it unseen
     # each obstacle takes its own shape's keys only
     pytest.param("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.1}, "
                  "{shape: box, lo: [5, -1, 0], hi: [5.3, 1, 2], schedul: [{t: 0, offset: [0, 0, 1]}]}]",
@@ -368,7 +373,7 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("start.yaw=.nan", "start.yaw"),
     ("duration=.inf", "scenario.duration"),
     ("seed=-1", "scenario.seed"),
-    ("compare.grid_resolution=-1", "compare.grid_resolution"),
+    ("compare.sweep=[-1]", "compare.sweep"),
     ("compare.size=[0, 1, 1]", "compare.size"),
     ("map.resolution=1.0e-300", "map.resolution"),  # too fine for voxel_keys to index the sensor range
     # too fine a cell, or too far a reach, for the search's int64 dedup-cell index
@@ -376,7 +381,7 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("planner.max_expansions=1000000000000000000000000", _DEDUP_REACH),
     ("sensor.points_per_second=1.0e+300", "sensor.points_per_second"),  # one frame's rays not allocatable
     ("compare.size=[1.0e+6, 1.0e+6, 1.0e+6]", "compare.size"),  # the grid's cells not allocatable
-    ("compare.grid_resolution=1.0e-3", "compare.grid_resolution"),
+    ("compare.sweep=[1.0e-3]", "compare.sweep"),
     ("compare.sweep=[0.3, 1.0e-3]", "compare.sweep"),
     # expand's sample blocks not allocatable: about 1.7 TB, 15.6 GB, and a check_dt that underflows to 0
     ("planner.v_max=1.0e+9", "planner.clearance, planner.v_max, planner.primitive_duration"),
@@ -394,6 +399,7 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("compare.frames=0", "compare.frames"),
     ("compare.frames=2.7", "compare.frames"),
     ("compare.sweep=[true]", "compare.sweep"),
+    ("compare.sweep=[]", "compare.sweep"),  # no main grid
     ("name=[1]", "scenario.name"),
 ])
 def test_malformed_values_are_refused_by_dotted_key(override, key):
@@ -401,6 +407,38 @@ def test_malformed_values_are_refused_by_dotted_key(override, key):
     apply_overrides(raw, [override])
     with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
         scenario_from_dict(raw)
+
+
+SPHERE_BAR = {"name": "bar", "shape": "sphere", "center": [3.0, 0.0, 1.0], "radius": 0.1}
+# in place for the first 26 scans, then sunk 60 m
+SUNK_BAR = {**BAR_AND_WALL[0], "schedule": [{"t": 0.0, "offset": [0, 0, 0]}, {"t": 0.5, "offset": [0, 0, 0]},
+                                            {"t": 0.52, "offset": [0, 0, -60.0]}]}
+
+
+@pytest.mark.parametrize("obstacles, compare, message", [
+    ([SPHERE_BAR, BAR_AND_WALL[1]], {}, "obstacles[0].shape: the compared bar 'bar' must be a capsule, got sphere"),
+    ([BAR_AND_WALL[1], {"name": "bar", "shape": "box", "lo": [3.0, -0.05, 0.2], "hi": [3.1, 0.05, 2.2]}], {},
+     "obstacles[1].shape: the compared bar 'bar' must be a capsule, got box"),
+    # a grid-range error is refused before the bar is looked at
+    ([SPHERE_BAR, BAR_AND_WALL[1]], {"sweep": [1.0e-3]}, "compare.sweep: "),
+    ([BAR_AND_WALL[1]], {}, "compare: no obstacle named 'bar'"),
+    ([BAR_AND_WALL[0]], {}, "compare: no obstacle named 'wall'"),
+    # the bar starts at z = 0.19, which the 0.4 m grid (two cells up from z = -0.5) holds and the 0.1 m one does not
+    (BAR_AND_WALL, {"origin": [2.0, -1.5, -0.5], "size": [2.1, 3.0, 0.6], "sweep": [0.4, 0.1]},
+     "compare.origin, compare.size: the 0.1 m grid holds no cell of the bar 'bar' at t = 0.98 s"),
+    # the bar has sunk out of every grid by the last of 50 scans
+    ([SUNK_BAR, BAR_AND_WALL[1]], {}, "compare.origin, compare.size: the 0.3 m grid holds no cell of the bar 'bar' "
+                                      "at t = 0.98 s"),
+], ids=["sphere-bar", "box-bar", "range-first", "no-bar", "no-wall", "sweep-grid-misses-bar", "bar-gone-at-last-scan"])
+def test_compare_sections_the_comparison_cannot_run_are_refused(obstacles, compare, message):
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}"):
+        mini_scenario(obstacles=obstacles, compare=compare)
+
+
+def test_compare_takes_the_bar_at_its_last_scan():
+    # the bar that has sunk by the 50th scan is still in every grid at the 25th
+    s = mini_scenario(obstacles=[SUNK_BAR, BAR_AND_WALL[1]], compare={"frames": 25})
+    assert s.compare.last_scan_time == pytest.approx(24 * FRAME_DT)
 
 
 def test_override_bad_format_rejected():
