@@ -181,15 +181,23 @@ def bar_cells(config: GridConfig, bar_obstacle, t: float) -> set:
     r = shape.radius
     step = config.resolution / 10
     n = max(int(math.ceil(np.linalg.norm(p1 - p0) / step)), 1)
-    u = np.linspace(0.0, 1.0, n + 1)
+    # Only the samples u[i0..i1] of np.linspace(0, 1, n + 1) (u[i] = i * (1 / n), u[n] = 1)
+    # whose points can reach the grid box widened by r and, against rounding, by a cell.
+    pad = r + config.resolution
+    box = np.array([config.origin - pad, config.origin + np.multiply(config.shape, config.resolution) + pad])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = np.sort((box - p0) / (p1 - p0), axis=0)  # an axis along which the bar is flat: +-inf or nan
+    u_lo, u_hi = max(ends[0].max(), 0.0), min(ends[1].min(), 1.0)
+    if not u_lo <= u_hi:  # a nan too: the bar lies on the widened box's face, outside the grid
+        return set()
+    i0, i1 = max(math.floor(u_lo * n) - 1, 0), min(math.ceil(u_hi * n) + 1, n)
+    u = np.arange(i0, i1 + 1) * (1.0 / n)
+    if i1 == n:
+        u[-1] = 1.0
     axis_pts = p0 + u[:, None] * (p1 - p0)
-    offsets = np.array(
-        [[0, 0, 0], [r, 0, 0], [-r, 0, 0], [0, r, 0], [0, -r, 0], [0, 0, r], [0, 0, -r]]
-    )
-    pts = (axis_pts[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-    cells = config.cells(pts)
-    ok = config.in_bounds(cells)
-    return {tuple(c) for c in cells[ok]}
+    offsets = np.concatenate([np.zeros((1, 3)), r * np.eye(3), -r * np.eye(3)])
+    cells = config.cells((axis_pts[:, None, :] + offsets[None, :, :]).reshape(-1, 3))
+    return {tuple(c) for c in cells[config.in_bounds(cells)]}
 
 
 def export_grid_rows(grid: OccupancyGrid, path) -> None:

@@ -3,9 +3,9 @@
 Each node expansion integrates the 27 per-axis control combinations
 {-a_max, 0, +a_max}^3 over one primitive duration, rejects primitives that
 violate the velocity limit or pass within the safety clearance of any local
-map point, and pushes the survivors. An analytic two-point boundary-value
-expansion toward the goal is attempted whenever the search makes enough
-progress, terminating early with an exact goal connection.
+map point, and pushes the survivors. An analytic two-point boundary-value shot
+to rest at the goal is tried after each SHOT_STEP of progress and from every
+node within SHOT_STEP of the goal; the first that holds ends the search.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ PLAN_BUDGET = 0.03
 # Emergency relaxation: shrink the clearance by this factor, down to this floor.
 RELAX_STEP = 0.8
 RELAX_FLOOR = 0.10
+# Analytic shot trigger (m): after each SHOT_STEP of progress, and from every node this near the goal.
+SHOT_STEP = 1.0
 # Ceiling on the samples per primitive, floor(primitive_duration / check_dt) + 1,
 # so expand's (27, samples, 3) blocks stay small; the bundled scenarios use 6.
 MAX_PRIMITIVE_SAMPLES = 1000
@@ -191,9 +193,9 @@ def analytic_expansion(
 ) -> QuinticSegment | None:
     """Attempt a direct quintic connection from `state` to rest at the goal.
 
-    Tries a small set of candidate durations scaled from the straight-line
-    time; returns the first candidate whose sampled path is collision-free
-    and respects the velocity/acceleration limits, else None.
+    Tries durations of 1, 1.5 and 2 times a base time (3 and 4 too within SHOT_STEP of
+    the goal, where braking takes longer); returns the first, so the earliest arrival,
+    whose sampled path is collision-free and keeps the limits, else None.
     """
     goal = np.asarray(goal, dtype=float)
     d = float(np.linalg.norm(goal - state.p))
@@ -201,7 +203,7 @@ def analytic_expansion(
     # straight-line time, with a braking-aware floor for near-goal attempts
     base = max(d / cfg.limits.v_max, speed / cfg.limits.a_max, cfg.check_dt)
     zero = np.zeros(3)
-    for scale in (1.0, 1.5, 2.0):
+    for scale in (1.0, 1.5, 2.0, 3.0, 4.0) if d <= SHOT_STEP else (1.0, 1.5, 2.0):
         tau = scale * base
         seg = QuinticSegment.solve(state, goal, zero, zero, tau)
         # validate on a grid fine relative to the segment itself; short segments
@@ -277,7 +279,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
         diff = node.p - goal
         d = math.sqrt(diff.dot(diff))  # np.linalg.norm of a vector, without its overhead
         at_goal = d <= cfg.goal_tolerance
-        if at_goal or ae_last_d - d >= 1.0:
+        if at_goal or d <= SHOT_STEP or ae_last_d - d >= SHOT_STEP:
             ae_last_d = d
             tail = analytic_expansion(node.state, goal, cfg, local_map)
             if tail is not None:

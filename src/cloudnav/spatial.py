@@ -5,7 +5,7 @@ voxel-filtered accumulation of up to `scans_per_tree` consecutive scans, so
 together the trees cover a bounded window of recent sensor history and space
 vacated by moving obstacles becomes free again once the window rolls past.
 Collision checks consult every tree, until one map state has answered
-`_MERGE_AFTER` queries: a long search then reads one tree built over every
+`_MERGE_AFTER` queries: later queries then read one tree built over every
 tree's points, which answers the same bits, until the next update.
 
 The tree being filled is not re-filtered from its raw scans on every update:
@@ -76,8 +76,8 @@ TREE_COUNT = 2
 # answers them. On a shared 2-core x86-64 host a merged build takes 2.5-3.5 ms
 # on the bundled scenarios' 28-34k-point maps and saves 50-60 us a 135-point
 # query (47 against 107 us on forest_branch), so it pays for itself after
-# 50-60 queries. A flight asks one map state at most 40 times; a long search
-# asks it thousands of times.
+# 50-60 queries. A flight asks one map state at most 40 times; the many plans
+# of perfbench's plan_forest share a map state and ask it thousands of times.
 _MERGE_AFTER = 64
 
 

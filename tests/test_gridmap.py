@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cloudnav.cli import resolve_scenario_path
 from cloudnav.core import PointCloud
 from cloudnav.gridmap import (
     CLAMP_MAX,
@@ -14,7 +18,8 @@ from cloudnav.gridmap import (
     export_grid_rows,
     thin_object_experiment,
 )
-from cloudnav.scenario import scenario_from_dict
+from cloudnav.scenario import load_scenario, scenario_from_dict
+from cloudnav.sensor import Capsule, Obstacle
 
 
 def make_grid(resolution=0.3, origin=(-3, -3, -3), size=(12, 6, 6), **kw):
@@ -198,3 +203,78 @@ def test_bar_cells_cover_bar_column():
     xs = {c[0] for c in cells}
     ys = {c[1] for c in cells}
     assert len(xs) <= 2 and len(ys) <= 2  # a thin vertical column
+
+
+def _full_axis_samples(bar, t, resolution):
+    """Every axis sample of the bar, np.linspace over its whole length, ten per cell."""
+    off = bar.offset_at(float(t))
+    p0, p1 = bar.shape.p0 + off, bar.shape.p1 + off
+    n = max(int(math.ceil(np.linalg.norm(p1 - p0) / (resolution / 10))), 1)
+    return p0 + np.linspace(0.0, 1.0, n + 1)[:, None] * (p1 - p0)
+
+
+def _full_axis_cells(config, bar, t):
+    """Oracle: bar_cells from every axis sample, kept or not."""
+    axis = _full_axis_samples(bar, t, config.resolution)
+    r = bar.shape.radius
+    offsets = np.array([[0, 0, 0], [r, 0, 0], [-r, 0, 0], [0, r, 0], [0, -r, 0], [0, 0, r], [0, 0, -r]])
+    cells = config.cells((axis[:, None, :] + offsets).reshape(-1, 3))
+    return {tuple(c) for c in cells[config.in_bounds(cells)]}
+
+
+def _capsule_bar(p0, p1, radius=0.01):
+    return Obstacle(shape=Capsule(p0=p0, p1=p1, radius=radius), name="bar")
+
+
+def test_bar_cells_samples_only_the_axis_range_that_reaches_the_grid(monkeypatch):
+    """bar_cells takes a contiguous run of the full np.linspace axis samples, bit for
+    bit, and finds the same cells as all of them: on the bundled scene's sweep, on
+    grids that cut the bar, and for bars that lie flat along an axis or miss the grid."""
+    scenario = load_scenario(resolve_scenario_path("thin_bar_compare"))
+    comp = scenario.compare
+    bundled_bar = scenario.obstacle_by_name("bar")
+    cases = [(GridConfig(resolution=res, origin=comp.origin, size=comp.size), bundled_bar) for res in comp.sweep]
+    cut = GridConfig(resolution=0.05, origin=[2.8, -0.2, 1.0], size=[0.4, 0.4, 0.6])
+    cases += [
+        (cut, bundled_bar),
+        (GridConfig(resolution=0.1, origin=[0.0, 0.0, 0.0], size=[2.0, 2.0, 2.0]),
+         _capsule_bar([-3.0, -2.0, -1.0], [7.0, 3.0, 4.0])),
+        (GridConfig(resolution=0.1, origin=[0.0, 0.0, 0.0], size=[2.0, 2.0, 2.0]),
+         _capsule_bar([5.0, 1.0, 1.0], [-3.0, 1.0, 1.0])),  # flat in y and z, runs toward -x
+        (cut, _capsule_bar([3.0, 5.0, 0.2], [3.0, 5.0, 2.2])),  # misses the grid
+    ]
+    seen = []
+    cells_of = GridConfig.cells
+    monkeypatch.setattr(GridConfig, "cells", lambda self, pts: seen.append(pts) or cells_of(self, pts))
+    sampled = []
+    for config, bar in cases:
+        seen.clear()
+        cells = bar_cells(config, bar, comp.last_scan_time)
+        if not seen:  # the bar cannot reach the grid
+            assert cells == _full_axis_cells(config, bar, comp.last_scan_time) == set()
+            sampled.append(0)
+            continue
+        axis = seen[0].reshape(-1, 7, 3)[:, 0]  # the first offset is zero
+        full = _full_axis_samples(bar, comp.last_scan_time, config.resolution)
+        i0 = int(np.nonzero((full == axis[0]).all(axis=1))[0][0])
+        assert full[i0 : i0 + len(axis)].tobytes() == axis.tobytes()
+        assert cells and cells == _full_axis_cells(config, bar, comp.last_scan_time)
+        sampled.append((len(axis), len(full)))
+    # the bundled grids hold the whole bar; the others take only the samples near the grid
+    assert all(k == n for k, n in sampled[: len(comp.sweep)])
+    assert all(k < n for k, n in sampled[len(comp.sweep) : -1])
+
+
+def test_bar_cells_memory_grows_with_the_grid_not_the_bar():
+    """A 10 km bar through a 2 m grid: sampling the whole axis at 5 mm would take
+    2e6 samples, about 0.7 GB; only the samples near the grid are made."""
+    config = GridConfig(resolution=0.05, origin=[0.0, 0.0, 0.0], size=[2.0, 2.0, 2.0])
+    bar = _capsule_bar([-5000.0, 1.02, 1.02], [5000.0, 1.02, 1.02])
+    tracemalloc.start()
+    try:
+        cells = bar_cells(config, bar, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert cells == {(i, 20, 20) for i in range(40)}

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from cloudnav.core import ConstantAccelSegment, KinodynamicLimits, PointCloud, UavState, sample_times
+from cloudnav.cli import resolve_scenario_path
+from cloudnav.core import ConstantAccelSegment, KinodynamicLimits, PointCloud, QuinticSegment, UavState, sample_times
 from cloudnav.planner import (
     PLAN_BUDGET,
+    SHOT_STEP,
     TIME_WEIGHT,
     PlannerConfig,
     PlanningFailed,
@@ -23,6 +25,8 @@ from cloudnav.planner import (
     relaxed_replan,
     replan_step,
 )
+from cloudnav.scenario import load_scenario
+from cloudnav.sensor import generate_scan, yaw_rotation
 from cloudnav.spatial import MapConfig, TemporalLocalMap
 
 
@@ -186,6 +190,39 @@ def test_analytic_expansion_straight_line_free_space():
     assert np.abs(A).max() <= cfg.limits.a_max + 1e-9
 
 
+def _shot_feasible(state, goal, tau, cfg, local_map):
+    """The analytic shot's own acceptance test for one duration tau."""
+    seg = QuinticSegment.solve(state, np.asarray(goal, dtype=float), np.zeros(3), np.zeros(3), tau)
+    P, V, A = seg.states_at(sample_times(0.0, tau, min(cfg.check_dt, tau / 8.0)))
+    return (
+        (np.abs(V) <= cfg.limits.v_max).all()
+        and not (np.abs(A) > cfg.limits.a_max + 1e-9).any()
+        and not local_map.any_within(P, cfg.clearance).any()
+    )
+
+
+def test_analytic_expansion_tries_longer_durations_only_near_the_goal():
+    """Moving at (1.5, 1, 0) m/s toward a goal straight ahead, the shot's base time is
+    the braking time |v| / a_max at 0.9 m and at 1.3 m alike, and of the durations
+    1, 1.5, 2, 3 and 4 times it only 3 and 4 keep the limits. A shot from 1.3 m tries
+    only 1, 1.5 and 2, as before; from 0.9 m, within SHOT_STEP, it returns 3."""
+    cfg = default_cfg()
+    m = make_map()
+    state = UavState(t=0.0, p=[0.0, 0.0, 0.0], v=[1.5, 1.0, 0.0], a=[0.0, 0.0, 0.0])
+    base = float(np.linalg.norm(state.v)) / cfg.limits.a_max
+    for d in (1.3, 0.9):
+        assert base == max(d / cfg.limits.v_max, base, cfg.check_dt)
+        feasible = [_shot_feasible(state, [d, 0.0, 0.0], s * base, cfg, m) for s in (1.0, 1.5, 2.0, 3.0, 4.0)]
+        assert feasible == [False, False, False, True, True]
+    assert 1.3 > SHOT_STEP >= 0.9
+    assert analytic_expansion(state, [1.3, 0.0, 0.0], cfg, m) is None
+    seg = analytic_expansion(state, [0.9, 0.0, 0.0], cfg, m)
+    assert seg is not None and seg.duration == 3.0 * base
+    P, V, _ = seg.states_at(np.array([0.0, seg.duration]))
+    assert np.array_equal(P[0], state.p) and np.array_equal(V[0], state.v)
+    assert np.max(np.abs(P[1] - [0.9, 0.0, 0.0])) <= 1e-9 and np.max(np.abs(V[1])) <= 1e-9
+
+
 def wall_with_gap(x, gap_center_y=None, gap_width=None, half=3.0, spacing=0.05):
     """Dense vertical point wall at the given x, optionally with a y-gap."""
     ys = np.arange(-half, half + 1e-9, spacing)
@@ -332,6 +369,34 @@ def test_plan_cost_bounded_below_by_heuristic():
         assert report.cost >= heuristic(start, goal, cfg) - 1e-9
 
 
+# Searches for goals by the forest's trees used to exhaust 20000 expansions: the shot
+# came only after each 1 m of progress, and its three durations were too short to
+# brake near the goal. Within this bound each ends with the shot.
+KNOWN_FAILURE_MAX_EXPANSIONS = 100
+
+
+def test_forest_goals_by_the_trees_end_with_the_shot():
+    """The goals (5, 1.5, 1.2) and (5, 1.5, 2.0) on both criterion-7 forest maps
+    (100 scans from the start hover, the branch raised at t = 0 and lowered at t = 5)."""
+    scenario = load_scenario(resolve_scenario_path("forest_branch"))
+    env = scenario.environment()
+    rotation = yaw_rotation(scenario.start_yaw)
+    cfg = dataclasses.replace(scenario.planner_config, max_expansions=KNOWN_FAILURE_MAX_EXPANSIONS)
+    start = UavState.hover(scenario.start_position)
+    for t_scan in (0.0, 5.0):
+        m = TemporalLocalMap(scenario.map_config)
+        rng = np.random.default_rng(0)
+        for k in range(100):
+            m.update(generate_scan(env, scenario.sensor, scenario.start_position, rotation, t_scan, rng, frame_index=k))
+        for goal in ([5.0, 1.5, 1.2], [5.0, 1.5, 2.0]):
+            traj, report = plan(start, goal, cfg, m)
+            assert report.outcome == "analytic"
+            assert report.expansions <= KNOWN_FAILURE_MAX_EXPANSIONS
+            P = audit_trajectory(traj, cfg, m)
+            assert np.linalg.norm(P[-1] - goal) <= cfg.goal_tolerance + 1e-9
+            assert np.array_equal(traj.state_at(traj.t0).p, start.p) and traj.t0 == start.t
+
+
 def test_replan_step_keeps_clear_trajectory():
     cfg = default_cfg()
     m = make_map()
@@ -470,7 +535,7 @@ _DIGEST_CASES = {
         _ON_BOUND,
         (5.5, -1.5, 0.5),
         {},
-        "1d26e8be45c027a35402b1d5d679e5c75afe4b377102b9113f600e16da7a384f",
+        "2ec361308e8d219912dab0d8fecf7ff240e60b8c2559d18f42b73ab99cb57437",
     ),
     "inside-shell": (
         _HOVER,
