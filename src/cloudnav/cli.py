@@ -118,9 +118,9 @@ def _fmt(x: float) -> str:
 def write_trajectory_csv(log: RunLog, path) -> None:
     with open(path, "w") as f:
         f.write("frame,t,px,py,pz,vx,vy,vz,ax,ay,az,scan_points,tree_sizes,flag\n")
-        for fr in log.frames:
+        for index, fr in enumerate(log.frames):
             st = fr.state
-            row = [str(fr.index), _fmt(st.t), *(_fmt(v) for v in (*st.p, *st.v, *st.a))]
+            row = [str(index), _fmt(st.t), *(_fmt(v) for v in (*st.p, *st.v, *st.a))]
             row += [str(fr.scan_size), "|".join(str(s) for s in fr.tree_sizes), fr.flag]
             f.write(",".join(row) + "\n")
 

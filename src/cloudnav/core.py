@@ -67,9 +67,9 @@ class KinodynamicLimits:
             raise ValueError("kinodynamic limits must be strictly positive")
 
 
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
+def _check_duration(duration: float) -> None:
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
 
 
 def _constant_accel(p0: np.ndarray, v0: np.ndarray, u: np.ndarray, d: np.ndarray):
@@ -86,15 +86,11 @@ class ConstantAccelSegment:
 
     start: UavState
     u: Vec3
-    tau: float
+    duration: float
 
     def __post_init__(self):
         object.__setattr__(self, "u", _as_vec3(self.u, "u"))
-        _check_tau(self.tau)
-
-    @property
-    def duration(self) -> float:
-        return self.tau
+        _check_duration(self.duration)
 
     def states_at(self, dts: np.ndarray):
         """Closed-form double-integrator evaluation at segment-relative offsets.
@@ -108,30 +104,23 @@ class QuinticSegment:
     conditions (position/velocity/acceleration at both ends)."""
 
     coeffs: np.ndarray  # (3, 6), coeffs[axis, k] multiplies t**k
-    tau: float
+    duration: float
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (3, 6):
             raise ValueError(f"coeffs must have shape (3, 6), got {c.shape}")
         object.__setattr__(self, "coeffs", c)
-        _check_tau(self.tau)
-
-    @property
-    def duration(self) -> float:
-        return self.tau
+        _check_duration(self.duration)
 
     @classmethod
-    def solve(cls, start: UavState, end_p, end_v, end_a, tau: float) -> "QuinticSegment":
+    def solve(cls, start: UavState, end_p, end_v, end_a, duration: float) -> "QuinticSegment":
         """Two-point boundary-value problem from `start` to the given end state."""
         end_p = _as_vec3(end_p, "end_p")
         end_v = _as_vec3(end_v, "end_v")
         end_a = _as_vec3(end_a, "end_a")
-        _check_tau(tau)
-        c0 = start.p
-        c1 = start.v
-        c2 = 0.5 * start.a
-        T = tau
+        _check_duration(duration)
+        c0, c1, c2, T = start.p, start.v, 0.5 * start.a, duration
         A = np.array(
             [
                 [T**3, T**4, T**5],
@@ -148,7 +137,7 @@ class QuinticSegment:
         )  # (3 conditions, 3 axes)
         high = np.linalg.solve(A, b)  # (3 coeffs, 3 axes)
         coeffs = np.column_stack([c0, c1, c2, high[0], high[1], high[2]])
-        return cls(coeffs=coeffs, tau=tau)
+        return cls(coeffs=coeffs, duration=duration)
 
     def states_at(self, dts: np.ndarray):
         dts = np.asarray(dts, dtype=float)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PointCloud
-from .sensor import FRAME_DT, RANGE_NOISE_SIGMA, Environment, generate_scan, yaw_rotation
+from .sensor import FRAME_DT, RANGE_NOISE_BOUND, Environment, generate_scan, yaw_rotation
 from .spatial import TemporalLocalMap, dump_map
 
 # OctoMap's default sensor model: hit and miss updates for p = 0.7 and 0.4,
@@ -259,7 +259,7 @@ def thin_object_experiment(scenario, export_dir=None) -> dict:
     local_map = TemporalLocalMap(scenario.map_config)
     for scan in full:
         local_map.update(scan)
-    tol = 3.0 * RANGE_NOISE_SIGMA + scenario.map_config.resolution * math.sqrt(3) / 2
+    tol = RANGE_NOISE_BOUND + scenario.map_config.resolution * math.sqrt(3) / 2
     union = np.concatenate([tree.points for tree in local_map.trees])  # empty trees are (0, 3)
     bar_points = int((np.abs(bar.distances(union, t_end)) <= tol).sum())
 

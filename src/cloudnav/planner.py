@@ -138,10 +138,9 @@ def _primitive_terms(a_max: float, tau: float, dt: float):
     return (list(U), costs.tolist(), *terms)
 
 
-def heuristic(state: UavState, goal, cfg: PlannerConfig) -> float:
-    """Admissible time lower bound scaled by the time weight."""
-    d = float(np.linalg.norm(state.p - np.asarray(goal, dtype=float)))
-    return TIME_WEIGHT * d / cfg.limits.v_max
+def heuristic(p: np.ndarray, goal, cfg: PlannerConfig):
+    """Admissible time lower bound from each position in `p` (..., 3) to `goal`, by which expand ranks."""
+    return np.linalg.norm(p - goal, axis=-1) * (TIME_WEIGHT / cfg.limits.v_max)
 
 
 def _prune_keys(P: np.ndarray, cell: float) -> list[tuple]:
@@ -177,7 +176,7 @@ def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, go
     if not surv:
         return []
     P_end = P[keep, -1]
-    h = np.linalg.norm(P_end - np.asarray(goal, dtype=float), axis=1) * (TIME_WEIGHT / limits.v_max)
+    h = heuristic(P_end, goal, cfg)
     t_child = node.t + tau
     G = [node.g + costs[i] for i in surv]
     keys = _prune_keys(P_end, cfg.prune_cell)
@@ -230,11 +229,10 @@ def _segment_effort(seg: QuinticSegment, dt: float) -> float:
 def _build_trajectory(node: SearchNode, tail: QuinticSegment | None, cfg: PlannerConfig):
     """The searched node chain from the root to `node` as primitive segments,
     each from its parent's state under its incoming control, then the tail."""
-    tau = cfg.limits.primitive_duration
     segments = []
     cur = node
     while cur.parent is not None:
-        segments.append(ConstantAccelSegment(start=cur.parent.state, u=cur.a, tau=tau))
+        segments.append(ConstantAccelSegment(start=cur.parent.state, u=cur.a, duration=cfg.limits.primitive_duration))
         cur = cur.parent
     segments.reverse()
     cost = node.g
@@ -257,12 +255,11 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     if dist <= cfg.clearance:
         raise StartInCollision(dist)
 
-    h0 = HEURISTIC_WEIGHT * heuristic(start, goal, cfg)
     key = _prune_keys(start.p[None], cfg.prune_cell)[0]
-    root = SearchNode(start.t, start.p, start.v, start.a, 0.0, h0, None, key)
+    root = SearchNode(start.t, start.p, start.v, start.a, 0.0, 0.0, None, key)  # alone in the heap: f = h = 0
     counter = itertools.count()
     # heap entries: (f, h, unique counter, node); the counter settles every tie
-    open_heap: list = [(root.f, h0, next(counter), root)]
+    open_heap: list = [(0.0, 0.0, next(counter), root)]
     closed: dict[tuple, float] = {}
     report = SearchReport()
     ae_last_d = math.inf  # so the root tries the analytic shot too

@@ -19,8 +19,16 @@ import yaml
 from .core import _KEY_OFFSET, KinodynamicLimits
 from .gridmap import BAR, WALL, GridConfig, bar_cells
 from .planner import MAX_PRIMITIVE_SAMPLES, PLAN_BUDGET, PlannerConfig
-from .sensor import FRAME_DT, MAX_RANGE, Box, Capsule, Environment, MotionSchedule, Obstacle, SensorModel, Sphere
+from .sensor import (FRAME_DT, MAX_RANGE, RANGE_NOISE_BOUND, Box, Capsule, Environment, MotionSchedule, Obstacle,
+                     SensorModel, Sphere)
 from .spatial import MapConfig
+
+# sim._SensedSpace's cells and probe range, here for the loader's bound on its keys (sim imports this module).
+_COVERAGE_CELL = 0.5
+_COVERAGE_RANGE = 25.0
+# Largest |value| of an obstacle coordinate, radius or schedule offset (m): the
+# squared differences the ray and distance kernels take of such values stay finite.
+MAX_GEOMETRY = 1e150
 
 
 class ScenarioError(ValueError):
@@ -75,6 +83,7 @@ class Scenario:
 # The kinds of value a key takes; each names itself in the refusal message.
 NUM, INT, VEC, NUMS = "a finite number", "an integer", "a finite [x, y, z]", "a non-empty list of finite numbers"
 TEXT, MAP, LIST = "a string", "a mapping", "a list"
+LENGTH, POINT = f"a number within ±{MAX_GEOMETRY:g}", f"an [x, y, z] within ±{MAX_GEOMETRY:g}"
 
 _OBSTACLE = {"shape": TEXT, "name": TEXT, "schedule": LIST}
 # Every section's keys and their kinds. Ranges stay with the dataclass that
@@ -88,10 +97,10 @@ _KEYS = {
     "planner": {"v_max": NUM, "a_max": NUM, "primitive_duration": NUM, "clearance": NUM,
                 "goal_tolerance": NUM, "prune_cell": NUM, "max_expansions": INT},
     "compare": {"frames": INT, "sweep": NUMS, "origin": VEC, "size": VEC},
-    "sphere": {**_OBSTACLE, "center": VEC, "radius": NUM},
-    "capsule": {**_OBSTACLE, "p0": VEC, "p1": VEC, "radius": NUM},
-    "box": {**_OBSTACLE, "lo": VEC, "hi": VEC},
-    "keyframe": {"t": NUM, "offset": VEC},
+    "sphere": {**_OBSTACLE, "center": POINT, "radius": LENGTH},
+    "capsule": {**_OBSTACLE, "p0": POINT, "p1": POINT, "radius": LENGTH},
+    "box": {**_OBSTACLE, "lo": POINT, "hi": POINT},
+    "keyframe": {"t": NUM, "offset": POINT},
 }
 _REQUIRED = {"scenario": ("duration", "goal"), "start": ("position",), "sphere": ("center", "radius"),
              "capsule": ("p0", "p1", "radius"), "box": ("lo", "hi"), "keyframe": ("t", "offset")}
@@ -99,27 +108,28 @@ _FLOORS = {"scenario.seed": 0, "compare.frames": 1}
 _SHAPES = {"sphere": Sphere, "capsule": Capsule, "box": Box}
 
 
-def _finite(x) -> bool:
+def _finite(x, limit: float) -> bool:
     # the comparison is False for nan and inf, and exact for ints too large for a float
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= limit
 
 
 def _check(value, kind: str, key: str):
     """Return `value` as a value of `kind`, or refuse it naming the dotted `key`."""
-    if kind is NUM or kind is INT:
-        ok = _finite(value) and (kind is NUM or isinstance(value, int))
+    limit = MAX_GEOMETRY if kind in (LENGTH, POINT) else sys.float_info.max
+    if kind in (NUM, INT, LENGTH):
+        ok = _finite(value, limit) and (kind is not INT or isinstance(value, int))
         if ok and key in _FLOORS and value < _FLOORS[key]:
             raise ScenarioError(f"{key}: must be >= {_FLOORS[key]}, got {value!r}")
-    elif kind is VEC or kind is NUMS:
-        ok = (isinstance(value, (list, tuple)) and (len(value) == 3 if kind is VEC else len(value) > 0)
-              and all(map(_finite, value)))
+    elif kind in (VEC, NUMS, POINT):
+        ok = (isinstance(value, (list, tuple)) and (len(value) > 0 if kind is NUMS else len(value) == 3)
+              and all(_finite(x, limit) for x in value))
     else:
         ok = isinstance(value, {TEXT: str, MAP: dict, LIST: list}[kind])
     if not ok:
         raise ScenarioError(f"{key}: expected {kind}, got {value!r}")
-    if kind is NUM:
+    if kind in (NUM, LENGTH):
         return float(value)
-    if kind is VEC:
+    if kind in (VEC, POINT):
         return np.array(value, dtype=float)
     return tuple(map(float, value)) if kind is NUMS else value
 
@@ -172,13 +182,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     sensor = _build(SensorModel, "sensor.points_per_second",
                     **_section(top.get("sensor", {}), "sensor", "sensor"))
     map_config = _build(MapConfig, "map", **_section(top.get("map", {}), "map", "map"))
-    # voxel_keys indexes _KEY_OFFSET cells each way from 0 on every axis: enough
-    # for every point within sensor range of the start and the goal
-    farthest = float(np.abs([*start_p, *goal]).max())
-    reach = MAX_RANGE + farthest
-    if reach / map_config.resolution >= _KEY_OFFSET:
-        raise ScenarioError(f"map.resolution: {map_config.resolution:g} m cannot index points {reach:g} m "
-                            f"from the origin; it must exceed {reach / _KEY_OFFSET:g}")
     pl = _section(top.get("planner", {}), "planner", "planner")
     limits = {f.name: pl.pop(f.name) for f in fields(KinodynamicLimits) if f.name in pl}
     planner_config = _build(PlannerConfig, "planner", limits=_build(KinodynamicLimits, "planner", **limits), **pl)
@@ -195,12 +198,23 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError(f"planner.clearance, planner.v_max, planner.primitive_duration: "
                             f"{2 * lim.v_max * lim.primitive_duration / planner_config.clearance:.3g} samples per "
                             f"primitive exceed MAX_PRIMITIVE_SAMPLES = {MAX_PRIMITIVE_SAMPLES}")
-    # the search's int64 cell index holds a flight's travel and one search's primitives beyond it
-    reach = farthest + lim.v_max * (top["duration"] + PLAN_BUDGET + n_max * lim.primitive_duration)
-    if reach / cell >= 2**63:
-        raise ScenarioError(f"start.position, scenario.goal, scenario.duration, planner.v_max, planner.primitive_duration, "
-                            f"planner.max_expansions, planner.prune_cell: a {cell:g} m dedup cell cannot index "
-                            f"positions {reach:g} m from the origin; it must exceed {reach / 2**63:g}")
+    # Each index holds the flight's reach on every axis (from the start or the goal at
+    # v_max per axis until the last plan starts, PLAN_BUDGET past the end) and what its
+    # points add beyond it: the sensor's noisy range for scan points, one search's
+    # primitives for the dedup cells, and for the telemetry both its probe range and a
+    # plan's primitives; a plan's closing shot ends at rest at the goal, inside reach.
+    reach = float(np.abs([*start_p, *goal]).max()) + lim.v_max * (top["duration"] + PLAN_BUDGET)
+    search = n_max * lim.primitive_duration * lim.v_max
+    for keys, name, far, size, count in (
+            ("map.resolution", "map voxel keys", reach + MAX_RANGE + RANGE_NOISE_BOUND, map_config.resolution,
+             _KEY_OFFSET),
+            ("planner.primitive_duration, planner.max_expansions, planner.prune_cell", "the search's int64 dedup "
+             "cells", reach + search, cell, 2**63),
+            ("planner.primitive_duration, planner.max_expansions", "the sensed-space telemetry's cells",
+             reach + _COVERAGE_RANGE + search, _COVERAGE_CELL, _KEY_OFFSET)):
+        if far / size >= count:
+            raise ScenarioError(f"start.position, scenario.goal, scenario.duration, planner.v_max, {keys}: {name} of "
+                                f"{size:g} m cannot index positions {far:g} m from the origin, past {size * count:g} m")
 
     obstacles = tuple(_parse_obstacle(o, i) for i, o in enumerate(top.get("obstacles", [])))
     first = {}  # index of the obstacle each name was first given to; "" is unnamed

@@ -270,6 +270,7 @@ FRAME_RATE = 50.0
 FRAME_DT = 1.0 / FRAME_RATE
 MAX_RANGE = 450.0
 RANGE_NOISE_SIGMA = 0.02
+RANGE_NOISE_BOUND = 3.0 * RANGE_NOISE_SIGMA  # the noise clip: no return lies farther off its surface
 # Ceiling on one frame's ray block, so its (N, 3) arrays stay allocatable.
 MAX_RAYS_PER_FRAME = 10**6
 
@@ -337,15 +338,14 @@ def generate_scan(
     """One lidar frame: cast the frame's rays, apply range noise to the hits,
     drop the misses, and return world-frame points stamped with `t`.
 
-    Range noise is clipped at three sigma so every returned point stays on an
-    obstacle surface up to that bound (the sensor's false-alarm rate is modeled
-    as zero). Deterministic for a fixed rng state and frame index.
+    Range noise is clipped at RANGE_NOISE_BOUND so every returned point stays on
+    an obstacle surface up to that bound (the sensor's false-alarm rate is
+    modeled as zero). Deterministic for a fixed rng state and frame index.
     """
     position = np.asarray(position, dtype=float)
     dirs_w = rosette_directions(sensor, frame_index) @ rotation.T
     # draw noise for every ray regardless of hits to keep the stream aligned
-    bound = 3.0 * RANGE_NOISE_SIGMA
-    noise = np.clip(rng.normal(0.0, RANGE_NOISE_SIGMA, len(dirs_w)), -bound, bound)
+    noise = np.clip(rng.normal(0.0, RANGE_NOISE_SIGMA, len(dirs_w)), -RANGE_NOISE_BOUND, RANGE_NOISE_BOUND)
     t_hit = env.cast_rays(position, dirs_w, t, MAX_RANGE)
     mask = np.isfinite(t_hit)
     ranges = np.maximum(t_hit[mask] + noise[mask], 1e-9)

@@ -23,14 +23,12 @@ from .planner import (
     relaxed_replan,
     replan_step,
 )
-from .scenario import Scenario
+from .scenario import _COVERAGE_CELL, _COVERAGE_RANGE, Scenario
 from .sensor import FRAME_DT, Environment, disk_to_directions, generate_scan, yaw_rotation
 from .spatial import TemporalLocalMap
 
-# Sensed-space telemetry: coarse cells swept by a fixed probe-ray grid. Plans
+# Sensed-space telemetry: _COVERAGE_CELL cells swept by a fixed probe-ray grid. Plans
 # are allowed through unseen space; we only log how much of each plan is there.
-_COVERAGE_CELL = 0.5
-_COVERAGE_RANGE = 25.0
 _COVERAGE_STEP = 0.25
 # Queued frames are merged into the swept cells this many at a time. Merging a
 # whole flight's queue at once holds every queued frame's keys in memory
@@ -102,7 +100,6 @@ class _SensedSpace:
 
 @dataclass
 class FrameRecord:
-    index: int
     state: UavState
     scan_size: int
     tree_sizes: list
@@ -121,7 +118,7 @@ class RunLog:
     scenario_name: str
     seed: int
     outcome: str = "timeout"
-    frames: list = field(default_factory=list)
+    frames: list = field(default_factory=list)  # a FrameRecord's index is its position here
     events: list = field(default_factory=list)
     map_update_seconds: list = field(default_factory=list)
     tree_build_seconds: list = field(default_factory=list)
@@ -224,12 +221,12 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
     sensed = _SensedSpace(env)
     tracking = _Tracking(scenario, local_map, sensed)
 
-    def record(k: int, state: UavState, scan_size: int, flag: str):
-        log.frames.append(FrameRecord(k, state, scan_size, local_map.tree_sizes, flag))
+    def record(state: UavState, scan_size: int, flag: str):
+        log.frames.append(FrameRecord(state, scan_size, local_map.tree_sizes, flag))
 
-    def _terminate(outcome: str, k: int, state: UavState, scan_size: int = 0) -> RunLog:
+    def _terminate(outcome: str, state: UavState, scan_size: int = 0) -> RunLog:
         log.outcome = outcome
-        record(k, state, scan_size, outcome)
+        record(state, scan_size, outcome)
         return log
 
     for k in range(n_frames):
@@ -252,22 +249,22 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
             step = tracking.replan(t, uav)
         except PlannerError as e:
             log.events.append(SimEvent(t=t, kind="planner_failure", data={"reason": str(e)}))
-            return _terminate("planner_failure", k, uav, len(scan))
+            return _terminate("planner_failure", uav, len(scan))
         flag = ""
         if step is not None:
             flag, report, data = step
             log.plan_seconds.append(report.wall_seconds)
             log.events.append(SimEvent(t=t, kind=flag, data=data))
-        record(k, uav, len(scan), flag)
+        record(uav, len(scan), flag)
 
         t_next = (k + 1) * FRAME_DT
         uav = tracking.state_at(t_next)
         if np.linalg.norm(uav.p - goal) <= cfg.goal_tolerance:
-            return _terminate("goal_reached", k + 1, uav)
+            return _terminate("goal_reached", uav)
         if env.min_distance(uav.p, t_next) <= 0.0:
-            return _terminate("collision", k + 1, uav)
+            return _terminate("collision", uav)
 
-    return _terminate("timeout", n_frames, uav)
+    return _terminate("timeout", uav)
 
 
 @dataclass

@@ -93,7 +93,7 @@ def test_criterion_3_double_integrator_and_expansion_accuracy():
         s = UavState(t=0.0, p=rng.uniform(-5, 5, 3), v=rng.uniform(-2, 2, 3), a=np.zeros(3))
         u = rng.uniform(-2.0, 2.0, 3)
         tau = float(rng.uniform(0.05, 1.5))
-        P, V, _ = ConstantAccelSegment(start=s, u=u, tau=tau).states_at([tau])
+        P, V, _ = ConstantAccelSegment(start=s, u=u, duration=tau).states_at([tau])
         p_ref, v_ref = rk4_propagate(s.p, s.v, u, tau)
         worst_prop = max(worst_prop, float(np.abs(P[0] - p_ref).max()))
         assert np.abs(P[0] - p_ref).max() <= 1e-9
@@ -157,7 +157,7 @@ def test_criterion_4_planner_postconditions_property_suite():
             continue  # a failure report is a valid outcome; violations are not
         P = audit_trajectory(traj, cfg, m)
         assert np.linalg.norm(P[-1] - goal) <= cfg.goal_tolerance + 1e-9
-        if rep.cost >= heuristic(start, goal, cfg) - 1e-9:
+        if rep.cost >= heuristic(start.p, goal, cfg) - 1e-9:
             h_bound_ok += 1
         solved += 1
     assert solved >= 100, f"only {solved} scenes solved; need a meaningful sample"

@@ -108,7 +108,7 @@ def test_run_writes_expected_outputs(mini_path, tmp_path):
 )
 def test_report_counts_plans_over_the_handover_budget(mini_path, plan_seconds, over, overrun_ms):
     log = RunLog(scenario_name="mini_cli", seed=2, plan_seconds=plan_seconds)
-    log.frames = [FrameRecord(i, UavState.hover([x, 0.0, 1.0], t=0.02 * i), 0, [0, 0])
+    log.frames = [FrameRecord(UavState.hover([x, 0.0, 1.0], t=0.02 * i), 0, [0, 0])
                   for i, x in enumerate((0.0, 1.0))]
     plan = build_report(log, load_scenario(mini_path)).timings["plan"]
     assert plan["count"] == len(plan_seconds)

@@ -35,13 +35,13 @@ def rk4_propagate(p, v, u, tau, dt=1e-4):
 
 def end_state(seg: ConstantAccelSegment) -> UavState:
     """The state at the end of `seg`, from its closed form."""
-    P, V, A = seg.states_at([seg.tau])
-    return UavState(t=seg.start.t + seg.tau, p=P[0], v=V[0], a=A[0])
+    P, V, A = seg.states_at([seg.duration])
+    return UavState(t=seg.start.t + seg.duration, p=P[0], v=V[0], a=A[0])
 
 
 def test_propagate_zero_control():
     s = UavState(t=0.0, p=[0, 0, 0], v=[1, 0, 0], a=[0, 0, 0])
-    out = end_state(ConstantAccelSegment(start=s, u=[0, 0, 0], tau=0.6))
+    out = end_state(ConstantAccelSegment(start=s, u=[0, 0, 0], duration=0.6))
     assert np.allclose(out.p, [0.6, 0, 0])
     assert np.allclose(out.v, [1, 0, 0])
     assert out.t == pytest.approx(0.6)
@@ -49,7 +49,7 @@ def test_propagate_zero_control():
 
 def test_propagate_matches_rk4():
     s = UavState(t=0.0, p=[0, 0, 0], v=[0, 0, 0], a=[0, 0, 0])
-    out = end_state(ConstantAccelSegment(start=s, u=[2, 0, 0], tau=0.6))
+    out = end_state(ConstantAccelSegment(start=s, u=[2, 0, 0], duration=0.6))
     p_ref, v_ref = rk4_propagate(s.p, s.v, [2, 0, 0], 0.6)
     assert np.allclose(out.p, [0.36, 0, 0], atol=1e-12)
     assert np.allclose(out.v, [1.2, 0, 0], atol=1e-12)
@@ -65,7 +65,7 @@ def test_propagate_matches_rk4_random():
         )
         u = rng.choice([-2.0, 0.0, 2.0], 3)
         tau = rng.uniform(0.05, 1.2)
-        out = end_state(ConstantAccelSegment(start=s, u=u, tau=tau))
+        out = end_state(ConstantAccelSegment(start=s, u=u, duration=tau))
         p_ref, _ = rk4_propagate(s.p, s.v, u, tau)
         assert np.max(np.abs(out.p - p_ref)) <= 1e-9
 
@@ -76,9 +76,9 @@ def test_propagate_time_additive():
         s = UavState(t=0.0, p=rng.uniform(-1, 1, 3), v=rng.uniform(-2, 2, 3), a=[0, 0, 0])
         u = rng.uniform(-2, 2, 3)
         t1, t2 = rng.uniform(0.01, 0.8, 2)
-        mid = end_state(ConstantAccelSegment(start=s, u=u, tau=t1))
-        two_step = end_state(ConstantAccelSegment(start=mid, u=u, tau=t2))
-        one_step = end_state(ConstantAccelSegment(start=s, u=u, tau=t1 + t2))
+        mid = end_state(ConstantAccelSegment(start=s, u=u, duration=t1))
+        two_step = end_state(ConstantAccelSegment(start=mid, u=u, duration=t2))
+        one_step = end_state(ConstantAccelSegment(start=s, u=u, duration=t1 + t2))
         assert np.max(np.abs(two_step.p - one_step.p)) <= 1e-9
         assert np.max(np.abs(two_step.v - one_step.v)) <= 1e-9
 
@@ -86,9 +86,9 @@ def test_propagate_time_additive():
 def test_propagate_rejects_nonfinite():
     s = UavState(t=0.0, p=[0, 0, 0], v=[0, 0, 0], a=[0, 0, 0])
     with pytest.raises(ValueError):
-        ConstantAccelSegment(start=s, u=[np.nan, 0, 0], tau=0.1)
+        ConstantAccelSegment(start=s, u=[np.nan, 0, 0], duration=0.1)
     with pytest.raises(ValueError):
-        ConstantAccelSegment(start=s, u=[0, 0, 0], tau=np.inf)
+        ConstantAccelSegment(start=s, u=[0, 0, 0], duration=np.inf)
     with pytest.raises(ValueError):
         UavState(t=0.0, p=[np.inf, 0, 0], v=[0, 0, 0], a=[0, 0, 0])
 
@@ -96,17 +96,17 @@ def test_propagate_rejects_nonfinite():
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -0.1])
 def test_segments_refuse_non_finite_and_non_positive_tau(tau):
     s = UavState.hover([0, 0, 0])
-    with pytest.raises(ValueError, match="tau must be finite and > 0"):
-        ConstantAccelSegment(start=s, u=[1, 0, 0], tau=tau)
-    with pytest.raises(ValueError, match="tau must be finite and > 0"):
-        QuinticSegment(coeffs=np.zeros((3, 6)), tau=tau)
-    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
+        ConstantAccelSegment(start=s, u=[1, 0, 0], duration=tau)
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
+        QuinticSegment(coeffs=np.zeros((3, 6)), duration=tau)
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
         QuinticSegment.solve(s, [1, 0, 0], np.zeros(3), np.zeros(3), tau)
 
 
 def _single_segment_traj(tau=0.6):
     start = UavState(t=0.0, p=[0, 0, 0], v=[1, 0, 0], a=[0, 0, 0])
-    return Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), tau=tau),), t0=0.0)
+    return Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), duration=tau),), t0=0.0)
 
 
 def test_sample_trajectory_grid():
@@ -133,8 +133,8 @@ def test_sample_trajectory_rejects_bad_dt():
 
 def test_sampled_chain_matches_per_segment_closed_form():
     s0 = UavState(t=0.0, p=[0, 0, 0], v=[0.5, -0.2, 0], a=[0, 0, 0])
-    seg1 = ConstantAccelSegment(start=s0, u=np.array([2.0, 0, -1.0]), tau=0.6)
-    seg2 = ConstantAccelSegment(start=end_state(seg1), u=np.array([-2.0, 1.0, 0]), tau=0.6)
+    seg1 = ConstantAccelSegment(start=s0, u=np.array([2.0, 0, -1.0]), duration=0.6)
+    seg2 = ConstantAccelSegment(start=end_state(seg1), u=np.array([-2.0, 1.0, 0]), duration=0.6)
     traj = Trajectory(segments=(seg1, seg2), t0=0.0)
     ts = sample_times(traj.t0, traj.duration, 0.1)
     P, _, _ = traj.states_at(ts)
@@ -152,7 +152,7 @@ def test_trajectory_joins_are_continuous():
     segments = []
     for _ in range(6):
         u = rng.choice([-2.0, 0.0, 2.0], 3)
-        seg = ConstantAccelSegment(start=s, u=u, tau=0.6)
+        seg = ConstantAccelSegment(start=s, u=u, duration=0.6)
         segments.append(seg)
         s = end_state(seg)
     tail = QuinticSegment.solve(s, s.p + np.array([1.5, 0, 0]), np.zeros(3), np.zeros(3), 2.0)
@@ -178,7 +178,7 @@ def test_trajectory_states_at_matches_per_segment_bytes():
             end_p, end_v = s.p + rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             seg = QuinticSegment.solve(s, end_p, end_v, np.zeros(3), 0.9)
         else:
-            seg = ConstantAccelSegment(start=s, u=rng.choice([-2.0, 0.0, 2.0], 3), tau=0.6)
+            seg = ConstantAccelSegment(start=s, u=rng.choice([-2.0, 0.0, 2.0], 3), duration=0.6)
         segments.append(seg)
         end_p, end_v, _ = seg.states_at(np.array([seg.duration]))
         s = UavState(t=s.t + seg.duration, p=end_p[0], v=end_v[0], a=np.zeros(3))
@@ -207,7 +207,7 @@ def test_trajectory_state_at_owns_its_arrays():
     """A sampled state holds its own rows, not views that keep a whole sample
     block alive (frame records keep one state per frame)."""
     s = UavState(t=0.0, p=[0.3, -1.2, 0.7], v=[0.4, 0.1, -0.2], a=[0, 0, 0])
-    ca = ConstantAccelSegment(start=s, u=[2.0, 0.0, -2.0], tau=0.6)
+    ca = ConstantAccelSegment(start=s, u=[2.0, 0.0, -2.0], duration=0.6)
     end_p, end_v, _ = ca.states_at(np.array([0.6]))
     mid = UavState(t=0.6, p=end_p[0], v=end_v[0], a=np.zeros(3))
     quintic = QuinticSegment.solve(mid, mid.p + 1.0, np.zeros(3), np.zeros(3), 0.9)

@@ -9,6 +9,7 @@ import pytest
 from cloudnav.cli import resolve_scenario_path
 from cloudnav.core import ConstantAccelSegment, KinodynamicLimits, PointCloud, QuinticSegment, UavState, sample_times
 from cloudnav.planner import (
+    HEURISTIC_WEIGHT,
     PLAN_BUDGET,
     SHOT_STEP,
     TIME_WEIGHT,
@@ -157,12 +158,25 @@ def test_expand_costs_accumulate():
         assert c.f >= c.g >= 0
 
 
+def test_expand_ranks_children_by_the_heuristic_bit_for_bit():
+    # the open set's f is g plus the weighted heuristic() that the admissibility tests check
+    cfg = default_cfg()
+    goal = np.array([5.0, -1.3, 0.7])
+    m = make_map(sphere_shell([1.8, 0.2, -0.3], 0.5))
+    node = node_at(UavState(t=0.4, p=[0.1, 0.2, -0.3], v=[1.0, -0.5, 0.3], a=[0, 0, 0]))
+    node.g = 1.7
+    children = expand(node, cfg, m, goal)
+    assert 0 < len(children) < 27  # the shell ahead blocks some primitives
+    for c in children:
+        assert c.f == c.g + HEURISTIC_WEIGHT * heuristic(c.p, goal, cfg)
+
+
 def test_heuristic_values():
     cfg = default_cfg()
     at_goal = UavState.hover([1, 2, 3])
-    assert heuristic(at_goal, [1, 2, 3], cfg) == 0.0
+    assert heuristic(at_goal.p, [1, 2, 3], cfg) == 0.0
     s = UavState.hover([0, 0, 0])
-    assert heuristic(s, [6, 0, 0], cfg) == pytest.approx(3.0)
+    assert heuristic(s.p, [6, 0, 0], cfg) == pytest.approx(3.0)
 
 
 def test_analytic_expansion_degenerate_at_goal():
@@ -350,7 +364,7 @@ def test_plan_cost_monotone_along_chain():
     g = 0.0
     for seg in traj.segments:
         if isinstance(seg, ConstantAccelSegment):
-            step = (np.dot(seg.u, seg.u) + TIME_WEIGHT) * seg.tau
+            step = (np.dot(seg.u, seg.u) + TIME_WEIGHT) * seg.duration
             assert step > 0
             g += step
     assert g <= report.cost + 1e-9
@@ -366,7 +380,7 @@ def test_plan_cost_bounded_below_by_heuristic():
         goal = start_p + rng.uniform(-6, 6, 3)
         start = UavState.hover(start_p)
         traj, report = plan(start, goal, cfg, m)
-        assert report.cost >= heuristic(start, goal, cfg) - 1e-9
+        assert report.cost >= heuristic(start.p, goal, cfg) - 1e-9
 
 
 # Searches for goals by the forest's trees used to exhaust 20000 expansions: the shot

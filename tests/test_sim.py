@@ -147,7 +147,7 @@ def test_deferred_sweep_counts_as_an_eager_per_frame_sweep():
     got, want = [], []
     for a in yaw + np.linspace(-0.5 * math.pi, 0.5 * math.pi, 9):
         start = UavState(t=0.0, p=p0, v=_level(a), a=np.zeros(3))
-        traj = Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), tau=30.0),), t0=0.0)
+        traj = Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), duration=30.0),), t0=0.0)
         cells = np.unique(voxel_keys(traj.states_at(sample_times(0.0, 30.0, 0.05))[0], _COVERAGE_CELL))
         want.append(sum(1 for k in cells.tolist() if k not in eager))
         got.append(sensed.unseen_count(traj, 0.05))  # the first count sweeps the queue
@@ -173,7 +173,7 @@ def test_audit_flags_interpenetration():
     log = RunLog(scenario_name="x", seed=0)
     for i, x in enumerate((0.0, 5.0)):
         log.frames.append(
-            FrameRecord(index=i, state=UavState.hover([x, 0, 1.0], t=0.02 * i), scan_size=0, tree_sizes=[0, 0])
+            FrameRecord(state=UavState.hover([x, 0, 1.0], t=0.02 * i), scan_size=0, tree_sizes=[0, 0])
         )
     audit = audit_ground_truth(log, scenario)
     assert audit.min_distance < 0.0
@@ -192,7 +192,7 @@ def test_audit_counts_an_unnamed_obstacle_in_the_minimum_only():
     log = RunLog(scenario_name="x", seed=0)
     for i, x in enumerate((0.0, 5.0)):
         log.frames.append(
-            FrameRecord(index=i, state=UavState.hover([x, 0, 1.0], t=0.02 * i), scan_size=0, tree_sizes=[0, 0])
+            FrameRecord(state=UavState.hover([x, 0, 1.0], t=0.02 * i), scan_size=0, tree_sizes=[0, 0])
         )
     audit = audit_ground_truth(log, scenario)
     assert audit.min_distance == pytest.approx(1.5)
@@ -301,9 +301,12 @@ BAR_AND_WALL = [
     {"name": "bar", "shape": "capsule", "p0": [3.0, 0.0, 0.2], "p1": [3.0, 0.0, 2.2], "radius": 0.01},
     {"name": "wall", "shape": "box", "lo": [5.0, -1.0, 0.0], "hi": [5.3, 1.0, 2.0]},
 ]
-# every key that sets the reach / cell ratio the search's int64 dedup-cell index must hold
-_DEDUP_REACH = ("start.position, scenario.goal, scenario.duration, planner.v_max, planner.primitive_duration, "
-                "planner.max_expansions, planner.prune_cell")
+# every key that sets the reach / cell ratio of each index: the search's int64
+# dedup cells, the map's voxel keys and the sensed-space telemetry's cells
+_REACH = "start.position, scenario.goal, scenario.duration, planner.v_max, "
+_DEDUP_REACH = _REACH + "planner.primitive_duration, planner.max_expansions, planner.prune_cell"
+_MAP_REACH = _REACH + "map.resolution"
+_TELEMETRY_REACH = _REACH + "planner.primitive_duration, planner.max_expansions"
 
 
 def test_omitted_limits_and_compare_keys_take_dataclass_defaults():
@@ -375,7 +378,7 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("seed=-1", "scenario.seed"),
     ("compare.sweep=[-1]", "compare.sweep"),
     ("compare.size=[0, 1, 1]", "compare.size"),
-    ("map.resolution=1.0e-300", "map.resolution"),  # too fine for voxel_keys to index the sensor range
+    ("map.resolution=1.0e-300", _MAP_REACH),  # too fine for voxel_keys to index the sensor range
     # too fine a cell, or too far a reach, for the search's int64 dedup-cell index
     ("planner.prune_cell=1.0e-310", _DEDUP_REACH),
     ("planner.max_expansions=1000000000000000000000000", _DEDUP_REACH),
@@ -401,10 +404,23 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("compare.sweep=[true]", "compare.sweep"),
     ("compare.sweep=[]", "compare.sweep"),  # no main grid
     ("name=[1]", "scenario.name"),
+    # each of these ended in a traceback: a scan point past the voxel keys' range, 0.06 m of
+    # range noise beyond the wall 449.985 m ahead, and the telemetry's 0.5 m cells past 524 288 m
+    pytest.param(("goal=[0.0, 0.0, 0.0]", "start={position: [1.0, 0.0, 0.0], yaw: 0.0}", "map.resolution=0.000430135",
+                  "obstacles=[{name: wall, shape: box, lo: [450.985, -100.0, -100.0], hi: [460.0, 100.0, 100.0]}]"),
+                 _MAP_REACH, id="scan-noise-past-voxel-keys"),
+    pytest.param(("duration=0.5", "start.position=[530000.0, 0.0, 1.0]", "goal=[530005.0, 0.0, 1.0]",
+                  "map.resolution=1.0"), _TELEMETRY_REACH, id="far-start-past-telemetry-cells"),
+    # each of these overflowed a squared difference and flew on inf or nan
+    ("obstacles=[{shape: box, lo: [5, -1, 0], hi: [1.0e+300, 2, 2]}]", "obstacles[0].hi"),
+    ("obstacles=[{shape: capsule, p0: [3, 0, 0], p1: [3, 0, 1.0e+300], radius: 0.1}]", "obstacles[0].p1"),
+    ("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.2, schedule: [{t: 0, offset: [1.0e+300, 0, 0]}]}]",
+     "obstacles[0].schedule[0].offset"),
+    ("obstacles=[{shape: sphere, center: [1.0e+200, 0, 1], radius: 0.2}]", "obstacles[0].center"),
 ])
 def test_malformed_values_are_refused_by_dotted_key(override, key):
     raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}, "obstacles": BAR_AND_WALL}
-    apply_overrides(raw, [override])
+    apply_overrides(raw, [override] if isinstance(override, str) else list(override))
     with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
         scenario_from_dict(raw)
 
@@ -489,7 +505,7 @@ def test_short_duration_ends_in_timeout():
     assert log.outcome == "timeout"
     assert log.final_time == pytest.approx(1.0)
     last = log.frames[-1]
-    assert (last.index, last.flag) == (50, "timeout")
+    assert (len(log.frames) - 1, last.flag) == (50, "timeout")
     assert last.state.t == pytest.approx(1.0)
     assert all(fr.flag != "timeout" for fr in log.frames[:-1])
 
@@ -500,7 +516,7 @@ def test_emergency_relax_does_not_repeat_on_consecutive_frames():
     # keep it instead of relaxing again
     rock = {"name": "rock", "shape": "sphere", "center": [0.6, 0.0, 1.0], "radius": 0.3}
     log = simulate(mini_scenario(obstacles=[rock]))
-    relaxed = [fr.index for fr in log.frames if fr.flag == "emergency_relax"]
+    relaxed = [i for i, fr in enumerate(log.frames) if fr.flag == "emergency_relax"]
     assert relaxed and relaxed[0] == 0
     assert not any(b == a + 1 for a, b in zip(relaxed, relaxed[1:]))
     assert log.outcome == "goal_reached"

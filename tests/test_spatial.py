@@ -361,7 +361,7 @@ def test_map_any_within_random_matches_bruteforce_union():
 
 def _straight_trajectory(p0, v, tau):
     start = UavState(t=0.0, p=p0, v=v, a=[0, 0, 0])
-    return Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), tau=tau),), t0=0.0)
+    return Trajectory(segments=(ConstantAccelSegment(start=start, u=np.zeros(3), duration=tau),), t0=0.0)
 
 
 def test_check_trajectory_clear_in_empty_map():
