@@ -104,8 +104,8 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
         seed=log.seed,
         scenario=log.scenario_name,
         timings={
-            "map_update": _stats(log.map_update_seconds),
-            "tree_build": _stats(log.tree_build_seconds),
+            "map_update": _stats([u.total_seconds for u in log.map_updates]),
+            "tree_build": _stats([u.build_seconds for u in log.map_updates]),
             "plan": _plan_stats(log.plan_seconds),
         },
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ class GridConfig:
     resolution: float
     origin: np.ndarray  # world position of the (0,0,0) cell corner
     size: np.ndarray  # extent in meters, grid covers [origin, origin + size)
+    shape: tuple = field(init=False)  # cells per axis, ceil(size / resolution)
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
@@ -45,13 +46,11 @@ class GridConfig:
         if not np.all(self.size > 0):
             raise ValueError("size must be positive on every axis")
         with np.errstate(over="ignore"):  # an extent past the float range counts as inf cells
-            cells = np.prod(np.ceil(self.size / self.resolution))
+            shape = np.ceil(self.size / self.resolution)
+            cells = np.prod(shape)
         if cells > MAX_GRID_CELLS:
             raise ValueError(f"{cells:g} cells at {self.resolution:g} m exceed MAX_GRID_CELLS = {MAX_GRID_CELLS:g}")
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(int(math.ceil(s / self.resolution)) for s in self.size)
+        object.__setattr__(self, "shape", tuple(int(n) for n in shape))
 
     def cells(self, points) -> np.ndarray:
         """Integer index of the cell holding each point (..., 3), in or out of the grid."""

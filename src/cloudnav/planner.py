@@ -50,11 +50,11 @@ class PlannerError(Exception):
 
 
 class StartInCollision(PlannerError):
-    """The requested start state violates the clearance against the current map."""
+    """The requested start state, kept as `start`, violates the clearance against the current map."""
 
-    def __init__(self, distance: float):
+    def __init__(self, start: UavState, distance: float):
         super().__init__(f"start state within {distance:.3f} m of a map point")
-        self.distance = distance
+        self.start, self.distance = start, distance
 
 
 class PlanningFailed(PlannerError):
@@ -115,7 +115,6 @@ class SearchReport:
     cost: float = math.nan
 
 
-@lru_cache(maxsize=16)
 def control_set(a_max: float) -> np.ndarray:
     """All 27 per-axis control combinations, in a fixed deterministic order."""
     axis = (-a_max, 0.0, a_max)
@@ -253,7 +252,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
     goal = np.asarray(goal, dtype=float)
     dist = local_map.nearest_distance(start.p, cfg.clearance)
     if dist <= cfg.clearance:
-        raise StartInCollision(dist)
+        raise StartInCollision(start, dist)
 
     key = _prune_keys(start.p[None], cfg.prune_cell)[0]
     root = SearchNode(start.t, start.p, start.v, start.a, 0.0, 0.0, None, key)  # alone in the heap: f = h = 0

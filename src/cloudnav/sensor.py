@@ -75,7 +75,7 @@ class Capsule:
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
         axis = self.p1 - self.p0  # the unit axis and length, fixed per capsule
-        if not axis @ axis > 0:  # the divisor of distances; far-away short capsules pass
+        if not axis @ axis > 0:  # keeps length, the divisor of a_hat, > 0; far-away short capsules pass
             raise ValueError("capsule endpoints must differ")
         object.__setattr__(self, "length", np.linalg.norm(axis))
         object.__setattr__(self, "a_hat", axis / self.length)
@@ -115,9 +115,8 @@ class Capsule:
         return np.minimum(t, _sphere_hits(origin, self.p1, self.radius, dirs))
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
-        axis = self.p1 - self.p0
-        u = np.clip((pts - self.p0) @ axis / (axis @ axis), 0.0, 1.0)
-        closest = self.p0 + u[..., None] * axis
+        s = np.clip((pts - self.p0) @ self.a_hat, 0.0, self.length)
+        closest = self.p0 + s[..., None] * self.a_hat
         return np.linalg.norm(pts - closest, axis=-1) - self.radius
 
 
@@ -156,9 +155,8 @@ class Box:
         return np.where(hit, np.where(t_near > _EPS, t_near, t_far), np.inf)
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
-        center = 0.5 * (self.lo + self.hi)
-        half = 0.5 * (self.hi - self.lo)
-        q = np.abs(pts - center) - half
+        # per-axis excess over the faces: exact for a box far larger than the distance
+        q = np.maximum(self.lo - pts, pts - self.hi)
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
         inside = np.minimum(np.max(q, axis=-1), 0.0)
         return outside + inside

@@ -78,10 +78,10 @@ class _SensedSpace:
     def queue(self, position: np.ndarray, rotation: np.ndarray, t: float):
         self._queue.append((position.copy(), rotation.copy(), t))
 
-    def mark(self, env: Environment, position: np.ndarray, rotation: np.ndarray, t: float) -> np.ndarray:
+    def mark(self, position: np.ndarray, rotation: np.ndarray, t: float) -> np.ndarray:
         """Sorted keys of the cells one frame's probe rays sweep."""
         dirs = self._dirs_sensor @ rotation.T
-        hits = env.cast_rays(position, dirs, t, _COVERAGE_RANGE)
+        hits = self._env.cast_rays(position, dirs, t, _COVERAGE_RANGE)
         reach = np.where(np.isfinite(hits), hits, _COVERAGE_RANGE)
         pts = position + dirs[:, None, :] * self._steps[None, :, None]
         keep = self._steps[None, :] <= reach[:, None] + _COVERAGE_STEP
@@ -90,7 +90,7 @@ class _SensedSpace:
     def unseen_count(self, traj: Trajectory, dt: float) -> int:
         queued, self._queue = self._queue, []
         for i in range(0, len(queued), _SWEEP_CHUNK):
-            swept = [self.mark(self._env, *pose) for pose in queued[i:i + _SWEEP_CHUNK]]
+            swept = [self.mark(*pose) for pose in queued[i:i + _SWEEP_CHUNK]]
             self._cells = _sorted_unique(np.concatenate([self._cells, *swept]))
         ts = sample_times(traj.t0, traj.duration, dt)
         P, _, _ = traj.states_at(ts)
@@ -120,8 +120,7 @@ class RunLog:
     outcome: str = "timeout"
     frames: list = field(default_factory=list)  # a FrameRecord's index is its position here
     events: list = field(default_factory=list)
-    map_update_seconds: list = field(default_factory=list)
-    tree_build_seconds: list = field(default_factory=list)
+    map_updates: list = field(default_factory=list)  # each frame's MapUpdateInfo
     plan_seconds: list = field(default_factory=list)
     local_map: TemporalLocalMap | None = None
 
@@ -139,7 +138,7 @@ class RunLog:
         return float(np.linalg.norm(np.diff(P, axis=0), axis=1).sum())
 
 
-# Plans start at the first frame at least one planning budget ahead.
+# A first plan starts hovering at the first frame at least one planning budget ahead.
 _HANDOVER_DELAY = math.ceil(PLAN_BUDGET / FRAME_DT - 1e-9) * FRAME_DT
 
 
@@ -173,12 +172,11 @@ class _Tracking:
         """
         cfg, goal, local_map = self._scenario.planner_config, self._scenario.goal, self._map
         active = self._pending if self._pending is not None else self._current
-        handover = t + _HANDOVER_DELAY
         check = cfg
         try:
             if active is None:
                 # with no trajectory to track, the plan starts hovering where the UAV is
-                traj, report = plan(UavState.hover(uav.p, t=handover), goal, cfg, local_map)
+                traj, report = plan(UavState.hover(uav.p, t=t + _HANDOVER_DELAY), goal, cfg, local_map)
                 kind, data = "plan", {}
             else:
                 if self._clearance < cfg.clearance and local_map.any_within(uav.p, cfg.clearance)[0]:
@@ -189,12 +187,10 @@ class _Tracking:
                     return None
                 traj, report = decision.trajectory, decision.report
                 kind, data = "replan", {"collision_time": round(decision.collision_time, 9)}
-        except StartInCollision:
-            # Replan start state already violates the clearance (obstacle swept
-            # onto the UAV): relax the clearance stepwise to escape.
-            start = (UavState.hover(uav.p, t=handover) if active is None
-                     else active.state_at(min(max(handover, active.t0), active.t_end)))
-            traj, report, clearance = relaxed_replan(start, goal, cfg, local_map)
+        except StartInCollision as e:
+            # The search's start state already violates the clearance (obstacle
+            # swept onto the UAV): relax the clearance stepwise from that start.
+            traj, report, clearance = relaxed_replan(e.start, goal, cfg, local_map)
             kind, data = "emergency_relax", {"clearance": round(clearance, 9), "expansions": report.expansions}
         else:
             data.update(expansions=report.expansions, cost=round(report.cost, 9),
@@ -238,8 +234,7 @@ def simulate(scenario: Scenario, seed: int | None = None) -> RunLog:
         scan = generate_scan(env, sensor, uav.p, rotation, t, rng, frame_index=k)
         sensed.queue(uav.p, rotation, t)
         info = local_map.update(scan)
-        log.map_update_seconds.append(info.total_seconds)
-        log.tree_build_seconds.append(info.build_seconds)
+        log.map_updates.append(info)
         if info.wrapped:
             log.events.append(
                 SimEvent(t=t, kind="map_wraparound", data={"tree_sizes": local_map.tree_sizes})

@@ -40,10 +40,8 @@ class KdTree:
     distances. (Unbalanced splits alone are slower to query.)
     """
 
-    def __init__(self, points: np.ndarray | None = None):
-        pts = np.empty((0, 3)) if points is None else np.asarray(points, dtype=float)
-        if pts.size == 0:
-            pts = np.empty((0, 3))
+    def __init__(self, points: np.ndarray):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
         self._points = pts
@@ -126,7 +124,7 @@ class TemporalLocalMap:
     def __init__(self, config: MapConfig):
         self.config = config
         self.total_scans = 0
-        self.trees: list[KdTree] = [KdTree() for _ in range(TREE_COUNT)]
+        self.trees: list[KdTree] = [KdTree(np.empty((0, 3))) for _ in range(TREE_COUNT)]
         self._stamps = [0.0] * TREE_COUNT  # stamp of the scan each tree was last built from
         self._queries = 0  # queries on the current map state
         self._merged: list[KdTree] = []  # one tree over every tree's points, once built

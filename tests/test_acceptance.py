@@ -1,12 +1,18 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS line, and a
+check that the battery workers fail on a warning.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The closed-loop seed
-batteries (criteria 5 and 6) dominate its runtime, about 4 minutes on a
-shared 2-core host.
+batteries (criteria 5 and 6), each flown on up to two worker processes,
+dominate its runtime, about 75 s on a shared 2-core host.
 """
 
+import itertools
 import math
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -175,30 +181,58 @@ def test_criterion_4_planner_postconditions_property_suite():
                 "5 sealed goals failed cleanly")
 
 
+def _fly(name: str, seed: int):
+    """One closed-loop flight of a bundled scenario: its outcome, replan count and audit."""
+    scenario = load_scenario(resolve_scenario_path(name))
+    log = simulate(scenario, seed=seed)
+    return log.outcome, log.replan_count, audit_ground_truth(log, scenario)
+
+
+def _in_workers(fn, *iterables) -> list:
+    """`fn` over the iterables, in order, on at most two spawned worker
+    processes. pytest's warnings-as-errors filter does not reach them, so each
+    worker sets it itself: a warning fails the test here as in-process."""
+    workers = min(2, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=warnings.simplefilter, initargs=("error",)) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+def _fly_seeds(name: str, seeds) -> list:
+    """`_fly` for each seed; a flight depends only on its scenario and seed, not on the process."""
+    return _in_workers(_fly, itertools.repeat(name), seeds)
+
+
+def _reciprocal(x: float) -> float:
+    return float(np.float64(1.0) / x)
+
+
+def test_battery_workers_turn_warnings_into_errors():
+    assert _in_workers(_reciprocal, [2.0, 4.0]) == [0.5, 0.25]
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        _in_workers(_reciprocal, [2.0, 0.0])
+
+
 def test_criterion_5_indoor_bar_reproduction():
-    scenario = load_scenario(resolve_scenario_path("indoor_bar"))
     bound = 0.45 - 0.10 * math.sqrt(3) / 2
     worst = math.inf
-    for seed in range(1, 21):
-        log = simulate(scenario, seed=seed)
-        audit = audit_ground_truth(log, scenario)
+    seeds = range(1, 21)
+    for seed, (outcome, replan_count, audit) in zip(seeds, _fly_seeds("indoor_bar", seeds)):
         bar_d = audit.per_obstacle["bar"]
         worst = min(worst, bar_d)
-        assert log.outcome == "goal_reached", f"seed {seed}: {log.outcome}"
-        assert log.replan_count >= 1, f"seed {seed}: no replan"
+        assert outcome == "goal_reached", f"seed {seed}: {outcome}"
+        assert replan_count >= 1, f"seed {seed}: no replan"
         assert bar_d >= bound, f"seed {seed}: bar distance {bar_d:.3f} < {bound:.3f}"
     report("5", f"20/20 seeds reached the 9 m goal with >=1 replan; "
                 f"worst bar distance {worst:.3f} m >= {bound:.3f} m")
 
 
 def test_criterion_6_forest_branch_reproduction():
-    scenario = load_scenario(resolve_scenario_path("forest_branch"))
     worst = math.inf
-    for seed in range(1, 21):
-        log = simulate(scenario, seed=seed)
-        audit = audit_ground_truth(log, scenario)
+    seeds = range(1, 21)
+    for seed, (outcome, _, audit) in zip(seeds, _fly_seeds("forest_branch", seeds)):
         worst = min(worst, audit.min_distance)
-        assert log.outcome == "goal_reached", f"seed {seed}: {log.outcome}"
+        assert outcome == "goal_reached", f"seed {seed}: {outcome}"
         assert audit.min_distance > 0.0, f"seed {seed}: ground-truth collision"
     report("6", f"20/20 seeds reached the 15 m goal with no collision; "
                 f"worst ground-truth distance {worst:.3f} m")

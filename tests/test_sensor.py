@@ -79,6 +79,21 @@ def test_box_parallel_ray_outside_misses():
     assert np.isinf(t)
 
 
+_HUGE_BOX = "{shape: box, lo: [5, -1.0e+150, -1.0e+150], hi: [1.0e+150, 1.0e+150, 1.0e+150]}"
+
+
+def test_box_distances_do_not_cancel_for_a_box_far_larger_than_the_distance():
+    # |p - center| - half is 5e149 - 5e149 = 0 here; the face excess lo - p is exact
+    box = Box(lo=[5.0, -1e150, -1e150], hi=[1e150, 1e150, 1e150])
+    assert box.distances(np.zeros((1, 3))).tolist() == [5.0]
+    assert box.distances(np.array([[6.0, 0.0, 0.0]])).tolist() == [-1.0]
+    # so the loader accepts a start 5 m in front of it, which it took to be inside
+    scenario = load_scenario(resolve_scenario_path("indoor_bar"),
+                             overrides=["duration=0.5", f"obstacles=[{_HUGE_BOX}]"])
+    assert scenario.start_position.tolist() == [0.0, 0.0, 1.0]
+    assert scenario.environment().min_distance(scenario.start_position, 0.0) == 5.0
+
+
 def test_capsule_hits_match_sphere_marching_oracle():
     cap = Capsule(p0=[3.0, -0.4, 0.7], p1=[3.2, 0.5, 2.1], radius=0.15)
     sdf = lambda p: cap.distances(p[None, :])[0]
@@ -170,8 +185,8 @@ def test_capsule_refuses_only_endpoints_its_distances_cannot_tell_apart():
     d = far.distances(np.array([[2000.005, 0.0, 1.5], [1990.0, 0.0, 1.0], [2000.0, 0.0, 1.0]]))
     assert np.isfinite(d).all()
     assert d == pytest.approx([0.4, 9.9, -0.1])
-    # the axis's squared length, distances' divisor, is 0 for coincident endpoints
-    # and for endpoints 1e-200 apart, whose square underflows
+    # the axis's squared length, tested to keep length (a_hat's divisor) > 0, is 0
+    # for coincident endpoints and for endpoints 1e-200 apart, whose square underflows
     for p0, p1 in (([2000.0, 0.0, 1.0], [2000.0, 0.0, 1.0]), ([0.0, 0.0, 0.0], [1e-200, 0.0, 0.0])):
         with pytest.raises(ValueError, match="capsule endpoints must differ"):
             Capsule(p0=p0, p1=p1, radius=0.1)

@@ -5,13 +5,15 @@ import re
 import numpy as np
 import pytest
 
+import cloudnav.sim
 from cloudnav.cli import resolve_scenario_path
 from cloudnav.core import (
     ConstantAccelSegment, KinodynamicLimits, Trajectory, UavState, sample_times, voxel_keys,
 )
 from cloudnav.scenario import CompareConfig, ScenarioError, apply_overrides, load_scenario, scenario_from_dict
 from cloudnav.sensor import FRAME_DT, Environment, yaw_rotation
-from cloudnav.sim import _COVERAGE_CELL, _SWEEP_CHUNK, _SensedSpace, audit_ground_truth, simulate
+from cloudnav.planner import PLAN_BUDGET
+from cloudnav.sim import _COVERAGE_CELL, _HANDOVER_DELAY, _SWEEP_CHUNK, _SensedSpace, audit_ground_truth, simulate
 
 
 def mini_scenario(obstacles=None, goal=(9.0, 0.0, 1.0), duration=30.0, seed=5, **extra):
@@ -142,7 +144,7 @@ def test_deferred_sweep_counts_as_an_eager_per_frame_sweep():
     eager = set()
     for pose in frames:
         sensed.queue(*pose)
-        eager.update(sensed.mark(env, *pose).tolist())
+        eager.update(sensed.mark(*pose).tolist())
     # level 30 m plans fanned across the turn run past the sensor's range
     got, want = [], []
     for a in yaw + np.linspace(-0.5 * math.pi, 0.5 * math.pi, 9):
@@ -462,12 +464,37 @@ def test_override_bad_format_rejected():
         apply_overrides({}, ["planner.v_max"])
 
 
-def test_obstacle_inside_clearance_at_start_takes_emergency_path():
+def _record_searches(monkeypatch):
+    """Two lists the loop fills as it flies: its first plans' trajectories and
+    the start states its emergency replans are given."""
+    planned, relaxed_starts = [], []
+    plan, relaxed_replan = cloudnav.sim.plan, cloudnav.sim.relaxed_replan
+
+    def recording_plan(*args):
+        traj, report = plan(*args)
+        planned.append(traj)
+        return traj, report
+
+    def recording_relaxed_replan(start, *args):
+        relaxed_starts.append(start)
+        return relaxed_replan(start, *args)
+
+    monkeypatch.setattr(cloudnav.sim, "plan", recording_plan)
+    monkeypatch.setattr(cloudnav.sim, "relaxed_replan", recording_relaxed_replan)
+    return planned, relaxed_starts
+
+
+def test_obstacle_inside_clearance_at_start_takes_emergency_path(monkeypatch):
     # the sphere sits 0.3 m from the start, inside the 0.45 m clearance: the
-    # first plan relaxes the clearance (0.45 * 0.8^3) instead of failing
+    # first plan relaxes the clearance (0.45 * 0.8^3) instead of failing,
+    # from the hover at the first frame one planning budget ahead
     rock = {"name": "rock", "shape": "sphere", "center": [0.6, 0.0, 1.0], "radius": 0.3}
     scenario = mini_scenario(obstacles=[rock])
+    _, relaxed_starts = _record_searches(monkeypatch)
     log = simulate(scenario)
+    start = relaxed_starts[0]
+    assert (start.t, start.p.tolist()) == (_HANDOVER_DELAY, [0.0, 0.0, 1.0])
+    assert not start.v.any() and not start.a.any()
     first = log.events[0]
     assert (first.t, first.kind) == (0.0, "emergency_relax")
     assert first.data == {"clearance": 0.2304, "expansions": 16}
@@ -486,18 +513,24 @@ DROPPED_ROCK = {
 }
 
 
-def test_obstacle_dropped_ahead_mid_flight_relaxes_from_the_tracked_trajectory():
+def test_obstacle_dropped_ahead_mid_flight_relaxes_from_the_tracked_trajectory(monkeypatch):
     # the sphere drops in 0.4 m ahead of the accelerating UAV, inside the
-    # clearance band: the relaxed plan starts on the tracked trajectory one
-    # handover ahead, not from a hover
+    # clearance band: the relaxed plan starts on the tracked trajectory where
+    # the failed replan's search did, one planning budget past the tracking
+    # time, not from a hover
     scenario = mini_scenario(obstacles=[DROPPED_ROCK], duration=12.0)
+    planned, relaxed_starts = _record_searches(monkeypatch)
     log = simulate(scenario)
+    [start] = relaxed_starts
+    assert start.t == 0.5 + PLAN_BUDGET
+    want = planned[0].state_at(start.t)
+    assert all(np.array_equal(a, b) for a, b in zip((start.p, start.v, start.a), (want.p, want.v, want.a)))
     searches = [(ev.t, ev.kind) for ev in log.events if ev.kind != "map_wraparound"]
     assert searches == [(0.0, "plan"), (0.5, "emergency_relax")]
-    assert log.events[1].data == {"clearance": 0.36, "expansions": 13}
+    assert log.events[1].data == {"clearance": 0.36, "expansions": 19}
     assert log.outcome == "goal_reached"
     assert log.replan_count == 1
-    assert audit_ground_truth(log, scenario).min_distance == pytest.approx(0.3908, abs=1e-4)
+    assert audit_ground_truth(log, scenario).min_distance == pytest.approx(0.3924, abs=1e-4)
 
 
 def test_short_duration_ends_in_timeout():

@@ -29,7 +29,7 @@ def brute_nearest_distance(points, q, r):
 
 
 def test_kdtree_empty():
-    t = KdTree()
+    t = KdTree(np.empty((0, 3)))
     assert t.size == 0
     assert t.nearest_distance([0, 0, 0], 1.0) == np.inf
     assert np.array_equal(t.nearest_distance(np.zeros((4, 3)), 10.0), np.full(4, np.inf))
