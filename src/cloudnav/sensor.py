@@ -5,14 +5,17 @@ boxes, optionally translated over time by a piecewise-linear schedule. Scans
 are produced by closed-form ray casting along a Risley-style rosette sweep
 inside the elliptical field of view.
 
-Each obstacle casts with its own matvecs (`dirs @ v` on the full ray block):
-a gemm over all obstacles, `einsum`, a written-out dot product or a matvec on
-a subset of rays all round some hits differently, which moves scan points and
-with them every map and flight. Only elementwise work is restructured.
+Each obstacle casts with its own matvecs (`dirs @ v`): a gemm over all
+obstacles, `einsum` or a written-out dot product rounds some hits differently,
+which moves scan points and with them every map and flight. A matvec over two
+or more rows of a C-contiguous block rounds each row as the whole block's does
+(a one-row matvec does not), so a capsule may cast only the rows in its band:
+the rays whose lines pass within its radius of its axis line. Otherwise only
+elementwise work is restructured.
 
 A cast skips an obstacle whose bounding sphere, seen from outside, lies out of
-range or off the ray block's view cone; the rest run on the full block. A
-skipped one could only have returned inf to the minimum, so no byte moves.
+range or off the ray block's view cone. A skipped obstacle, like a ray outside
+a capsule's band, could only have returned inf to the minimum, so no byte moves.
 """
 
 from __future__ import annotations
@@ -26,15 +29,16 @@ from .core import PointCloud
 
 _EPS = 1e-12
 # Broad-phase slack, far above float error: bounding radii grow by it (relative
-# and in metres), the view cone by it in radians; rays may be off unit length by it.
+# and in metres), the view cone by it in radians; rays may be off unit length by
+# it, which widens a capsule's band (Capsule._band).
 _SLACK = 1e-6
 
 
-def _sphere_hits(origin: np.ndarray, center: np.ndarray, radius: float, dirs: np.ndarray) -> np.ndarray:
-    oc = origin - center
-    b = dirs @ oc
-    disc = b * b - (oc @ oc - radius**2)
-    t = np.full(len(dirs), np.inf)
+def _nearest_roots(b: np.ndarray, c) -> np.ndarray:
+    """Smallest root above _EPS of t^2 + 2 b t + c, elementwise (b and c
+    broadcast to b's shape); inf where there is none."""
+    disc = b * b - c
+    t = np.full(b.shape, np.inf)
     m = disc >= 0
     if m.any():
         sq = np.sqrt(disc[m])
@@ -57,7 +61,8 @@ class Sphere:
         return self.center, self.radius
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        return _sphere_hits(origin, self.center, self.radius, dirs)
+        oc = origin - self.center
+        return _nearest_roots(dirs @ oc, oc @ oc - self.radius**2)
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts - self.center, axis=-1) - self.radius
@@ -84,17 +89,53 @@ class Capsule:
         return 0.5 * (self.p0 + self.p1), 0.5 * self.length + self.radius
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        oc = origin - self.p0
+        oc_a = oc @ self.a_hat
+        o_perp = oc - oc_a * self.a_hat
+        rows = self._band(oc, o_perp, dirs)
+        if rows is None:
+            return self._hits(origin, oc, oc_a, o_perp, dirs)
+        t = np.full(len(dirs), np.inf)
+        if len(rows):
+            t[rows] = self._hits(origin, oc, oc_a, o_perp, dirs[rows])
+        return t
+
+    def _band(self, oc: np.ndarray, o_perp: np.ndarray, dirs: np.ndarray) -> np.ndarray | None:
+        """Rows of the rays that can hit, never exactly one; None to cast the whole block.
+
+        Every hit lies on a ray line that passes within the radius r of the
+        axis line. That line's distance to the axis is d |dir . n| / |dir x a|,
+        for a the unit axis, n the unit normal of the plane through the origin
+        and the axis, and d the origin's distance to the axis; so
+        |dir . n| <= r |dir| / d. The caps' kernel takes rays for unit length:
+        to a ray off it by _SLACK, a cap sphere D away looks as wide as
+        sqrt(r^2 + _SLACK D^2). So r grows to that, which also covers |dir|
+        and the cylinder's rounding, plus 1e-9 D for the caps' rounding. The
+        kept rows must round as the block's do: row subsets of a C-contiguous
+        block do, one-row matvecs and other layouts do not.
+        """
+        if len(dirs) < 2 or not dirs.flags.c_contiguous:
+            return None
+        ax, ay, az = self.a_hat.tolist()
+        px, py, pz = o_perp.tolist()
+        nx, ny, nz = ay * pz - az * py, az * px - ax * pz, ax * py - ay * px  # a x o_perp
+        d = math.hypot(px, py, pz)
+        reach = math.hypot(*oc.tolist()) + self.length  # bounds D for both caps
+        r = math.sqrt(self.radius * self.radius + _SLACK * reach * reach) + 1e-9 * reach
+        if not d > r:  # the origin within r of the axis line, or a nan or inf scalar
+            return None
+        rows = np.flatnonzero(np.abs(dirs @ np.array([nx, ny, nz])) <= r / d * math.hypot(nx, ny, nz))
+        return np.array([0, max(rows[0], 1)]) if len(rows) == 1 else rows
+
+    def _hits(self, origin, oc, oc_a, o_perp, dirs) -> np.ndarray:
         # Infinite cylinder around the axis, then clip to the segment span and
         # fall back to the cap spheres.
         a_hat = self.a_hat
-        oc = origin - self.p0
-        oc_a = oc @ a_hat
         # d_perp = dirs - outer(u, a_hat) column by column, C-contiguous for the matvec
         u = dirs @ a_hat
         d_perp = np.empty((len(dirs), 3))
         for k in range(3):
             np.subtract(dirs[:, k], u * a_hat[k], out=d_perp[:, k])
-        o_perp = oc - oc_a * a_hat
         x, y, z = d_perp.T
         A = x * x + y * y + z * z
         B = d_perp @ o_perp
@@ -111,8 +152,13 @@ class Capsule:
             with np.errstate(invalid="ignore"):
                 s = oc_a + tc * (dirs[hm] @ a_hat)
                 t[hm] = np.where((s >= 0) & (s <= self.length), tc, np.inf)
-        t = np.minimum(t, _sphere_hits(origin, self.p0, self.radius, dirs))
-        return np.minimum(t, _sphere_hits(origin, self.p1, self.radius, dirs))
+        # the two cap spheres as one (2, n) block, each row its own matvec
+        caps = (oc, origin - self.p1)
+        b = np.empty((2, len(dirs)))
+        for row, v in zip(b, caps):
+            np.matmul(dirs, v, out=row)
+        tcap = _nearest_roots(b, np.array([[v @ v - self.radius**2] for v in caps]))
+        return np.minimum(t, np.minimum(tcap[0], tcap[1]))
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         s = np.clip((pts - self.p0) @ self.a_hat, 0.0, self.length)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cloudnav.cli import resolve_scenario_path
-from cloudnav.scenario import load_scenario
+from cloudnav.scenario import MAX_GEOMETRY, load_scenario
 from cloudnav.sensor import (
+    _SLACK,
     FOV_H_DEG,
     FOV_V_DEG,
     FRAME_DT,
@@ -269,9 +270,11 @@ def test_scan_points_in_world_frame():
 # --- bit-exactness of the ray casts ------------------------------------------
 # The reference below is the per-obstacle ray formula set the loop was first
 # recorded with (golden digests, benchmark digests). The shipped kernels must
-# return the same bits on every cast: any change of BLAS call shape (a gemm
-# over obstacles, einsum, a matvec over a row subset) moves the last bits of
-# some dot products, and with them scan points, maps and flights.
+# return the same bits on every cast: a change of BLAS call shape (a gemm over
+# obstacles, einsum, a one-row matvec) moves the last bits of some dot
+# products, and with them scan points, maps and flights. A matvec over two or
+# more rows of a C-contiguous block rounds each row as the whole block's does
+# (test_row_subset_matvec_rounds_as_the_block), which the capsule band uses.
 
 
 def _ref_sphere(center, radius, origin, dirs):
@@ -417,19 +420,124 @@ def _exactness_casts():
     return casts
 
 
+# The capsule band: Capsule.ray_hits casts only the rows whose ray lines can
+# pass within its radius of its axis line, or the whole block where it cannot
+# tell. Equality with the reference, which casts every row, shows that no
+# dropped row held a hit.
+
+
+def _band_rows(cap, origin, dirs):
+    """The rows Capsule.ray_hits hands its kernel; None for the whole block."""
+    oc = np.asarray(origin, dtype=float) - cap.p0
+    return cap._band(oc, oc - (oc @ cap.a_hat) * cap.a_hat, dirs)
+
+
+_BAR = Capsule(p0=[3.0, 0.0, 0.2], p1=[3.0, 0.0, 2.2], radius=0.01)
+_BAR_ORIGIN = np.array([0.0, 0.0, 1.0])  # 3 m in front of the bar, level with its middle
+
+
+def _level_rays(angles):
+    """Level rays from _BAR_ORIGIN at these angles (rad) off the bar: each
+    angle's sine is its ray's offset from the plane through the origin and the bar."""
+    angles = np.asarray(angles, dtype=float)
+    return np.column_stack([np.cos(angles), np.sin(angles), np.zeros(len(angles))])
+
+
+def _band_edge():
+    """The angle where level rays leave the bar's band, found by bisection on
+    the band itself: the two rays at angle 0 keep the band from padding."""
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        rows = _band_rows(_BAR, _BAR_ORIGIN, _level_rays([0.0, 0.0, mid]))
+        lo, hi = (mid, hi) if 2 in rows else (lo, mid)
+    return lo
+
+
+def _capsule_band_casts():
+    """(label, env, origin, dirs, t, max_range) of casts at the edges of the capsule band."""
+    sensor = SensorModel()
+    forest = load_scenario(resolve_scenario_path("forest_branch"))
+    trees = forest.environment()
+    start, yaw = forest.start_position, forest.start_yaw
+    casts = []
+    # forest rosette blocks from the start pose, with the branch above, moving
+    # and lowered across the path, and from along the flight
+    for frame, t in ((0, 0.0), (60, 1.2), (110, 2.2), (150, 3.0), (210, 4.2), (400, 8.0)):
+        dirs = rosette_directions(sensor, frame) @ yaw_rotation(yaw).T
+        casts.append((f"forest-start-t{t}", trees, start, dirs, t, MAX_RANGE))
+    for pos, yaw_, t in (([4.0, 0.2, 1.4], 0.3, 3.0), ([7.0, 0.5, 1.5], -0.4, 5.0), ([9.0, -0.3, 1.3], 0.0, 6.0)):
+        dirs = rosette_directions(sensor, int(t * 50)) @ yaw_rotation(yaw_).T
+        casts.append((f"forest-{pos[0]}-t{t}", trees, pos, dirs, t, MAX_RANGE))
+    # beside trunk tree01 (2.5, 1.2), radius 0.12: 1 mm and 5 cm outside it,
+    # facing the trunk and along it
+    for gap in (1e-3, 0.05):
+        pos = [2.5 - 0.12 - gap, 1.2, 1.5]
+        for yaw_ in (0.0, math.pi / 2):
+            dirs = rosette_directions(sensor, 7) @ yaw_rotation(yaw_).T
+            casts.append((f"beside-trunk-{gap}-yaw{yaw_:.2f}", trees, pos, dirs, 0.0, MAX_RANGE))
+    # the same forest block laid out column-major: its matvecs round as the
+    # block's do only when cast whole
+    fortran = np.asfortranarray(rosette_directions(sensor, 0) @ yaw_rotation(yaw).T)
+    casts.append(("forest-start-column-major", trees, start, fortran, 0.0, MAX_RANGE))
+    # level rays across the bar: the band of exactly one ray (padded to two
+    # rows) and of none, and rays 1e-9 rad either side of the bar's tangent
+    # and of the band's edge
+    bar = Environment([Obstacle(shape=_BAR)])
+    tangent, edge = math.asin(_BAR.radius / 3.0), _band_edge()
+    wide = np.linspace(0.05, 0.3, 40)
+    for label, angles in (("one-ray", np.r_[0.0, wide]), ("one-ray-last", np.r_[wide, 1e-3]),
+                          ("no-ray", wide), ("tangent", tangent + np.array([-1e-9, 0.0, 1e-9, -1e-3])),
+                          ("edge", edge + np.array([-1e-9, 1e-9, 1e-3, -1e-9]))):
+        casts.append((f"bar-{label}", bar, _BAR_ORIGIN, _level_rays(angles), 0.0, 100.0))
+    # rays off unit length by nearly _SLACK toward the caps of a capsule 400 m
+    # away: the caps' kernel, which takes rays for unit length, sees them hit
+    # 0.3 m off a 0.1 m cap sphere
+    far = Capsule(p0=[400.0, 0.0, -1.0], p1=[400.0, 0.0, 1.0], radius=0.1)
+    aims = [[400.0, 0.0, z] for z in (-1.4, -1.3, -1.2, 1.2, 1.3, 1.4, 0.0)] + [[400.0, 0.3, 1.0], [400.0, -0.3, -1.0]]
+    aims = np.array(aims) / np.linalg.norm(aims, axis=1)[:, None]
+    for sign in (1.0, -1.0):
+        dirs = aims * math.sqrt(1.0 + sign * 0.99 * _SLACK)
+        casts.append((f"far-caps-off-unit{sign:+.0f}", Environment([Obstacle(shape=far)]), [0.0, 0.0, 0.0],
+                      dirs, 0.0, 1000.0))
+    # origins inside the capsule, on its axis line beyond either end, and in
+    # its infinite cylinder past the segment: the band casts the whole block
+    rng = np.random.default_rng(25)
+    targets = _BAR.p0 + rng.uniform(-0.1, 1.1, (250, 1)) * (_BAR.p1 - _BAR.p0) + rng.normal(0.0, 0.01, (250, 3))
+    for label, origin in (("inside", [3.0, 0.005, 1.0]), ("axis-below", [3.0, 0.0, -1.0]),
+                          ("axis-above", [3.0, 0.0, 3.5]), ("cylinder-past-end", [3.0, 0.006, 2.5])):
+        dirs = np.vstack([rng.normal(size=(250, 3)), targets - origin])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        casts.append((f"bar-origin-{label}", bar, origin, dirs, 0.0, 100.0))
+    # the scheduled indoor bar before, during and after its rise
+    indoor = _bundled_env("indoor_bar")
+    for t in (0.0, 1.5, 2.0, 2.6, 3.5):
+        dirs = rosette_directions(sensor, int(t * 50) + 3) @ yaw_rotation(0.05).T
+        casts.append((f"indoor-bar-t{t}", indoor, [1.5, 0.1, 1.1], dirs, t, MAX_RANGE))
+    # capsule coordinates near MAX_GEOMETRY, seen from afar and from beside it
+    huge = Capsule(p0=[MAX_GEOMETRY, 0.0, -0.1 * MAX_GEOMETRY], p1=[MAX_GEOMETRY, 0.0, 0.1 * MAX_GEOMETRY],
+                   radius=1e-3 * MAX_GEOMETRY)
+    huge_env = Environment([Obstacle(shape=huge)])
+    block = rosette_directions(sensor, 2)
+    casts.append(("max-geometry-afar", huge_env, [0.0, 0.0, 0.0], block, 0.0, math.inf))
+    casts.append(("max-geometry-beside", huge_env, [0.97 * MAX_GEOMETRY, 0.0, 0.0], block, 0.0, math.inf))
+    return casts
+
+
 _CASTS = _exactness_casts()
+_BAND_CASTS = _capsule_band_casts()
 
 
 # "error": a numpy RuntimeWarning (say 0 * inf on a zero direction component
 # outside np.errstate) fails the cast
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", _CASTS, ids=[c[0] for c in _CASTS])
+@pytest.mark.parametrize("case", _CASTS + _BAND_CASTS, ids=[c[0] for c in _CASTS + _BAND_CASTS])
 def test_cast_rays_bit_identical_to_reference(case):
     label, env, origin, dirs, t, max_range = case
     got = env.cast_rays(origin, dirs, t, max_range)
     ref = _ref_cast_rays(env, origin, dirs, t, max_range)
     assert np.array_equal(got, ref)
-    assert np.isfinite(got).any() or label == "box-skim-outside"
+    assert np.isfinite(got).any() or label in ("box-skim-outside", "bar-no-ray", "bar-edge")
 
 
 @pytest.mark.filterwarnings("error")
@@ -445,6 +553,95 @@ def test_cast_ray_single_bit_identical_to_reference():
         assert got.shape == (1,) and np.array_equal(got, ref)
         n_hits += bool(np.isfinite(ref[0]))
     assert n_hits > 0
+
+
+# --- the capsule band: which rows reach the kernel -----------------------------
+
+
+def test_capsule_band_cases_take_the_paths_they_name():
+    cases = {c[0]: c for c in _BAND_CASTS}
+    rows = {label: _band_rows(_BAR, c[2], c[3]) for label, c in cases.items() if label.startswith("bar-")}
+    assert rows["bar-one-ray"].tolist() == [0, 1]  # ray 0 alone, padded with ray 1
+    assert rows["bar-one-ray-last"].tolist() == [0, 40]
+    assert rows["bar-no-ray"].tolist() == []
+    assert rows["bar-tangent"].tolist() == [0, 1, 2, 3]
+    assert rows["bar-edge"].tolist() == [0, 3]  # just inside the edge, not just outside it
+    for label in ("inside", "axis-below", "axis-above", "cylinder-past-end"):
+        assert rows[f"bar-origin-{label}"] is None, label
+    # rays hit short of the bar's tangent, not past it
+    ref = _ref_cast_rays(*cases["bar-tangent"][1:])
+    assert np.isfinite(ref)[[0, 2, 3]].tolist() == [True, False, True]
+    # a column-major block is cast whole
+    _, trees, start, fortran, _, _ = cases["forest-start-column-major"]
+    assert _band_rows(trees.obstacles[1].shape, start, fortran) is None
+    # off unit length, the caps' kernel hits rays farther off the axis than
+    # radius / distance, which the band keeps
+    for label in ("far-caps-off-unit+1", "far-caps-off-unit-1"):
+        _, env, origin, dirs, _, max_range = cases[label]
+        cap = env.obstacles[0].shape
+        hit = np.isfinite(_ref_cast_rays(env, origin, dirs, 0.0, max_range))
+        n = np.cross(cap.a_hat, np.asarray(origin) - cap.p0)
+        off_axis = np.abs(dirs @ n) / np.linalg.norm(n)
+        assert (hit & (off_axis > cap.radius / 400.0 * (1.0 + _SLACK) + _SLACK)).any() == label.endswith("+1")
+        assert len(_band_rows(cap, origin, dirs)) == len(dirs)
+
+
+def test_capsule_band_culls_most_forest_rays(monkeypatch):
+    sent = []
+    kernel = Capsule._hits
+    monkeypatch.setattr(Capsule, "_hits", lambda self, o, oc, oc_a, o_perp, d: sent.append(len(d)) or
+                        kernel(self, o, oc, oc_a, o_perp, d))
+    forest = load_scenario(resolve_scenario_path("forest_branch"))
+    env, sensor = forest.environment(), forest.sensor
+    for frame in range(5):
+        dirs = rosette_directions(sensor, frame) @ yaw_rotation(forest.start_yaw).T
+        env.cast_rays(forest.start_position, dirs, 0.0, MAX_RANGE)
+    assert len(sent) >= 5 * 8  # most trees are in view
+    assert sum(sent) < 0.1 * sensor.points_per_frame * len(sent)
+
+
+@pytest.mark.filterwarnings("error")
+def test_capsule_band_bit_identical_on_random_geometry():
+    # capsules from 1 mm to 1e149 m out, origins beside them and near their
+    # axis lines beyond the ends, rays aimed at them and off unit length by up to _SLACK
+    rng = np.random.default_rng(47)
+    culled = hit = 0
+    for _ in range(400):
+        scale = 10.0 ** rng.uniform(-3, 149)
+        a = rng.normal(size=3)
+        a /= np.linalg.norm(a)
+        p0 = rng.normal(size=3) * scale
+        length, radius = scale * 10.0 ** rng.uniform(-3, 0), scale * 10.0 ** rng.uniform(-5, -1)
+        cap = Capsule(p0=p0, p1=p0 + length * a, radius=radius)
+        side = np.cross(a, rng.normal(size=3))
+        side /= np.linalg.norm(side)
+        if rng.random() < 0.5:
+            origin = p0 + rng.uniform(0, 1) * length * a + side * radius * 10.0 ** rng.uniform(0, 4)
+        else:
+            origin = p0 - rng.uniform(0.1, 100) * length * a + side * radius * rng.uniform(0.5, 3)
+        targets = cap.p0 + rng.uniform(-0.2, 1.2, (60, 1)) * (cap.p1 - cap.p0) + rng.normal(size=(60, 3)) * radius
+        dirs = np.vstack([targets - origin, rng.normal(size=(20, 3))])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        dirs *= np.sqrt(1.0 + rng.choice([0.0, 0.99, -0.99], (len(dirs), 1)) * _SLACK)
+        ref = _ref_capsule(cap.p0, cap.p1, cap.radius, origin, dirs)
+        assert np.array_equal(cap.ray_hits(origin, dirs), ref)
+        culled += _band_rows(cap, origin, dirs) is not None
+        hit += bool(np.isfinite(ref).any())
+    assert culled >= 150 and hit >= 300
+
+
+def test_row_subset_matvec_rounds_as_the_block():
+    # what the capsule band rests on: a matvec over any two or more rows of a
+    # C-contiguous block returns those rows of the block's matvec bit for bit
+    rng = np.random.default_rng(31)
+    sensor = SensorModel()
+    for frame in range(8):
+        dirs = rosette_directions(sensor, 97 * frame) @ yaw_rotation(rng.uniform(-math.pi, math.pi)).T
+        for v in (rng.normal(size=3), rng.normal(size=3) * 1e3, rng.normal(size=3) * 1e-3):
+            full = dirs @ v
+            for k in (2, 3, 4, 5, 17, 100, 1000, 4799, 4800, *rng.integers(2, 4801, 4)):
+                idx = np.sort(rng.choice(len(dirs), int(k), replace=False))
+                assert np.array_equal(dirs[idx] @ v, full[idx]), (frame, k)
 
 
 # --- the bounding-sphere broad phase ------------------------------------------
