@@ -5,13 +5,16 @@ boxes, optionally translated over time by a piecewise-linear schedule. Scans
 are produced by closed-form ray casting along a Risley-style rosette sweep
 inside the elliptical field of view.
 
-Each obstacle casts with its own matvecs (`dirs @ v`): a gemm over all
-obstacles, `einsum` or a written-out dot product rounds some hits differently,
-which moves scan points and with them every map and flight. A matvec over two
-or more rows of a C-contiguous block rounds each row as the whole block's does
-(a one-row matvec does not), so a capsule may cast only the rows in its band:
-the rays whose lines pass within its radius of its axis line. Otherwise only
-elementwise work is restructured.
+Each obstacle casts with its own matvecs (`dirs @ v`) and 3-vector dot
+products: a gemm over all obstacles, `einsum` or a written-out dot product
+rounds some hits differently, which moves scan points and with them every map
+and flight. A matvec over two or more rows of a C-contiguous block rounds each
+row as the whole block's does (a one-row matvec does not), also as a row slice
+of a larger block and into a slice of a larger output. So a capsule casts only
+the rows in its band, the rays whose lines pass within its radius of its axis
+line, and all capsules of a cast share one pass (_CapsuleTable): each keeps its
+matvecs, while every elementwise step runs once over all their rows. Only
+elementwise work is otherwise restructured.
 
 A cast skips an obstacle whose bounding sphere, seen from outside, lies out of
 range or off the ray block's view cone. A skipped obstacle, like a ray outside
@@ -21,7 +24,8 @@ a capsule's band, could only have returned inf to the minimum, so no byte moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,9 +33,12 @@ from .core import PointCloud
 
 _EPS = 1e-12
 # Broad-phase slack, far above float error: bounding radii grow by it (relative
-# and in metres), the view cone by it in radians; rays may be off unit length by
-# it, which widens a capsule's band (Capsule._band).
+# and in metres), the view cone by it in radians.
 _SLACK = 1e-6
+# How far a ray's squared length may be off 1 (a scan's rays are off by about
+# 1e-15). The sphere and cap kernels take rays for unit length, so a capsule's
+# band widens by it (_CapsuleTable._band).
+_UNIT_TOL = 1e-12
 
 
 def _nearest_roots(b: np.ndarray, c) -> np.ndarray:
@@ -89,81 +96,125 @@ class Capsule:
         return 0.5 * (self.p0 + self.p1), 0.5 * self.length + self.radius
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        oc = origin - self.p0
-        oc_a = oc @ self.a_hat
-        o_perp = oc - oc_a * self.a_hat
-        rows = self._band(oc, o_perp, dirs)
-        if rows is None:
-            return self._hits(origin, oc, oc_a, o_perp, dirs)
-        t = np.full(len(dirs), np.inf)
-        if len(rows):
-            t[rows] = self._hits(origin, oc, oc_a, o_perp, dirs[rows])
-        return t
+        best = np.full(len(dirs), np.inf)
+        return _CapsuleTable([self]).ray_hits([0], np.asarray(origin, dtype=float)[None], dirs, best)
 
-    def _band(self, oc: np.ndarray, o_perp: np.ndarray, dirs: np.ndarray) -> np.ndarray | None:
-        """Rows of the rays that can hit, never exactly one; None to cast the whole block.
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        s = np.clip((pts - self.p0) @ self.a_hat, 0.0, self.length)
+        closest = self.p0 + s[..., None] * self.a_hat
+        return np.linalg.norm(pts - closest, axis=-1) - self.radius
+
+
+class _CapsuleTable:
+    """Capsules stacked for one pass over all of them: p0, p1 and the unit
+    axis a_hat of each as (K, 3, 3) rows, radius**2 and length as (K, 2)."""
+
+    def __init__(self, capsules: list[Capsule]):
+        self.shapes = tuple(capsules)
+        self.frames = np.array([(c.p0, c.p1, c.a_hat) for c in capsules]).reshape(-1, 3, 3)
+        self.r2_length = np.array([(c.radius**2, c.length) for c in capsules], dtype=float).reshape(-1, 2)
+        self._band_scalars = [(c.a_hat.tolist(), float(c.radius), float(c.length)) for c in capsules]
+
+    def ray_hits(self, which, origins: np.ndarray, dirs: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Lower best, in place, to each ray's range to its first hit on the
+        capsules `which` (table rows), the k-th of them cast from origins[k];
+        return best.
+
+        Each capsule casts the rows of its band with matvecs of its own; every
+        elementwise step runs once over all capsules' rows, each row with its
+        capsule's scalars, and np.minimum.at folds the hits into best.
+        """
+        frames, (r2, length) = self.frames[which], self.r2_length[which].T
+        a = frames[:, 2]
+        g = np.empty((len(a), 3, 3))  # each capsule's o_perp, then its origin from p0 and from p1
+        o_perp, oc, oc1 = g.transpose(1, 0, 2)
+        np.subtract(origins[:, None], frames[:, :2], out=g[:, 1:])
+        oc_a = np.vecdot(oc, a)  # one ddot a capsule, as `oc @ a` rounds
+        np.subtract(oc, oc_a[:, None] * a, out=o_perp)
+        bands = self._band(which, oc, o_perp, dirs)
+        whole = [rows is None for rows in bands]
+        bands = [np.arange(len(dirs)) if w else rows for rows, w in zip(bands, whole)]
+        counts = [len(rows) for rows in bands]
+        ends = list(accumulate(counts))
+        n = ends[-1]
+        if not n:
+            return best
+        rows = np.concatenate(bands)
+        cap = np.arange(len(bands)).repeat(counts)
+        spans = list(zip([0, *ends], ends))
+        d = dirs[rows]
+        # three quadratics a row, t^2 A + 2 b t + c = 0: the infinite cylinder
+        # around the axis, whose hits are then clipped to the segment span, and
+        # the two cap spheres, for which A is 1; a whole-block capsule's
+        # matvecs take the block itself, whose layout the bits depend on
+        u, b = np.empty(n), np.empty((3, n))
+        for (s, e), w, av, v0, v1 in zip(spans, whole, a, oc, oc1):
+            if e > s:
+                block = dirs if w else d[s:e]
+                np.matmul(block, av, out=u[s:e])
+                np.matmul(block, v0, out=b[1, s:e])
+                np.matmul(block, v1, out=b[2, s:e])
+        d_perp = d - u[:, None] * a[cap]  # C-contiguous: its row slices' matvecs round as the block's
+        for (s, e), vp in zip(spans, o_perp):
+            if e > s:
+                np.matmul(d_perp[s:e], vp, out=b[0, s:e])
+        x, y, z = d_perp.T
+        A = np.empty((3, n))
+        np.add(x * x + y * y, z * z, out=A[0])
+        A[1:] = 1.0
+        c = (np.vecdot(g, g) - r2[:, None])[cap].T
+        disc = np.where(A > _EPS, b * b - A * c, -1.0).ravel()
+        hm = (disc >= 0).nonzero()[0]
+        sq, nb, ah = np.sqrt(disc[hm]), -b.ravel()[hm], A.ravel()[hm]
+        t0, t1 = (nb - sq) / ah, (nb + sq) / ah
+        tc = np.where(t0 > _EPS, t0, np.where(t1 > _EPS, t1, np.inf))
+        # the cylinder's hits lead hm; each capsule's take a matvec of their
+        # own, as one row rounds unlike a block
+        cyl = hm[:hm.searchsorted(n)]
+        d_hit, along = d[cyl], np.empty(len(cyl))
+        cuts = cyl.searchsorted([0, *ends]).tolist()
+        for s, e, av in zip(cuts, cuts[1:], a):
+            if e > s:
+                np.matmul(d_hit[s:e], av, out=along[s:e])
+        # axial coordinate of the cylinder hit must fall inside the segment
+        # (misses carry tc=inf; the nan they produce here fails the check)
+        k, tcyl = cap[cyl], tc[:len(cyl)]
+        with np.errstate(invalid="ignore"):
+            ax = oc_a[k] + tcyl * along
+            tc[:len(cyl)] = np.where((ax >= 0) & (ax <= length[k]), tcyl, np.inf)
+        np.minimum.at(best, rows[hm % n], tc)
+        return best
+
+    def _band(self, which, oc: np.ndarray, o_perp: np.ndarray, dirs: np.ndarray) -> list:
+        """Each capsule's rows of the rays that can hit it, never exactly one;
+        None to cast the whole block.
 
         Every hit lies on a ray line that passes within the radius r of the
         axis line. That line's distance to the axis is d |dir . n| / |dir x a|,
         for a the unit axis, n the unit normal of the plane through the origin
         and the axis, and d the origin's distance to the axis; so
         |dir . n| <= r |dir| / d. The caps' kernel takes rays for unit length:
-        to a ray off it by _SLACK, a cap sphere D away looks as wide as
-        sqrt(r^2 + _SLACK D^2). So r grows to that, which also covers |dir|
+        to a ray off it by _UNIT_TOL, a cap sphere D away looks as wide as
+        sqrt(r^2 + _UNIT_TOL D^2). So r grows to that, which also covers |dir|
         and the cylinder's rounding, plus 1e-9 D for the caps' rounding. The
         kept rows must round as the block's do: row subsets of a C-contiguous
         block do, one-row matvecs and other layouts do not.
         """
         if len(dirs) < 2 or not dirs.flags.c_contiguous:
-            return None
-        ax, ay, az = self.a_hat.tolist()
-        px, py, pz = o_perp.tolist()
-        nx, ny, nz = ay * pz - az * py, az * px - ax * pz, ax * py - ay * px  # a x o_perp
-        d = math.hypot(px, py, pz)
-        reach = math.hypot(*oc.tolist()) + self.length  # bounds D for both caps
-        r = math.sqrt(self.radius * self.radius + _SLACK * reach * reach) + 1e-9 * reach
-        if not d > r:  # the origin within r of the axis line, or a nan or inf scalar
-            return None
-        rows = np.flatnonzero(np.abs(dirs @ np.array([nx, ny, nz])) <= r / d * math.hypot(nx, ny, nz))
-        return np.array([0, max(rows[0], 1)]) if len(rows) == 1 else rows
-
-    def _hits(self, origin, oc, oc_a, o_perp, dirs) -> np.ndarray:
-        # Infinite cylinder around the axis, then clip to the segment span and
-        # fall back to the cap spheres.
-        a_hat = self.a_hat
-        # d_perp = dirs - outer(u, a_hat) column by column, C-contiguous for the matvec
-        u = dirs @ a_hat
-        d_perp = np.empty((len(dirs), 3))
-        for k in range(3):
-            np.subtract(dirs[:, k], u * a_hat[k], out=d_perp[:, k])
-        x, y, z = d_perp.T
-        A = x * x + y * y + z * z
-        B = d_perp @ o_perp
-        C = o_perp @ o_perp - self.radius**2
-        t = np.full(len(dirs), np.inf)
-        disc = np.where(A > _EPS, B * B - A * C, -1.0)
-        hm = disc >= 0
-        if hm.any():
-            sq = np.sqrt(disc[hm])
-            t0, t1 = (-B[hm] - sq) / A[hm], (-B[hm] + sq) / A[hm]
-            tc = np.where(t0 > _EPS, t0, np.where(t1 > _EPS, t1, np.inf))
-            # axial coordinate of the cylinder hit must fall inside the segment
-            # (misses carry tc=inf; the nan they produce here fails the check)
-            with np.errstate(invalid="ignore"):
-                s = oc_a + tc * (dirs[hm] @ a_hat)
-                t[hm] = np.where((s >= 0) & (s <= self.length), tc, np.inf)
-        # the two cap spheres as one (2, n) block, each row its own matvec
-        caps = (oc, origin - self.p1)
-        b = np.empty((2, len(dirs)))
-        for row, v in zip(b, caps):
-            np.matmul(dirs, v, out=row)
-        tcap = _nearest_roots(b, np.array([[v @ v - self.radius**2] for v in caps]))
-        return np.minimum(t, np.minimum(tcap[0], tcap[1]))
-
-    def distances(self, pts: np.ndarray) -> np.ndarray:
-        s = np.clip((pts - self.p0) @ self.a_hat, 0.0, self.length)
-        closest = self.p0 + s[..., None] * self.a_hat
-        return np.linalg.norm(pts - closest, axis=-1) - self.radius
+            return [None] * len(oc)
+        bands = []
+        for i, (px, py, pz), o in zip(np.asarray(which).tolist(), o_perp.tolist(), oc.tolist()):
+            (ax, ay, az), radius, length = self._band_scalars[i]
+            nx, ny, nz = ay * pz - az * py, az * px - ax * pz, ax * py - ay * px  # a x o_perp
+            d = math.hypot(px, py, pz)
+            reach = math.hypot(*o) + length  # bounds D for both caps
+            r = math.sqrt(radius * radius + _UNIT_TOL * reach * reach) + 1e-9 * reach
+            if not d > r:  # the origin within r of the axis line, or a nan or inf scalar
+                bands.append(None)
+                continue
+            rows = (np.abs(dirs @ np.array([nx, ny, nz])) <= r / d * math.hypot(nx, ny, nz)).nonzero()[0]
+            bands.append(np.array([0, max(rows[0], 1)]) if len(rows) == 1 else rows)
+        return bands
 
 
 @dataclass(frozen=True)
@@ -227,7 +278,7 @@ class MotionSchedule:
 
     def offset_at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return np.stack([np.interp(t, self.times, self.offsets[:, k]) for k in range(3)], axis=-1)
+        return np.array([np.interp(t, self.times, column) for column in self.offsets.T]).T
 
 
 @dataclass(frozen=True)
@@ -255,15 +306,24 @@ class Environment:
         spheres = [ob.shape.bounding_sphere() for ob in self.obstacles]
         self._centers = np.array([c for c, _ in spheres]).reshape(-1, 3)
         self._radii = np.array([r for _, r in spheres]) * (1.0 + _SLACK) + _SLACK
+        self._moving = [i for i, ob in enumerate(self.obstacles) if ob.schedule is not None]
+        # the capsules cast together, from one table; the other shapes one by one
+        is_capsule = [isinstance(ob.shape, Capsule) for ob in self.obstacles]
+        self._capsule_ids = np.flatnonzero(np.array(is_capsule, dtype=bool))
+        self._capsules = _CapsuleTable([self.obstacles[i].shape for i in self._capsule_ids])
+        self._solid_ids = [i for i, c in enumerate(is_capsule) if not c]
 
-    def _spheres_from(self, p: np.ndarray, t: float) -> tuple[list, np.ndarray, np.ndarray]:
-        """Each obstacle's offset at t; vectors and distances from p to the sphere centres."""
-        offsets = [ob.offset_at(t) for ob in self.obstacles]
+    def _spheres_from(self, p: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p less each obstacle's offset at t, as (M, 3) rows (p itself for a
+        static one); vectors and distances from p to the sphere centres."""
+        origins = np.empty((len(self.obstacles), 3))
+        origins[:] = p
         rel = self._centers - p
-        for i, ob in enumerate(self.obstacles):
-            if ob.schedule is not None:
-                rel[i] += offsets[i]
-        return offsets, rel, np.sqrt((rel * rel) @ np.ones(3))
+        for i in self._moving:
+            offset = self.obstacles[i].offset_at(t)
+            origins[i] -= offset
+            rel[i] += offset
+        return origins, rel, np.sqrt((rel * rel) @ np.ones(3))
 
     def cast_rays(self, origin, dirs: np.ndarray, t: float, max_range: float) -> np.ndarray:
         """Range to the first hit of each unit-length ray; inf for a miss or a
@@ -271,9 +331,9 @@ class Environment:
         origin = np.asarray(origin, dtype=float)
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         sq = (dirs * dirs) @ np.ones(3)
-        if len(dirs) and not (sq.min() >= 1.0 - _SLACK and sq.max() <= 1.0 + _SLACK):
+        if len(dirs) and not (sq.min() >= 1.0 - _UNIT_TOL and sq.max() <= 1.0 + _UNIT_TOL):
             raise ValueError("ray directions must have unit length")
-        offsets, rel, dist = self._spheres_from(origin, float(t))
+        origins, rel, dist = self._spheres_from(origin, float(t))
         # view cone: the rays' summed axis (a gemv: dirs.sum(axis=0) costs 20 times more)
         # and the widest ray's angle from it, widened for rays off unit length; pi when rays cancel
         axis = np.ones(len(dirs)) @ dirs
@@ -285,10 +345,13 @@ class Environment:
         reach = dist - self._radii  # nan compares False: a nan origin skips nothing
         skip = (reach > 0.0) & ((reach > max_range * (1.0 + _SLACK)) | beyond)
         best = np.full(len(dirs), np.inf)
-        # a static obstacle's offset is 0.0, and origin - 0.0 is origin bit for bit
-        for ob, offset, skipped in zip(self.obstacles, offsets, skip):
-            if not skipped:
-                best = np.minimum(best, ob.shape.ray_hits(origin - offset, dirs))
+        skipped = skip.tolist()
+        for i in self._solid_ids:
+            if not skipped[i]:
+                np.minimum(best, self.obstacles[i].shape.ray_hits(origins[i], dirs), out=best)
+        cast = (~skip[self._capsule_ids]).nonzero()[0]
+        if len(cast):
+            self._capsules.ray_hits(cast, origins[self._capsule_ids[cast]], dirs, best)
         best[best > max_range] = np.inf
         return best
 

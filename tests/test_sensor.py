@@ -6,7 +6,8 @@ import pytest
 from cloudnav.cli import resolve_scenario_path
 from cloudnav.scenario import MAX_GEOMETRY, load_scenario
 from cloudnav.sensor import (
-    _SLACK,
+    _UNIT_TOL,
+    _CapsuleTable,
     FOV_H_DEG,
     FOV_V_DEG,
     FRAME_DT,
@@ -427,9 +428,9 @@ def _exactness_casts():
 
 
 def _band_rows(cap, origin, dirs):
-    """The rows Capsule.ray_hits hands its kernel; None for the whole block."""
-    oc = np.asarray(origin, dtype=float) - cap.p0
-    return cap._band(oc, oc - (oc @ cap.a_hat) * cap.a_hat, dirs)
+    """The rows the capsule pass casts for this capsule; None for the whole block."""
+    oc = (np.asarray(origin, dtype=float) - cap.p0)[None]
+    return _CapsuleTable([cap])._band([0], oc, oc - (oc[0] @ cap.a_hat) * cap.a_hat, dirs)[0]
 
 
 _BAR = Capsule(p0=[3.0, 0.0, 0.2], p1=[3.0, 0.0, 2.2], radius=0.01)
@@ -490,16 +491,20 @@ def _capsule_band_casts():
                           ("no-ray", wide), ("tangent", tangent + np.array([-1e-9, 0.0, 1e-9, -1e-3])),
                           ("edge", edge + np.array([-1e-9, 1e-9, 1e-3, -1e-9]))):
         casts.append((f"bar-{label}", bar, _BAR_ORIGIN, _level_rays(angles), 0.0, 100.0))
-    # rays off unit length by nearly _SLACK toward the caps of a capsule 400 m
+    # rays off unit length by nearly _UNIT_TOL toward the caps of a capsule 1 km
     # away: the caps' kernel, which takes rays for unit length, sees them hit
-    # 0.3 m off a 0.1 m cap sphere
-    far = Capsule(p0=[400.0, 0.0, -1.0], p1=[400.0, 0.0, 1.0], radius=0.1)
-    aims = [[400.0, 0.0, z] for z in (-1.4, -1.3, -1.2, 1.2, 1.3, 1.4, 0.0)] + [[400.0, 0.3, 1.0], [400.0, -0.3, -1.0]]
+    # up to 49 um off a 10 mm cap sphere; the rays pass 20 um inside it and
+    # 10 and 30 um outside it, beside it and beyond its end
+    far = Capsule(p0=[1000.0, 0.0, -1.0], p1=[1000.0, 0.0, 1.0], radius=0.01)
+    aims = [[1000.0, 0.0, 0.0]]
+    for c in (far.p0, far.p1):
+        for w in ([0.0, 1.0, 0.0], [-c[2], 0.0, c[0]] / np.linalg.norm(c)):
+            aims += [c + (far.radius + gap) * np.asarray(w) for gap in (-2e-5, 1e-5, 3e-5)]
     aims = np.array(aims) / np.linalg.norm(aims, axis=1)[:, None]
     for sign in (1.0, -1.0):
-        dirs = aims * math.sqrt(1.0 + sign * 0.99 * _SLACK)
+        dirs = aims * math.sqrt(1.0 + sign * 0.99 * _UNIT_TOL)
         casts.append((f"far-caps-off-unit{sign:+.0f}", Environment([Obstacle(shape=far)]), [0.0, 0.0, 0.0],
-                      dirs, 0.0, 1000.0))
+                      dirs, 0.0, 2000.0))
     # origins inside the capsule, on its axis line beyond either end, and in
     # its infinite cylinder past the segment: the band casts the whole block
     rng = np.random.default_rng(25)
@@ -582,15 +587,21 @@ def test_capsule_band_cases_take_the_paths_they_name():
         hit = np.isfinite(_ref_cast_rays(env, origin, dirs, 0.0, max_range))
         n = np.cross(cap.a_hat, np.asarray(origin) - cap.p0)
         off_axis = np.abs(dirs @ n) / np.linalg.norm(n)
-        assert (hit & (off_axis > cap.radius / 400.0 * (1.0 + _SLACK) + _SLACK)).any() == label.endswith("+1")
+        assert (hit & (off_axis > cap.radius / 1000.0 * (1.0 + 5e-4))).any() == label.endswith("+1")
         assert len(_band_rows(cap, origin, dirs)) == len(dirs)
 
 
 def test_capsule_band_culls_most_forest_rays(monkeypatch):
-    sent = []
-    kernel = Capsule._hits
-    monkeypatch.setattr(Capsule, "_hits", lambda self, o, oc, oc_a, o_perp, d: sent.append(len(d)) or
-                        kernel(self, o, oc, oc_a, o_perp, d))
+    sent = []  # each capsule's rows in the pass, for the capsules with any
+    band = _CapsuleTable._band
+
+    def counted(self, which, oc, o_perp, dirs):
+        bands = band(self, which, oc, o_perp, dirs)
+        counts = [len(dirs) if rows is None else len(rows) for rows in bands]
+        sent.extend(k for k in counts if k)
+        return bands
+
+    monkeypatch.setattr(_CapsuleTable, "_band", counted)
     forest = load_scenario(resolve_scenario_path("forest_branch"))
     env, sensor = forest.environment(), forest.sensor
     for frame in range(5):
@@ -603,7 +614,7 @@ def test_capsule_band_culls_most_forest_rays(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_capsule_band_bit_identical_on_random_geometry():
     # capsules from 1 mm to 1e149 m out, origins beside them and near their
-    # axis lines beyond the ends, rays aimed at them and off unit length by up to _SLACK
+    # axis lines beyond the ends, rays aimed at them and off unit length by up to _UNIT_TOL
     rng = np.random.default_rng(47)
     culled = hit = 0
     for _ in range(400):
@@ -622,7 +633,7 @@ def test_capsule_band_bit_identical_on_random_geometry():
         targets = cap.p0 + rng.uniform(-0.2, 1.2, (60, 1)) * (cap.p1 - cap.p0) + rng.normal(size=(60, 3)) * radius
         dirs = np.vstack([targets - origin, rng.normal(size=(20, 3))])
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        dirs *= np.sqrt(1.0 + rng.choice([0.0, 0.99, -0.99], (len(dirs), 1)) * _SLACK)
+        dirs *= np.sqrt(1.0 + rng.choice([0.0, 0.99, -0.99], (len(dirs), 1)) * _UNIT_TOL)
         ref = _ref_capsule(cap.p0, cap.p1, cap.radius, origin, dirs)
         assert np.array_equal(cap.ray_hits(origin, dirs), ref)
         culled += _band_rows(cap, origin, dirs) is not None
@@ -630,9 +641,150 @@ def test_capsule_band_bit_identical_on_random_geometry():
     assert culled >= 150 and hit >= 300
 
 
+# --- the capsule pass: every capsule of a cast in one elementwise pass ----------
+# Environment.cast_rays hands all capsules in view to one _CapsuleTable.ray_hits
+# call. Each capsule keeps its own matvecs over its band; the elementwise steps
+# run once over all capsules' rows. Equality with the reference, which casts
+# each capsule alone over every row, shows that the shared pass rounds as the
+# per-capsule kernel did.
+
+
+def _pass_sizes(monkeypatch):
+    """Record how many capsules each call of the capsule pass receives."""
+    sizes, kernel = [], _CapsuleTable.ray_hits
+
+    def counted(self, which, origins, dirs, best):
+        sizes.append(len(which))
+        return kernel(self, which, origins, dirs, best)
+
+    monkeypatch.setattr(_CapsuleTable, "ray_hits", counted)
+    return sizes
+
+
+@pytest.mark.filterwarnings("error")
+def test_capsule_pass_bit_identical_on_forest_frames_with_the_branch_moving(monkeypatch):
+    sizes = _pass_sizes(monkeypatch)
+    forest = load_scenario(resolve_scenario_path("forest_branch"))
+    env, sensor = forest.environment(), forest.sensor
+    branch = env.obstacles[-1]
+    assert branch.name == "branch" and branch.schedule is not None
+    branch_hits = 0
+    # the branch sweeps down from t = 2.0 to 4.4 s: frames along its motion,
+    # from the start pose and from poses nearer to it
+    for pos, yaw, times in ((forest.start_position, forest.start_yaw, (2.1, 2.5, 3.0, 3.5, 4.0, 4.38)),
+                            ([4.5, 0.3, 1.4], 0.1, (2.7, 3.3, 4.1)), ([6.0, -0.4, 1.2], -0.2, (3.8, 4.3))):
+        for t in times:
+            dirs = rosette_directions(sensor, int(round(t * 50))) @ yaw_rotation(yaw).T
+            assert np.array_equal(env.cast_rays(pos, dirs, t, MAX_RANGE), _ref_cast_rays(env, pos, dirs, t, MAX_RANGE))
+            sh = branch.shape
+            o = np.asarray(pos, dtype=float) - branch.offset_at(t)
+            branch_hits += int(np.isfinite(_ref_capsule(sh.p0, sh.p1, sh.radius, o, dirs)).sum())
+    assert branch_hits > 0  # the moving branch is hit, not only the trunks
+    assert len(sizes) == 11 and min(sizes) >= 8  # most capsules share each pass
+
+
+@pytest.mark.filterwarnings("error")
+def test_capsule_pass_mixes_empty_one_row_and_whole_block_bands(monkeypatch):
+    sizes = _pass_sizes(monkeypatch)
+    origin = _BAR_ORIGIN
+
+    def bar(angle):  # a 20 mm vertical bar 3 m from the origin, at this azimuth
+        foot = [3.0 * math.cos(angle), 3.0 * math.sin(angle)]
+        return Capsule(p0=[*foot, 0.2], p1=[*foot, 2.2], radius=0.01)
+
+    none, one, banded = bar(-0.6), bar(0.6), bar(0.2)
+    # a level capsule whose axis line runs through the origin: cast whole
+    whole = Capsule(p0=[2.0, -2.0, 1.0], p1=[4.0, -4.0, 1.0], radius=0.05)
+    capsules = [none, one, whole, banded]
+    env = Environment([Obstacle(shape=c) for c in capsules])
+    angles = [-math.pi / 4, -math.pi / 4 + 1e-3, -0.5, -0.7, 0.05, 0.2 - 1e-3, 0.2, 0.2 + 1e-3, 0.3, 0.6, 0.8]
+    dirs = _level_rays(angles)
+    assert _band_rows(none, origin, dirs).tolist() == []
+    assert _band_rows(one, origin, dirs).tolist() == [0, 9]  # ray 9 alone, padded with ray 0
+    assert _band_rows(whole, origin, dirs) is None
+    assert _band_rows(banded, origin, dirs).tolist() == [5, 6, 7]
+    got = env.cast_rays(origin, dirs, 0.0, 100.0)
+    assert sizes == [4]
+    assert np.array_equal(got, _ref_cast_rays(env, origin, dirs, 0.0, 100.0))
+    assert np.isfinite(got).tolist() == [True, True, False, False, False, True, True, True, False, True, False]
+
+
+def _tilted_capsules(rng, count):
+    """Capsules with tilted axes 3-8 m ahead of the origin, whose matvecs round
+    (an axis-aligned one's dot products with its axis are exact)."""
+    caps = []
+    for _ in range(count):
+        a = rng.normal(size=3)
+        a /= np.linalg.norm(a)
+        p0 = [rng.uniform(3.0, 8.0), rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)]
+        caps.append(Capsule(p0=p0, p1=p0 + rng.uniform(0.3, 2.0) * a, radius=rng.uniform(0.05, 0.4)))
+    return caps
+
+
+@pytest.mark.filterwarnings("error")
+def test_capsule_pass_bit_identical_on_whole_block_layouts(monkeypatch):
+    # blocks every capsule casts whole: column-major, a strided view, and
+    # single rays; over the forest with the branch moving, and over tilted
+    # capsules whose caps the rays hit
+    sizes = _pass_sizes(monkeypatch)
+    forest = load_scenario(resolve_scenario_path("forest_branch"))
+    rng = np.random.default_rng(26)
+    caps = _tilted_capsules(rng, 6)
+    targets = np.vstack([c.p0 + rng.uniform(-0.3, 1.3, (80, 1)) * (c.p1 - c.p0) + rng.normal(0.0, c.radius, (80, 3))
+                         for c in caps])
+    aimed = targets / np.linalg.norm(targets, axis=1)[:, None]
+    scenes = [(forest.environment(), np.array([4.5, 0.3, 1.4]), 3.3,
+               rosette_directions(forest.sensor, 165) @ yaw_rotation(0.1).T),
+              (Environment([Obstacle(shape=c) for c in caps]), np.zeros(3), 0.0, aimed)]
+    for env, pos, t, block in scenes:
+        for dirs in (np.asfortranarray(block), block[::2]):
+            assert not dirs.flags.c_contiguous
+            got = env.cast_rays(pos, dirs, t, MAX_RANGE)
+            assert np.array_equal(got, _ref_cast_rays(env, pos, dirs, t, MAX_RANGE))
+            assert np.isfinite(got).any()
+        assert all(_band_rows(c, pos, np.asfortranarray(block)) is None for c in env._capsules.shapes)
+        # single rays, one cast each (a one-row matvec rounds unlike the
+        # block's): rays that hit something in the block and rays that miss
+        hits = np.isfinite(_ref_cast_rays(env, pos, block, t, MAX_RANGE))
+        n_hits = 0
+        for i in np.r_[np.flatnonzero(hits)[::max(1, hits.sum() // 60)], np.flatnonzero(~hits)[:20]]:
+            ray = block[i][None, :]
+            got = env.cast_rays(pos, ray, t, MAX_RANGE)
+            assert got.shape == (1,) and np.array_equal(got, _ref_cast_rays(env, pos, ray, t, MAX_RANGE))
+            n_hits += bool(np.isfinite(got[0]))
+        assert n_hits >= 40
+    assert min(sizes[:2]) >= 8 and sizes.count(6) >= 2  # the blocks cast most capsules in one pass
+
+
+@pytest.mark.filterwarnings("error")
+def test_capsule_pass_bit_identical_at_the_segment_rims():
+    # rays aimed at the rim where the cylinder meets a cap: the axial
+    # coordinate of the cylinder hit is 0 or the length to within rounding,
+    # so its own one-row matvec decides whether the cylinder or the cap sphere
+    # reports the hit
+    rng = np.random.default_rng(27)
+    rims = 0
+    for trial in range(1000):
+        (cap,) = _tilted_capsules(rng, 1)
+        side = np.cross(cap.a_hat, rng.normal(size=3))
+        side /= np.linalg.norm(side)
+        end = cap.p1 if trial % 2 else cap.p0
+        origin = end + rng.uniform(-2.0, 2.0) * cap.a_hat + side * rng.uniform(1.5, 6.0)
+        aim = end + cap.radius * side - origin
+        away = np.cross(aim, cap.a_hat)
+        dirs = np.array([aim, aim + 0.5 * np.linalg.norm(aim) * away / np.linalg.norm(away)])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        got = cap.ray_hits(origin, dirs)
+        assert np.array_equal(got, _ref_capsule(cap.p0, cap.p1, cap.radius, origin, dirs)), trial
+        rims += bool(np.isfinite(got[0])) and not np.isfinite(got[1])
+    assert rims == 1000
+
+
 def test_row_subset_matvec_rounds_as_the_block():
     # what the capsule band rests on: a matvec over any two or more rows of a
-    # C-contiguous block returns those rows of the block's matvec bit for bit
+    # C-contiguous block returns those rows of the block's matvec bit for bit;
+    # the capsule pass also takes them as row slices of a gathered block, at
+    # any row offset, and writes them into slices of a shared output
     rng = np.random.default_rng(31)
     sensor = SensorModel()
     for frame in range(8):
@@ -642,6 +794,27 @@ def test_row_subset_matvec_rounds_as_the_block():
             for k in (2, 3, 4, 5, 17, 100, 1000, 4799, 4800, *rng.integers(2, 4801, 4)):
                 idx = np.sort(rng.choice(len(dirs), int(k), replace=False))
                 assert np.array_equal(dirs[idx] @ v, full[idx]), (frame, k)
+            # slices at odd and even row offsets of a gathered block, into slices of one output
+            rows = np.sort(rng.choice(len(dirs), 600, replace=False))
+            gathered, out = dirs[rows], np.full(700, np.nan)
+            for s, e in ((1, 3), (3, 40), (7, 8), (40, 41), (41, 300), (301, 302), (302, 599), (0, 600)):
+                at = int(rng.integers(0, 100))
+                np.matmul(gathered[s:e], v, out=out[at:at + e - s])
+                # one row rounds unlike the block, but as the same row alone
+                want = dirs[rows[s:e]] @ v if e - s == 1 else full[rows[s:e]]
+                assert np.array_equal(out[at:at + e - s], want), (frame, s, e)
+
+
+def test_vecdot_rounds_as_each_row_dot():
+    # the capsule pass takes each capsule's 3-vector dot products from one
+    # np.vecdot call: it must round each row as `x @ y` does
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-6, 6, (5000, 1))
+    y = rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-6, 6, (5000, 1))
+    want = np.array([a @ b for a, b in zip(x, y)])
+    assert np.array_equal(np.vecdot(x, y), want)
+    g = np.stack([x, y, x + y], axis=1)  # rows of a (K, 3, 3) block, as the pass lays them out
+    assert np.array_equal(np.vecdot(g, g)[:, 1], [b @ b for b in y])
 
 
 # --- the bounding-sphere broad phase ------------------------------------------
@@ -742,12 +915,17 @@ def test_broad_phase_casts_hit_something():
 
 
 def test_broad_phase_skips_obstacles_out_of_view(monkeypatch):
-    calls = []
-    for shape in (Sphere, Capsule, Box):
+    calls = []  # the shapes cast: spheres and boxes one by one, capsules in one pass
+    for shape in (Sphere, Box):
         def counted(self, o, d, kernel=shape.ray_hits):
             calls.append(self)
             return kernel(self, o, d)
         monkeypatch.setattr(shape, "ray_hits", counted)
+
+    def counted_capsules(self, which, origins, d, best, kernel=_CapsuleTable.ray_hits):
+        calls.extend(self.shapes[i] for i in which)
+        return kernel(self, which, origins, d, best)
+    monkeypatch.setattr(_CapsuleTable, "ray_hits", counted_capsules)
     env = _bundled_env("hillside")
     origin = [12.0, -0.2, 3.0]  # obstacles at x < 8 m lie behind a sensor facing +x
     dirs = rosette_directions(SensorModel(), 640)
