@@ -63,7 +63,7 @@ class KinodynamicLimits:
     primitive_duration: float = 0.6
 
     def __post_init__(self):
-        if self.v_max <= 0 or self.a_max <= 0 or self.primitive_duration <= 0:
+        if not (self.v_max > 0 and self.a_max > 0 and self.primitive_duration > 0):
             raise ValueError("kinodynamic limits must be strictly positive")
 
 

@@ -41,7 +41,7 @@ class GridConfig:
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         object.__setattr__(self, "size", np.asarray(self.size, dtype=float))
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ValueError("resolution must be > 0")
         if not np.all(self.size > 0):
             raise ValueError("size must be positive on every axis")

@@ -76,13 +76,13 @@ class PlannerConfig:
     velocity_bound: str = field(default="per_axis", init=False)
 
     def __post_init__(self):
-        if self.clearance <= 0 or self.goal_tolerance <= 0:
+        if not (self.clearance > 0 and self.goal_tolerance > 0):
             raise ValueError("clearance and goal_tolerance must be > 0")
         if self.prune_cell is None:
             object.__setattr__(self, "prune_cell", 0.5 * self.clearance)
-        if self.prune_cell <= 0:
+        if not self.prune_cell > 0:
             raise ValueError("prune_cell must be > 0")
-        if self.max_expansions < 1:
+        if not self.max_expansions >= 1:
             raise ValueError("max_expansions must be >= 1")
 
     @property

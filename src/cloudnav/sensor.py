@@ -8,13 +8,15 @@ inside the elliptical field of view.
 Each obstacle casts with its own matvecs (`dirs @ v`) and 3-vector dot
 products: a gemm over all obstacles, `einsum` or a written-out dot product
 rounds some hits differently, which moves scan points and with them every map
-and flight. A matvec over two or more rows of a C-contiguous block rounds each
-row as the whole block's does (a one-row matvec does not), also as a row slice
-of a larger block and into a slice of a larger output. So a capsule casts only
-the rows in its band, the rays whose lines pass within its radius of its axis
-line, and all capsules of a cast share one pass (_CapsuleTable): each keeps its
-matvecs, while every elementwise step runs once over all their rows. Only
-elementwise work is otherwise restructured.
+and flight. A cast puts its ray block in C order first, so its bits depend on
+the rays' values, not their memory layout. A matvec over two or more rows of a
+C-contiguous block rounds each row as the whole block's does (a one-row matvec
+does not), also as a row slice of a larger block and into a slice of a larger
+output. So a capsule casts only the rows in its band, the rays whose lines pass
+within its radius of its axis line, and all capsules of a cast share one pass
+(_CapsuleTable): each keeps its matvecs, on its slice of the gathered rows,
+while every elementwise step runs once over all their rows. Only elementwise
+work is otherwise restructured.
 
 A cast skips an obstacle whose bounding sphere, seen from outside, lies out of
 range or off the ray block's view cone. A skipped obstacle, like a ray outside
@@ -61,7 +63,7 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be > 0")
 
     def bounding_sphere(self) -> tuple[np.ndarray, float]:
@@ -84,7 +86,7 @@ class Capsule:
     def __post_init__(self):
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
         object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be > 0")
         axis = self.p1 - self.p0  # the unit axis and length, fixed per capsule
         if not axis @ axis > 0:  # keeps length, the divisor of a_hat, > 0; far-away short capsules pass
@@ -96,6 +98,7 @@ class Capsule:
         return 0.5 * (self.p0 + self.p1), 0.5 * self.length + self.radius
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        dirs = np.ascontiguousarray(dirs, dtype=float)
         best = np.full(len(dirs), np.inf)
         return _CapsuleTable([self]).ray_hits([0], np.asarray(origin, dtype=float)[None], dirs, best)
 
@@ -110,15 +113,13 @@ class _CapsuleTable:
     axis a_hat of each as (K, 3, 3) rows, radius**2 and length as (K, 2)."""
 
     def __init__(self, capsules: list[Capsule]):
-        self.shapes = tuple(capsules)
         self.frames = np.array([(c.p0, c.p1, c.a_hat) for c in capsules]).reshape(-1, 3, 3)
         self.r2_length = np.array([(c.radius**2, c.length) for c in capsules], dtype=float).reshape(-1, 2)
-        self._band_scalars = [(c.a_hat.tolist(), float(c.radius), float(c.length)) for c in capsules]
 
     def ray_hits(self, which, origins: np.ndarray, dirs: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Lower best, in place, to each ray's range to its first hit on the
         capsules `which` (table rows), the k-th of them cast from origins[k];
-        return best.
+        return best. dirs must be C-contiguous.
 
         Each capsule casts the rows of its band with matvecs of its own; every
         elementwise step runs once over all capsules' rows, each row with its
@@ -131,9 +132,7 @@ class _CapsuleTable:
         np.subtract(origins[:, None], frames[:, :2], out=g[:, 1:])
         oc_a = np.vecdot(oc, a)  # one ddot a capsule, as `oc @ a` rounds
         np.subtract(oc, oc_a[:, None] * a, out=o_perp)
-        bands = self._band(which, oc, o_perp, dirs)
-        whole = [rows is None for rows in bands]
-        bands = [np.arange(len(dirs)) if w else rows for rows, w in zip(bands, whole)]
+        bands = self._band(a, oc, o_perp, r2, length, dirs)
         counts = [len(rows) for rows in bands]
         ends = list(accumulate(counts))
         n = ends[-1]
@@ -145,15 +144,13 @@ class _CapsuleTable:
         d = dirs[rows]
         # three quadratics a row, t^2 A + 2 b t + c = 0: the infinite cylinder
         # around the axis, whose hits are then clipped to the segment span, and
-        # the two cap spheres, for which A is 1; a whole-block capsule's
-        # matvecs take the block itself, whose layout the bits depend on
+        # the two cap spheres, for which A is 1
         u, b = np.empty(n), np.empty((3, n))
-        for (s, e), w, av, v0, v1 in zip(spans, whole, a, oc, oc1):
+        for (s, e), av, v0, v1 in zip(spans, a, oc, oc1):
             if e > s:
-                block = dirs if w else d[s:e]
-                np.matmul(block, av, out=u[s:e])
-                np.matmul(block, v0, out=b[1, s:e])
-                np.matmul(block, v1, out=b[2, s:e])
+                np.matmul(d[s:e], av, out=u[s:e])
+                np.matmul(d[s:e], v0, out=b[1, s:e])
+                np.matmul(d[s:e], v1, out=b[2, s:e])
         d_perp = d - u[:, None] * a[cap]  # C-contiguous: its row slices' matvecs round as the block's
         for (s, e), vp in zip(spans, o_perp):
             if e > s:
@@ -185,35 +182,34 @@ class _CapsuleTable:
         np.minimum.at(best, rows[hm % n], tc)
         return best
 
-    def _band(self, which, oc: np.ndarray, o_perp: np.ndarray, dirs: np.ndarray) -> list:
-        """Each capsule's rows of the rays that can hit it, never exactly one;
-        None to cast the whole block.
+    @staticmethod
+    def _band(a, oc, o_perp, r2, length, dirs: np.ndarray) -> list:
+        """Each capsule's rows of the rays that can hit it; never exactly one
+        in a block of two or more.
 
         Every hit lies on a ray line that passes within the radius r of the
-        axis line. That line's distance to the axis is d |dir . n| / |dir x a|,
-        for a the unit axis, n the unit normal of the plane through the origin
-        and the axis, and d the origin's distance to the axis; so
-        |dir . n| <= r |dir| / d. The caps' kernel takes rays for unit length:
-        to a ray off it by _UNIT_TOL, a cap sphere D away looks as wide as
-        sqrt(r^2 + _UNIT_TOL D^2). So r grows to that, which also covers |dir|
-        and the cylinder's rounding, plus 1e-9 D for the caps' rounding. The
-        kept rows must round as the block's do: row subsets of a C-contiguous
-        block do, one-row matvecs and other layouts do not.
+        axis line. For a the unit axis and o_perp the origin's offset from the
+        axis line, that line's distance to the axis is
+        |dir . (a x o_perp)| / |dir x a|, and |dir x a| <= |dir|. The caps'
+        kernel takes rays for unit length: to a ray off it by _UNIT_TOL, a cap
+        sphere D away looks as wide as sqrt(r^2 + _UNIT_TOL D^2). So r grows to
+        that, which also covers |dir| and the cylinder's rounding, plus 1e-9 D
+        for the caps' rounding. An origin within that r of the axis line keeps
+        every row. The kept rows must round as the block's do: row subsets of a
+        C-contiguous block do, a one-row matvec does not, so a one-row band is
+        padded to two rows.
         """
-        if len(dirs) < 2 or not dirs.flags.c_contiguous:
-            return [None] * len(oc)
         bands = []
-        for i, (px, py, pz), o in zip(np.asarray(which).tolist(), o_perp.tolist(), oc.tolist()):
-            (ax, ay, az), radius, length = self._band_scalars[i]
-            nx, ny, nz = ay * pz - az * py, az * px - ax * pz, ax * py - ay * px  # a x o_perp
-            d = math.hypot(px, py, pz)
-            reach = math.hypot(*o) + length  # bounds D for both caps
-            r = math.sqrt(radius * radius + _UNIT_TOL * reach * reach) + 1e-9 * reach
-            if not d > r:  # the origin within r of the axis line, or a nan or inf scalar
-                bands.append(None)
+        for (ax, ay, az), (px, py, pz), o, radius2, axis_len in zip(a.tolist(), o_perp.tolist(), oc.tolist(),
+                                                                    r2.tolist(), length.tolist()):
+            reach = math.hypot(*o) + axis_len  # bounds D for both caps
+            r = math.sqrt(radius2 + _UNIT_TOL * reach * reach) + 1e-9 * reach
+            if not math.hypot(px, py, pz) > r:  # the origin within r of the axis line, or a nan or inf scalar
+                bands.append(np.arange(len(dirs)))
                 continue
-            rows = (np.abs(dirs @ np.array([nx, ny, nz])) <= r / d * math.hypot(nx, ny, nz)).nonzero()[0]
-            bands.append(np.array([0, max(rows[0], 1)]) if len(rows) == 1 else rows)
+            n = np.array([ay * pz - az * py, az * px - ax * pz, ax * py - ay * px])  # a x o_perp
+            rows = (np.abs(dirs @ n) <= r).nonzero()[0]
+            bands.append(np.array([0, max(rows[0], 1)]) if len(rows) == 1 and len(dirs) > 1 else rows)
         return bands
 
 
@@ -271,7 +267,7 @@ class MotionSchedule:
         o = np.asarray(self.offsets, dtype=float)
         if t.ndim != 1 or o.shape != (len(t), 3) or len(t) == 0:
             raise ValueError("schedule needs matching times (K,) and offsets (K, 3)")
-        if np.any(np.diff(t) <= 0) and len(t) > 1:
+        if not np.all(np.diff(t) > 0):
             raise ValueError("schedule times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "offsets", o)
@@ -327,9 +323,10 @@ class Environment:
 
     def cast_rays(self, origin, dirs: np.ndarray, t: float, max_range: float) -> np.ndarray:
         """Range to the first hit of each unit-length ray; inf for a miss or a
-        hit beyond max_range."""
+        hit beyond max_range. The bits depend on the rays' values, not on the
+        block's memory layout: the block is cast in C order."""
         origin = np.asarray(origin, dtype=float)
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        dirs = np.ascontiguousarray(np.atleast_2d(dirs), dtype=float)
         sq = (dirs * dirs) @ np.ones(3)
         if len(dirs) and not (sq.min() >= 1.0 - _UNIT_TOL and sq.max() <= 1.0 + _UNIT_TOL):
             raise ValueError("ray directions must have unit length")

@@ -85,9 +85,9 @@ class MapConfig:
     resolution: float = 0.1
 
     def __post_init__(self):
-        if self.scans_per_tree < 1:
+        if not self.scans_per_tree >= 1:
             raise ValueError("scans_per_tree must be >= 1")
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ValueError("resolution must be > 0")
 
 

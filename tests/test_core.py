@@ -3,6 +3,7 @@ import pytest
 
 from cloudnav.core import (
     ConstantAccelSegment,
+    KinodynamicLimits,
     PointCloud,
     QuinticSegment,
     Trajectory,
@@ -11,6 +12,10 @@ from cloudnav.core import (
     save_cloud_txt,
     voxel_keys,
 )
+from cloudnav.gridmap import GridConfig
+from cloudnav.planner import PlannerConfig
+from cloudnav.sensor import Capsule, MotionSchedule, Sphere
+from cloudnav.spatial import MapConfig
 
 from oracles import load_cloud_txt, voxel_filter
 
@@ -102,6 +107,34 @@ def test_segments_refuse_non_finite_and_non_positive_tau(tau):
         QuinticSegment(coeffs=np.zeros((3, 6)), duration=tau)
     with pytest.raises(ValueError, match="duration must be finite and > 0"):
         QuinticSegment.solve(s, [1, 0, 0], np.zeros(3), np.zeros(3), tau)
+
+
+_NAN = float("nan")
+_NAN_SETTINGS = {  # a constructor given a NaN setting, and the refusal it must give
+    "sphere-radius": (lambda: Sphere([3.0, 0.0, 0.0], _NAN), "radius must be > 0"),
+    "capsule-radius": (lambda: Capsule([3.0, 0.0, 0.0], [3.0, 0.0, 1.0], _NAN), "radius must be > 0"),
+    "schedule-times": (lambda: MotionSchedule([0.0, _NAN], np.zeros((2, 3))), "strictly increasing"),
+    "limits-v_max": (lambda: KinodynamicLimits(v_max=_NAN), "strictly positive"),
+    "limits-a_max": (lambda: KinodynamicLimits(a_max=_NAN), "strictly positive"),
+    "limits-primitive_duration": (lambda: KinodynamicLimits(primitive_duration=_NAN), "strictly positive"),
+    "planner-clearance": (lambda: PlannerConfig(clearance=_NAN), "clearance and goal_tolerance must be > 0"),
+    "planner-goal_tolerance": (lambda: PlannerConfig(goal_tolerance=_NAN), "clearance and goal_tolerance must be > 0"),
+    "planner-prune_cell": (lambda: PlannerConfig(prune_cell=_NAN), "prune_cell must be > 0"),
+    "planner-max_expansions": (lambda: PlannerConfig(max_expansions=_NAN), "max_expansions must be >= 1"),
+    "map-scans_per_tree": (lambda: MapConfig(scans_per_tree=_NAN), "scans_per_tree must be >= 1"),
+    "map-resolution": (lambda: MapConfig(resolution=_NAN), "resolution must be > 0"),
+    "grid-resolution": (lambda: GridConfig(resolution=_NAN, origin=np.zeros(3), size=np.ones(3)),
+                        "resolution must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", _NAN_SETTINGS)
+def test_range_checks_refuse_nan(case):
+    # a NaN fails every comparison: a check written `x <= 0` lets it through,
+    # and a NaN radius then reads as no obstacle at all
+    build, message = _NAN_SETTINGS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _single_segment_traj(tau=0.6):

@@ -25,7 +25,7 @@ from cloudnav.sensor import (
     rosette_directions,
     yaw_rotation,
 )
-from cloudnav.sim import _probe_disk_grid
+from cloudnav.sim import _probe_disk_grid, simulate
 
 
 def march_ray(sdf, origin, direction, max_range, coarse=2e-3, tol=1e-6):
@@ -275,7 +275,9 @@ def test_scan_points_in_world_frame():
 # obstacles, einsum, a one-row matvec) moves the last bits of some dot
 # products, and with them scan points, maps and flights. A matvec over two or
 # more rows of a C-contiguous block rounds each row as the whole block's does
-# (test_row_subset_matvec_rounds_as_the_block), which the capsule band uses.
+# (test_row_subset_matvec_rounds_as_the_block), which the capsule band uses;
+# Environment.cast_rays C-orders each block, so a cast's bits do not depend on
+# the block's layout (test_cast_rays_bit_identical_on_any_block_layout).
 
 
 def _ref_sphere(center, radius, origin, dirs):
@@ -422,15 +424,17 @@ def _exactness_casts():
 
 
 # The capsule band: Capsule.ray_hits casts only the rows whose ray lines can
-# pass within its radius of its axis line, or the whole block where it cannot
-# tell. Equality with the reference, which casts every row, shows that no
-# dropped row held a hit.
+# pass within its radius of its axis line, or every row where the origin lies
+# that near the axis line. Equality with the reference, which casts every row,
+# shows that no dropped row held a hit.
 
 
 def _band_rows(cap, origin, dirs):
-    """The rows the capsule pass casts for this capsule; None for the whole block."""
+    """The rows the capsule pass casts for this capsule."""
     oc = (np.asarray(origin, dtype=float) - cap.p0)[None]
-    return _CapsuleTable([cap])._band([0], oc, oc - (oc[0] @ cap.a_hat) * cap.a_hat, dirs)[0]
+    o_perp = oc - (oc[0] @ cap.a_hat) * cap.a_hat
+    return _CapsuleTable._band(cap.a_hat[None], oc, o_perp, np.array([cap.radius**2]), np.array([cap.length]),
+                               dirs)[0]
 
 
 _BAR = Capsule(p0=[3.0, 0.0, 0.2], p1=[3.0, 0.0, 2.2], radius=0.01)
@@ -477,10 +481,6 @@ def _capsule_band_casts():
         for yaw_ in (0.0, math.pi / 2):
             dirs = rosette_directions(sensor, 7) @ yaw_rotation(yaw_).T
             casts.append((f"beside-trunk-{gap}-yaw{yaw_:.2f}", trees, pos, dirs, 0.0, MAX_RANGE))
-    # the same forest block laid out column-major: its matvecs round as the
-    # block's do only when cast whole
-    fortran = np.asfortranarray(rosette_directions(sensor, 0) @ yaw_rotation(yaw).T)
-    casts.append(("forest-start-column-major", trees, start, fortran, 0.0, MAX_RANGE))
     # level rays across the bar: the band of exactly one ray (padded to two
     # rows) and of none, and rays 1e-9 rad either side of the bar's tangent
     # and of the band's edge
@@ -506,7 +506,7 @@ def _capsule_band_casts():
         casts.append((f"far-caps-off-unit{sign:+.0f}", Environment([Obstacle(shape=far)]), [0.0, 0.0, 0.0],
                       dirs, 0.0, 2000.0))
     # origins inside the capsule, on its axis line beyond either end, and in
-    # its infinite cylinder past the segment: the band casts the whole block
+    # its infinite cylinder past the segment: the band keeps every row
     rng = np.random.default_rng(25)
     targets = _BAR.p0 + rng.uniform(-0.1, 1.1, (250, 1)) * (_BAR.p1 - _BAR.p0) + rng.normal(0.0, 0.01, (250, 3))
     for label, origin in (("inside", [3.0, 0.005, 1.0]), ("axis-below", [3.0, 0.0, -1.0]),
@@ -572,13 +572,16 @@ def test_capsule_band_cases_take_the_paths_they_name():
     assert rows["bar-tangent"].tolist() == [0, 1, 2, 3]
     assert rows["bar-edge"].tolist() == [0, 3]  # just inside the edge, not just outside it
     for label in ("inside", "axis-below", "axis-above", "cylinder-past-end"):
-        assert rows[f"bar-origin-{label}"] is None, label
+        assert rows[f"bar-origin-{label}"].tolist() == list(range(len(cases[f"bar-origin-{label}"][3]))), label
     # rays hit short of the bar's tangent, not past it
     ref = _ref_cast_rays(*cases["bar-tangent"][1:])
     assert np.isfinite(ref)[[0, 2, 3]].tolist() == [True, False, True]
-    # a column-major block is cast whole
-    _, trees, start, fortran, _, _ = cases["forest-start-column-major"]
-    assert _band_rows(trees.obstacles[1].shape, start, fortran) is None
+    # a column-major block keeps the rows of its C-ordered copy
+    _, trees, start, block, _, _ = cases["forest-start-t0.0"]
+    trunk = trees.obstacles[1].shape
+    kept = _band_rows(trunk, start, block)
+    assert 1 < len(kept) < len(block)
+    assert np.array_equal(_band_rows(trunk, start, np.asfortranarray(block)), kept)
     # off unit length, the caps' kernel hits rays farther off the axis than
     # radius / distance, which the band keeps
     for label in ("far-caps-off-unit+1", "far-caps-off-unit-1"):
@@ -595,13 +598,12 @@ def test_capsule_band_culls_most_forest_rays(monkeypatch):
     sent = []  # each capsule's rows in the pass, for the capsules with any
     band = _CapsuleTable._band
 
-    def counted(self, which, oc, o_perp, dirs):
-        bands = band(self, which, oc, o_perp, dirs)
-        counts = [len(dirs) if rows is None else len(rows) for rows in bands]
-        sent.extend(k for k in counts if k)
+    def counted(a, oc, o_perp, r2, length, dirs):
+        bands = band(a, oc, o_perp, r2, length, dirs)
+        sent.extend(len(rows) for rows in bands if len(rows))
         return bands
 
-    monkeypatch.setattr(_CapsuleTable, "_band", counted)
+    monkeypatch.setattr(_CapsuleTable, "_band", staticmethod(counted))
     forest = load_scenario(resolve_scenario_path("forest_branch"))
     env, sensor = forest.environment(), forest.sensor
     for frame in range(5):
@@ -636,7 +638,7 @@ def test_capsule_band_bit_identical_on_random_geometry():
         dirs *= np.sqrt(1.0 + rng.choice([0.0, 0.99, -0.99], (len(dirs), 1)) * _UNIT_TOL)
         ref = _ref_capsule(cap.p0, cap.p1, cap.radius, origin, dirs)
         assert np.array_equal(cap.ray_hits(origin, dirs), ref)
-        culled += _band_rows(cap, origin, dirs) is not None
+        culled += len(_band_rows(cap, origin, dirs)) < len(dirs)
         hit += bool(np.isfinite(ref).any())
     assert culled >= 150 and hit >= 300
 
@@ -693,7 +695,7 @@ def test_capsule_pass_mixes_empty_one_row_and_whole_block_bands(monkeypatch):
         return Capsule(p0=[*foot, 0.2], p1=[*foot, 2.2], radius=0.01)
 
     none, one, banded = bar(-0.6), bar(0.6), bar(0.2)
-    # a level capsule whose axis line runs through the origin: cast whole
+    # a level capsule whose axis line runs through the origin: every row
     whole = Capsule(p0=[2.0, -2.0, 1.0], p1=[4.0, -4.0, 1.0], radius=0.05)
     capsules = [none, one, whole, banded]
     env = Environment([Obstacle(shape=c) for c in capsules])
@@ -701,7 +703,7 @@ def test_capsule_pass_mixes_empty_one_row_and_whole_block_bands(monkeypatch):
     dirs = _level_rays(angles)
     assert _band_rows(none, origin, dirs).tolist() == []
     assert _band_rows(one, origin, dirs).tolist() == [0, 9]  # ray 9 alone, padded with ray 0
-    assert _band_rows(whole, origin, dirs) is None
+    assert _band_rows(whole, origin, dirs).tolist() == list(range(len(dirs)))
     assert _band_rows(banded, origin, dirs).tolist() == [5, 6, 7]
     got = env.cast_rays(origin, dirs, 0.0, 100.0)
     assert sizes == [4]
@@ -722,38 +724,65 @@ def _tilted_capsules(rng, count):
 
 
 @pytest.mark.filterwarnings("error")
-def test_capsule_pass_bit_identical_on_whole_block_layouts(monkeypatch):
-    # blocks every capsule casts whole: column-major, a strided view, and
-    # single rays; over the forest with the branch moving, and over tilted
-    # capsules whose caps the rays hit
+def test_cast_rays_bit_identical_on_any_block_layout(monkeypatch):
+    # column-major blocks, strided views and single rows sliced from a
+    # column-major block cast as their C-ordered copies do; over the forest
+    # from the start pose and with the branch moving, and over tilted capsules
+    # whose caps the rays hit
     sizes = _pass_sizes(monkeypatch)
     forest = load_scenario(resolve_scenario_path("forest_branch"))
+    trees = forest.environment()
     rng = np.random.default_rng(26)
     caps = _tilted_capsules(rng, 6)
     targets = np.vstack([c.p0 + rng.uniform(-0.3, 1.3, (80, 1)) * (c.p1 - c.p0) + rng.normal(0.0, c.radius, (80, 3))
                          for c in caps])
     aimed = targets / np.linalg.norm(targets, axis=1)[:, None]
-    scenes = [(forest.environment(), np.array([4.5, 0.3, 1.4]), 3.3,
-               rosette_directions(forest.sensor, 165) @ yaw_rotation(0.1).T),
+    scenes = [(trees, np.asarray(forest.start_position), 0.0,
+               rosette_directions(forest.sensor, 0) @ yaw_rotation(forest.start_yaw).T),
+              (trees, np.array([4.5, 0.3, 1.4]), 3.3, rosette_directions(forest.sensor, 165) @ yaw_rotation(0.1).T),
               (Environment([Obstacle(shape=c) for c in caps]), np.zeros(3), 0.0, aimed)]
+
+    def cast_as_c_ordered(env, pos, dirs, t):
+        assert not dirs.flags.c_contiguous
+        copy = np.ascontiguousarray(dirs)
+        got = env.cast_rays(pos, dirs, t, MAX_RANGE)
+        assert np.array_equal(got, env.cast_rays(pos, copy, t, MAX_RANGE))
+        assert np.array_equal(got, _ref_cast_rays(env, pos, copy, t, MAX_RANGE))
+        return got
+
+    block_passes = []
     for env, pos, t, block in scenes:
-        for dirs in (np.asfortranarray(block), block[::2]):
-            assert not dirs.flags.c_contiguous
-            got = env.cast_rays(pos, dirs, t, MAX_RANGE)
-            assert np.array_equal(got, _ref_cast_rays(env, pos, dirs, t, MAX_RANGE))
-            assert np.isfinite(got).any()
-        assert all(_band_rows(c, pos, np.asfortranarray(block)) is None for c in env._capsules.shapes)
-        # single rays, one cast each (a one-row matvec rounds unlike the
-        # block's): rays that hit something in the block and rays that miss
+        fortran = np.asfortranarray(block)
+        for dirs in (fortran, block[::2]):
+            sizes.clear()
+            assert np.isfinite(cast_as_c_ordered(env, pos, dirs, t)).any()
+            block_passes.append(sizes[0])
+        # single rows of the column-major block, one cast each (a one-row
+        # matvec rounds unlike the block's): rays that hit something in the
+        # block and rays that miss
         hits = np.isfinite(_ref_cast_rays(env, pos, block, t, MAX_RANGE))
         n_hits = 0
         for i in np.r_[np.flatnonzero(hits)[::max(1, hits.sum() // 60)], np.flatnonzero(~hits)[:20]]:
-            ray = block[i][None, :]
-            got = env.cast_rays(pos, ray, t, MAX_RANGE)
-            assert got.shape == (1,) and np.array_equal(got, _ref_cast_rays(env, pos, ray, t, MAX_RANGE))
+            got = cast_as_c_ordered(env, pos, fortran[i:i + 1], t)
+            assert got.shape == (1,)
             n_hits += bool(np.isfinite(got[0]))
         assert n_hits >= 40
-    assert min(sizes[:2]) >= 8 and sizes.count(6) >= 2  # the blocks cast most capsules in one pass
+    # the blocks cast most capsules in one pass
+    assert min(block_passes[:4]) >= 8 and block_passes[4:] == [6, 6]
+
+
+def test_flight_casts_only_c_contiguous_blocks(monkeypatch):
+    # the loop's scan and telemetry blocks are already in C order, so the cast
+    # copies none of them
+    layouts, cast = [], Environment.cast_rays
+
+    def recorded(self, origin, dirs, t, max_range):
+        layouts.append(dirs.flags.c_contiguous and dirs.dtype == np.float64)
+        return cast(self, origin, dirs, t, max_range)
+
+    monkeypatch.setattr(Environment, "cast_rays", recorded)
+    simulate(load_scenario(resolve_scenario_path("indoor_bar"), overrides=["duration=0.5"]))
+    assert len(layouts) >= 25 and all(layouts)
 
 
 @pytest.mark.filterwarnings("error")
@@ -922,11 +951,12 @@ def test_broad_phase_skips_obstacles_out_of_view(monkeypatch):
             return kernel(self, o, d)
         monkeypatch.setattr(shape, "ray_hits", counted)
 
+    env = _bundled_env("hillside")
+
     def counted_capsules(self, which, origins, d, best, kernel=_CapsuleTable.ray_hits):
-        calls.extend(self.shapes[i] for i in which)
+        calls.extend(env.obstacles[i].shape for i in env._capsule_ids[which])
         return kernel(self, which, origins, d, best)
     monkeypatch.setattr(_CapsuleTable, "ray_hits", counted_capsules)
-    env = _bundled_env("hillside")
     origin = [12.0, -0.2, 3.0]  # obstacles at x < 8 m lie behind a sensor facing +x
     dirs = rosette_directions(SensorModel(), 640)
     got = env.cast_rays(origin, dirs, 12.8, MAX_RANGE)
