@@ -267,8 +267,8 @@ def _validate_consistency(s: Scenario):
         raise ScenarioError(f"scenario.start: start position is inside an obstacle (sdf={d0:.3f})")
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that refuses a mapping key written twice (PyYAML keeps the last copy)."""
+class _UniqueKeyLoader(yaml.CSafeLoader):
+    """libyaml's safe loader, refusing a mapping key written twice (PyYAML keeps the last copy)."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()

@@ -8,6 +8,10 @@ Collision checks consult every tree, until one map state has answered
 `_MERGE_AFTER` queries: later queries then read one tree built over every
 tree's points, which answers the same bits, until the next update.
 
+An update stores the filling tree's points without building it: the first
+query that reads a tree builds it, into the `MapUpdateInfo` times of the update
+that made it, so a tree that the next scan replaces unread is never built.
+
 The tree being filled is not re-filtered from its raw scans on every update:
 the map keeps running per-voxel coordinate sums and counts for it and folds
 each new scan into them, so an update costs O(scan + voxels) instead of
@@ -31,8 +35,9 @@ class KdTree:
     """3-d tree answering one query exactly: the distance from each query point
     to its nearest stored point, capped at a radius.
 
-    Backed by scipy's cKDTree, which also builds on an empty set and answers inf
-    there; this wrapper adds inclusive radius semantics (distance <= r).
+    Backed by scipy's cKDTree, built by the first query (or `build`), and by
+    none for an empty set, which answers inf; this wrapper adds inclusive
+    radius semantics (distance <= r).
 
     The tree splits at the sliding midpoint and keeps each node's full box
     (`balanced_tree=False, compact_nodes=False`): that builds in about half the
@@ -45,7 +50,16 @@ class KdTree:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
         self._points = pts
-        self._kd = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+        self._kd = None
+
+    def build(self) -> float:
+        """Build the search tree now, if it holds points and is not built yet.
+        Returns the seconds the build took, 0.0 if there was none."""
+        if self._kd is not None or not len(self._points):
+            return 0.0
+        t0 = time.perf_counter()
+        self._kd = cKDTree(self._points, balanced_tree=False, compact_nodes=False)
+        return time.perf_counter() - t0
 
     @property
     def points(self) -> np.ndarray:
@@ -58,6 +72,9 @@ class KdTree:
     def nearest_distance(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Per query point of `pts` (..., 3), the distance to the nearest stored
         point if it is below the padded bound r + 1e-9, else inf."""
+        self.build()
+        if self._kd is None:  # no stored point
+            return np.full(np.shape(pts)[:-1], np.inf)
         # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
         return self._kd.query(pts, k=1, distance_upper_bound=r + 1e-9)[0]
 
@@ -97,7 +114,7 @@ class MapUpdateInfo:
     wrapped: bool
     raw_accumulated: int
     filter_seconds: float
-    build_seconds: float
+    build_seconds: float  # 0.0 until a query first reads the tree and builds it
     total_seconds: float
 
 
@@ -108,7 +125,7 @@ class TemporalLocalMap:
     the counters reset and tree 0 is overwritten; otherwise the target tree is
     scan_input_num // scans_per_tree. A fresh accumulation starts whenever
     scan_input_num is a multiple of scans_per_tree, and the target tree is
-    rebuilt from scratch from the voxel centroids of its accumulation.
+    replaced by one over the voxel centroids of its accumulation.
 
     The accumulation is kept as running voxel sums, not as raw scans: sorted
     packed voxel keys, per-voxel x/y/z sums and per-voxel point counts. Each
@@ -125,9 +142,11 @@ class TemporalLocalMap:
         self.config = config
         self.total_scans = 0
         self.trees: list[KdTree] = [KdTree(np.empty((0, 3))) for _ in range(TREE_COUNT)]
-        self._stamps = [0.0] * TREE_COUNT  # stamp of the scan each tree was last built from
+        self._stamps = [0.0] * TREE_COUNT  # stamp of the scan each tree was last made from
         self._queries = 0  # queries on the current map state
-        self._merged: list[KdTree] = []  # one tree over every tree's points, once built
+        self._merged: list[KdTree] = []  # one tree over every tree's points, once made
+        self._latest: MapUpdateInfo | None = None  # the update that made the current map state
+        self._unbuilt: list[tuple[KdTree, MapUpdateInfo]] = []  # trees no query read, with their updates
         self._reset_accumulation()
 
     @property
@@ -180,20 +199,23 @@ class TemporalLocalMap:
             self._reset_accumulation()
         self._fold(new_scan.points, keys)
         centroids = np.column_stack([s / self._counts for s in self._sums])  # voxel_filter's layout
-        t_build = time.perf_counter()
-        self.trees[tree_index] = KdTree(centroids)
+        t_filtered = time.perf_counter()
+        tree = self.trees[tree_index] = KdTree(centroids)
         self._stamps[tree_index] = new_scan.stamp
-        self._queries, self._merged = 0, []
-        t_end = time.perf_counter()
         self.total_scans += 1
-        return MapUpdateInfo(
+        info = MapUpdateInfo(
             tree_index=tree_index,
             wrapped=wrapped,
             raw_accumulated=self._raw,
-            filter_seconds=t_build - t_start,
-            build_seconds=t_end - t_build,
-            total_seconds=t_end - t_start,
+            filter_seconds=t_filtered - t_start,
+            build_seconds=0.0,
+            total_seconds=time.perf_counter() - t_start,
         )
+        # the tree this one replaces is never built if no query has read it
+        self._unbuilt = [(t, i) for t, i in self._unbuilt if i.tree_index != tree_index]
+        self._unbuilt.append((tree, info))
+        self._queries, self._merged, self._latest = 0, [], info
+        return info
 
     @property
     def tree_sizes(self) -> list[int]:
@@ -206,10 +228,18 @@ class TemporalLocalMap:
         """The trees a query reads: every tree, or past `_MERGE_AFTER` queries
         on this map state the one merged tree. The nearest distance in a union
         is the least of the per-tree ones, each from the same point pair, so
-        both answer the same bits."""
+        both answer the same bits. Each tree not yet built is built here, its
+        time added to the update that made it (the merged tree's to the one
+        that made this map state; a map no update made has nothing to merge)."""
         self._queries += 1
-        if self._queries > _MERGE_AFTER and not self._merged:
+        if self._queries > _MERGE_AFTER and not self._merged and self._latest is not None:
             self._merged = [KdTree(np.concatenate([t.points for t in self.trees]))]
+            self._unbuilt.append((self._merged[0], self._latest))
+        for tree, info in self._unbuilt:
+            seconds = tree.build()
+            info.build_seconds += seconds
+            info.total_seconds += seconds
+        self._unbuilt.clear()
         return self._merged or self.trees
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:

@@ -261,6 +261,7 @@ def test_criterion_7_timing():
     for i in range(150):
         scan = PointCloud(points=corridor_scan(rng), stamp=i * 0.02)
         info = m.update(scan)
+        m.any_within(np.zeros((1, 3)), 0.1)  # the first query builds the tree, into info's times
         times.append(info.total_seconds)
     t = np.asarray(times)
     mean_ms = t.mean() * 1e3

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -15,7 +17,7 @@ from cloudnav.cli import (
     run,
 )
 from cloudnav.core import UavState
-from cloudnav.scenario import ScenarioError, load_scenario
+from cloudnav.scenario import ScenarioError, load_scenario, scenario_from_dict
 from cloudnav.sim import FrameRecord, RunLog
 
 MINI = {
@@ -96,6 +98,7 @@ def test_run_writes_expected_outputs(mini_path, tmp_path):
     data = json.loads((out / "report.json").read_text())
     assert data["outcome"] == "goal_reached"
     assert data["timings"]["map_update"]["count"] > 0
+    assert data["timings"]["tree_build"]["max_ms"] > 0  # the queries' builds reach each update's record
     assert data["min_ground_truth_clearance"] > 0
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("frame,t,px,py,pz")
@@ -291,6 +294,29 @@ def test_cli_compare_maps_without_returns(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "compare_maps.json").read_text())
     assert report["pointcloud_bar_points"] == 0
     assert report["map_tree_sizes"] == [0, 0]
+
+
+def _same(a, b) -> bool:
+    """Field-by-field equality that compares arrays by value and dtype."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_bundled_scenario_loads_as_pyyaml_safe_load_reads_it(name):
+    # the loader parses through libyaml; PyYAML's pure-Python safe loader must read the same file alike
+    path = resolve_scenario_path(name)
+    with open(path) as f:
+        want = scenario_from_dict(yaml.safe_load(f))
+    assert _same(load_scenario(path), want)
+    assert not _same(load_scenario(path), dataclasses.replace(want, goal=want.goal + 1e-12))
 
 
 def test_cli_refuses_a_key_written_twice_naming_the_repeat(mini_path, tmp_path, capsys):

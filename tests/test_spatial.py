@@ -304,6 +304,93 @@ def test_map_update_drops_the_merged_tree():
     assert m.nearest_distance([9.0, 9.0, 9.05], 0.1) == pytest.approx(0.05)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the scipy KD-trees that cloudnav.spatial builds, in builds[0]."""
+    import cloudnav.spatial
+
+    count = [0]
+    real = cloudnav.spatial.cKDTree
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cloudnav.spatial, "cKDTree", counted)
+    return count
+
+
+def test_updates_without_a_query_build_no_tree(builds):
+    m = TemporalLocalMap(MapConfig(scans_per_tree=50, resolution=0.1))
+    rng = np.random.default_rng(40)
+    for i in range(100):
+        m.update(_scan(_corridor_scan(rng), stamp=i * 0.02))
+    assert builds[0] == 0
+    assert not m.any_within(_FAR, 0.1)[0]  # and a query still reads them: both trees, once each
+    assert builds[0] == 2
+
+
+def test_first_query_builds_each_unbuilt_tree_once_into_its_update(builds):
+    m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
+    empty = m.update(_scan(np.empty((0, 3))))
+    assert m.nearest_distance([0, 0, 0], 0.45) == np.inf
+    assert builds[0] == 0 and empty.build_seconds == 0.0  # empty trees need no build
+    m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
+    rng = np.random.default_rng(41)
+    # scans 0-1 fill tree 0 and 2-3 tree 1: updates 0 and 2 make trees that 1 and 3 replace unread
+    infos = [m.update(_scan(_corridor_scan(rng), stamp=float(i))) for i in range(4)]
+    assert builds[0] == 0 and all(info.build_seconds == 0.0 for info in infos)
+    m.any_within(_ORIGIN, 0.1)
+    assert builds[0] == 2
+    assert [info.build_seconds > 0 for info in infos] == [False, True, False, True]
+    for info in infos:
+        assert info.total_seconds >= info.filter_seconds + info.build_seconds
+    built = [info.build_seconds for info in infos]
+    m.nearest_distance([0, 0, 0], 0.45)
+    m.any_within(_FAR, 0.1)
+    assert builds[0] == 2  # later queries build nothing and time nothing
+    assert [info.build_seconds for info in infos] == built
+
+
+def test_flight_builds_at_most_one_tree_per_map_update(builds):
+    from cloudnav import load_scenario, simulate
+    from cloudnav.cli import resolve_scenario_path
+
+    log = simulate(load_scenario(resolve_scenario_path("indoor_bar")), seed=1)
+    assert log.outcome == "goal_reached"
+    assert 0 < builds[0] <= len(log.map_updates)
+    # each build is timed into the record of the one update that made the tree
+    assert sum(info.build_seconds > 0 for info in log.map_updates) == builds[0]
+
+
+def test_interleaved_updates_and_reads_match_bruteforce_union(builds):
+    """Reads after several updates each: across a tree switch (both trees
+    unbuilt at once) and wraparounds, and past `_MERGE_AFTER` on one state."""
+    h = 3
+    m = TemporalLocalMap(MapConfig(scans_per_tree=h, resolution=0.05))
+    rng = np.random.default_rng(42)
+    scans = 0
+    want_builds = 0
+    for updates, reads in ((2, 3), (4, 5), (3, _MERGE_AFTER + 6), (5, 4), (1, _MERGE_AFTER + 1)):
+        touched = set()
+        for _ in range(updates):
+            touched.add(m.update(_scan(_corridor_scan(rng, n=200), stamp=scans * 0.02)).tree_index)
+            scans += 1
+        want_builds += len(touched) + (reads > _MERGE_AFTER)
+        union = np.concatenate([t.points for t in m.trees])
+        for i in range(reads):
+            r = rng.uniform(0.05, 0.6)
+            if i % 2:
+                q = rng.uniform([-0.5, -2, -0.5], [8.5, 2, 3])
+                assert m.nearest_distance(q, r) == brute_nearest_distance(union, q, r)
+            else:
+                qs = rng.uniform([-0.5, -2, -0.5], [8.5, 2, 3], (40, 3))
+                assert np.array_equal(m.any_within(qs, r), brute_any_within(union, qs, r))
+        assert bool(m._merged) == (reads > _MERGE_AFTER)
+        assert builds[0] == want_builds, f"after {scans} scans"
+    assert scans > 2 * h * 2  # the cycle wrapped twice
+
+
 def brute_any_within(points, qs, r):
     """O(n*m) oracle: is any of `points` within distance r (inclusive) of each query?"""
     if len(points) == 0:
