@@ -8,9 +8,11 @@ Collision checks consult every tree, until one map state has answered
 `_MERGE_AFTER` queries: later queries then read one tree built over every
 tree's points, which answers the same bits, until the next update.
 
-An update stores the filling tree's points without building it: the first
-query that reads a tree builds it, into the `MapUpdateInfo` times of the update
-that made it, so a tree that the next scan replaces unread is never built.
+An update stores the filling tree's points without building it. A tree's
+first read answers from a small tree over only the points in the query's box;
+its second read builds it, into the `MapUpdateInfo` times of the update that
+made it. In a flight each map state is read once, by the trajectory re-check,
+unless a plan reads it again, so most trees are never built.
 
 The tree being filled is not re-filtered from its raw scans on every update:
 the map keeps running per-voxel coordinate sums and counts for it and folds
@@ -35,9 +37,15 @@ class KdTree:
     """3-d tree answering one query exactly: the distance from each query point
     to its nearest stored point, capped at a radius.
 
-    Backed by scipy's cKDTree, built by the first query (or `build`), and by
-    none for an empty set, which answers inf; this wrapper adds inclusive
-    radius semantics (distance <= r).
+    Backed by scipy's cKDTree, built at the second read (or by `build`) and
+    never for an empty set; this wrapper adds inclusive radius semantics
+    (distance <= r). A read of an unbuilt tree answers from a cKDTree over only
+    the stored points that lie within the padded bound, plus a relative 1e-9 of
+    it, of the query points' box on every axis (an empty box answers inf). A
+    point left out is farther than the bound from every query point on some
+    axis, so each answer comes from the same point pair through the same kernel
+    as the full tree's, and a tree read once is never built. A build's seconds
+    are added to `record`'s `build_seconds` and `total_seconds`, if it has one.
 
     The tree splits at the sliding midpoint and keeps each node's full box
     (`balanced_tree=False, compact_nodes=False`): that builds in about half the
@@ -45,21 +53,26 @@ class KdTree:
     distances. (Unbalanced splits alone are slower to query.)
     """
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points: np.ndarray, record: MapUpdateInfo | None = None):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
         self._points = pts
+        self._record = record
         self._kd = None
+        self._reads = 0
 
-    def build(self) -> float:
-        """Build the search tree now, if it holds points and is not built yet.
-        Returns the seconds the build took, 0.0 if there was none."""
+    def build(self) -> None:
+        """Build the search tree now, if it holds points and is not built yet,
+        adding the seconds it took to `record`."""
         if self._kd is not None or not len(self._points):
-            return 0.0
+            return
         t0 = time.perf_counter()
         self._kd = cKDTree(self._points, balanced_tree=False, compact_nodes=False)
-        return time.perf_counter() - t0
+        if self._record is not None:
+            seconds = time.perf_counter() - t0
+            self._record.build_seconds += seconds
+            self._record.total_seconds += seconds
 
     @property
     def points(self) -> np.ndarray:
@@ -69,14 +82,33 @@ class KdTree:
     def size(self) -> int:
         return len(self._points)
 
+    def _box_tree(self, pts, bound: float) -> cKDTree:
+        """cKDTree over the stored points within `bound` * (1 + 1e-9) of the box
+        around `pts` on every axis. Both sides of each test are differences,
+        which round monotonically, so a point left out is farther than that pad
+        from every query point on that axis, at any coordinate size; the pad's
+        slack is far above the kernel's rounding of the squared bound."""
+        q = np.asarray(pts, dtype=float).reshape(-1, 3)
+        lo, hi = q.min(axis=0, initial=np.inf), q.max(axis=0, initial=-np.inf)
+        pad = bound * (1 + 1e-9)
+        keep = np.ones(len(self._points), dtype=bool)
+        for axis in range(3):
+            c = self._points[:, axis]
+            keep &= c - hi[axis] <= pad
+            keep &= lo[axis] - c <= pad
+        return cKDTree(self._points[keep], balanced_tree=False, compact_nodes=False)
+
     def nearest_distance(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Per query point of `pts` (..., 3), the distance to the nearest stored
-        point if it is below the padded bound r + 1e-9, else inf."""
-        self.build()
-        if self._kd is None:  # no stored point
-            return np.full(np.shape(pts)[:-1], np.inf)
+        point if it is below the padded bound r + 1e-9, else inf. A non-finite
+        query point raises ValueError, built or not."""
+        self._reads += 1
+        if self._reads > 1:
+            self.build()
         # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
-        return self._kd.query(pts, k=1, distance_upper_bound=r + 1e-9)[0]
+        bound = r + 1e-9
+        kd = self._kd if self._kd is not None else self._box_tree(pts, bound)
+        return kd.query(pts, k=1, distance_upper_bound=bound)[0]
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
         """Boolean per query point of `pts` (N, 3): is any stored point within
@@ -114,7 +146,7 @@ class MapUpdateInfo:
     wrapped: bool
     raw_accumulated: int
     filter_seconds: float
-    build_seconds: float  # 0.0 until a query first reads the tree and builds it
+    build_seconds: float  # 0.0 until the tree's second read builds it; a tree read once never is
     total_seconds: float
 
 
@@ -146,7 +178,6 @@ class TemporalLocalMap:
         self._queries = 0  # queries on the current map state
         self._merged: list[KdTree] = []  # one tree over every tree's points, once made
         self._latest: MapUpdateInfo | None = None  # the update that made the current map state
-        self._unbuilt: list[tuple[KdTree, MapUpdateInfo]] = []  # trees no query read, with their updates
         self._reset_accumulation()
 
     @property
@@ -200,7 +231,6 @@ class TemporalLocalMap:
         self._fold(new_scan.points, keys)
         centroids = np.column_stack([s / self._counts for s in self._sums])  # voxel_filter's layout
         t_filtered = time.perf_counter()
-        tree = self.trees[tree_index] = KdTree(centroids)
         self._stamps[tree_index] = new_scan.stamp
         self.total_scans += 1
         info = MapUpdateInfo(
@@ -211,9 +241,7 @@ class TemporalLocalMap:
             build_seconds=0.0,
             total_seconds=time.perf_counter() - t_start,
         )
-        # the tree this one replaces is never built if no query has read it
-        self._unbuilt = [(t, i) for t, i in self._unbuilt if i.tree_index != tree_index]
-        self._unbuilt.append((tree, info))
+        self.trees[tree_index] = KdTree(centroids, info)  # its build, if any, is timed into info
         self._queries, self._merged, self._latest = 0, [], info
         return info
 
@@ -228,18 +256,13 @@ class TemporalLocalMap:
         """The trees a query reads: every tree, or past `_MERGE_AFTER` queries
         on this map state the one merged tree. The nearest distance in a union
         is the least of the per-tree ones, each from the same point pair, so
-        both answer the same bits. Each tree not yet built is built here, its
-        time added to the update that made it (the merged tree's to the one
-        that made this map state; a map no update made has nothing to merge)."""
+        both answer the same bits. The merged tree is built when it is made,
+        its time added to the update that made this map state (a map no update
+        made has nothing to merge)."""
         self._queries += 1
         if self._queries > _MERGE_AFTER and not self._merged and self._latest is not None:
-            self._merged = [KdTree(np.concatenate([t.points for t in self.trees]))]
-            self._unbuilt.append((self._merged[0], self._latest))
-        for tree, info in self._unbuilt:
-            seconds = tree.build()
-            info.build_seconds += seconds
-            info.total_seconds += seconds
-        self._unbuilt.clear()
+            self._merged = [KdTree(np.concatenate([t.points for t in self.trees]), self._latest)]
+            self._merged[0].build()
         return self._merged or self.trees
 
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:

@@ -76,6 +76,80 @@ def test_radius_queries_match_bruteforce():
     assert 0 < hits < len(qs)
 
 
+def _padded_box_edge(x, r):
+    """The first coordinate past `x` + KdTree's box pad at radius r."""
+    return np.nextafter(x + (r + 1e-9) * (1 + 1e-9), np.inf)
+
+
+_BIG = [1e5, -1e5, 1e5]
+
+# (stored points, query points, r, points in the first read's box): each one
+# an edge of that box or of the padded bound
+_EDGE_CASES = {
+    "exactly-r-on-an-axis": ([[0.3, 0, 0], [5, 5, 5]], [[0, 0, 0], [0.6, 0, 0]], 0.3, 1),
+    "exactly-r-on-a-diagonal": ([[1.0, 2.0, 2.0]], [[0, 0, 0], [2.0, 4.0, 4.0]], 3.0, 1),
+    "just-under-the-padded-bound": ([[np.nextafter(0.3 + 1e-9, 0), 0, 0]], [[0, 0, 0]], 0.3, 1),
+    "at-the-padded-bound": ([[0.3 + 1e-9, 0, 0]], [[0, 0, 0]], 0.3, 1),
+    "between-the-bound-and-the-pad": ([[np.nextafter(0.3 + 1e-9, 1), 0, 0]], [[0, 0, 0]], 0.3, 1),
+    "just-outside-the-box": (
+        [[_padded_box_edge(0.5, 0.3), 0, 0], [0, -_padded_box_edge(0, 0.3), 0]],
+        [[0, 0, 0], [0.5, 0, 0]],
+        0.3,
+        0,
+    ),
+    "near-1e5-m": (
+        np.add(_BIG, [[0.25, 0, 0], [0, 0.3, 0], [0.1, 0.1, 0.1], [0, 0, -0.5], [0, 0, 0.5]]),
+        np.add(_BIG, [[0, 0, 0], [0.2, 0.2, 0.2], [0, 0, -0.25]]),
+        0.25,
+        4,
+    ),
+    "near-minus-1e5-m": (np.negative(np.add(_BIG, [[0.25, 0, 0], [0, 0, 0.4]])), [np.negative(_BIG)], 0.25, 1),
+    "a-(3,)-query": ([[0.3, 0, 0], [0, 0.2, 0.2], [0, 0.4, 0]], [0.0, 0.0, 0.0], 0.3, 2),
+    "empty-box": ([[5.0, 5.0, 5.0], [-5.0, 0, 0]], [[0, 0, 0], [1, 1, 1]], 0.3, 0),
+}
+
+
+@pytest.mark.parametrize("points, queries, r, boxed", _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
+def test_first_and_second_reads_match_bruteforce_at_the_box_edges(points, queries, r, boxed):
+    points, queries = np.asarray(points, dtype=float), np.asarray(queries, dtype=float)
+    rows = np.atleast_2d(queries)
+    want = np.array([brute_nearest_distance(points, q, r) for q in rows]).reshape(queries.shape[:-1])
+    t = KdTree(points)
+    assert t._box_tree(queries, r + 1e-9).n == boxed
+    first = t.nearest_distance(queries, r)  # unbuilt: from the points in the queries' box
+    assert t._kd is None
+    second = t.nearest_distance(queries, r)  # built: from the full tree
+    assert t._kd is not None
+    assert np.array_equal(first, want) and np.array_equal(second, want)
+    assert np.shape(first) == queries.shape[:-1]
+    t = KdTree(points)
+    want_hits = brute_any_within(points, rows, r)
+    assert np.array_equal(t.any_within(rows, r), want_hits)
+    assert t._kd is None
+    assert np.array_equal(t.any_within(rows, r), want_hits)
+    assert t._kd is not None
+
+
+@pytest.mark.parametrize("points", [[[0.0, 0, 0], [5, 5, 5]], np.empty((0, 3))], ids=["points", "empty-set"])
+@pytest.mark.parametrize(
+    "queries",
+    [[[0.1, 0, 0], [0, 0, np.nan]], [[50.0, 50, 50], [np.nan, 50, 50]], [[0.0, 0, np.inf], [0, 0, 0.1]],
+     [[-np.inf, 0, 0], [0.1, 0, 0]], [np.nan, 0.0, 0.0]],
+    ids=["nan-beside-a-near-query", "nan-beside-a-far-query", "inf", "minus-inf", "a-(3,)-nan"],
+)
+def test_reads_refuse_non_finite_query_points_built_or_not(points, queries):
+    # a NaN empties the first read's box; an infinity stretches it over stored points
+    t = KdTree(np.asarray(points, dtype=float))
+    for _ in range(2):  # the first read from the box, the second from the built tree
+        with pytest.raises(ValueError, match="'x' must be finite"):
+            t.nearest_distance(np.asarray(queries), 0.3)
+    assert (t._kd is not None) == (t.size > 0)
+    m = _two_tree_map(_ORIGIN, _FAR)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'x' must be finite"):
+            m.any_within(np.atleast_2d(queries), 0.3)
+
+
 def _scan(points, stamp=0.0):
     return PointCloud(points=np.atleast_2d(np.asarray(points, dtype=float)), stamp=stamp)
 
@@ -306,18 +380,23 @@ def test_map_update_drops_the_merged_tree():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts the scipy KD-trees that cloudnav.spatial builds, in builds[0]."""
-    import cloudnav.spatial
+    """Counts the scipy trees that cloudnav.spatial builds: `full`, each over a
+    tree's whole point set, and `box`, each over the points in a first read's box."""
+    counts = {"full": 0, "box": 0}
+    build, box_tree = KdTree.build, KdTree._box_tree
 
-    count = [0]
-    real = cloudnav.spatial.cKDTree
+    def counted_build(self):
+        unbuilt = self._kd is None
+        build(self)
+        counts["full"] += unbuilt and self._kd is not None
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return real(*args, **kwargs)
+    def counted_box_tree(self, *args):
+        counts["box"] += 1
+        return box_tree(self, *args)
 
-    monkeypatch.setattr(cloudnav.spatial, "cKDTree", counted)
-    return count
+    monkeypatch.setattr(KdTree, "build", counted_build)
+    monkeypatch.setattr(KdTree, "_box_tree", counted_box_tree)
+    return counts
 
 
 def test_updates_without_a_query_build_no_tree(builds):
@@ -325,42 +404,57 @@ def test_updates_without_a_query_build_no_tree(builds):
     rng = np.random.default_rng(40)
     for i in range(100):
         m.update(_scan(_corridor_scan(rng), stamp=i * 0.02))
-    assert builds[0] == 0
-    assert not m.any_within(_FAR, 0.1)[0]  # and a query still reads them: both trees, once each
-    assert builds[0] == 2
+    assert builds == {"full": 0, "box": 0}
+    assert not m.any_within(_FAR, 0.1)[0]  # a first read answers from each tree's box
+    assert builds == {"full": 0, "box": 2}
+    assert not m.any_within(_FAR, 0.1)[0]  # the second read builds both trees, once each
+    assert builds == {"full": 2, "box": 2}
 
 
-def test_first_query_builds_each_unbuilt_tree_once_into_its_update(builds):
+def test_second_read_builds_each_tree_once_into_its_update(builds):
     m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
     empty = m.update(_scan(np.empty((0, 3))))
-    assert m.nearest_distance([0, 0, 0], 0.45) == np.inf
-    assert builds[0] == 0 and empty.build_seconds == 0.0  # empty trees need no build
+    for _ in range(3):
+        assert m.nearest_distance([0, 0, 0], 0.45) == np.inf
+    # an empty tree is never built: each read of either answers from its empty box
+    assert builds == {"full": 0, "box": 6} and empty.build_seconds == 0.0
+    builds.update(full=0, box=0)
     m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
     rng = np.random.default_rng(41)
     # scans 0-1 fill tree 0 and 2-3 tree 1: updates 0 and 2 make trees that 1 and 3 replace unread
     infos = [m.update(_scan(_corridor_scan(rng), stamp=float(i))) for i in range(4)]
-    assert builds[0] == 0 and all(info.build_seconds == 0.0 for info in infos)
-    m.any_within(_ORIGIN, 0.1)
-    assert builds[0] == 2
+    assert not m.any_within(_FAR, 0.1)[0]
+    assert builds == {"full": 0, "box": 2} and all(info.build_seconds == 0.0 for info in infos)
+    m.nearest_distance([0, 0, 0], 0.45)
+    assert builds == {"full": 2, "box": 2}
     assert [info.build_seconds > 0 for info in infos] == [False, True, False, True]
     for info in infos:
         assert info.total_seconds >= info.filter_seconds + info.build_seconds
     built = [info.build_seconds for info in infos]
     m.nearest_distance([0, 0, 0], 0.45)
     m.any_within(_FAR, 0.1)
-    assert builds[0] == 2  # later queries build nothing and time nothing
+    assert builds == {"full": 2, "box": 2}  # later reads build nothing and time nothing
     assert [info.build_seconds for info in infos] == built
+    # scan 4 wraps onto tree 0; read once, then replaced by scan 5, that tree is never built
+    wrapped = m.update(_scan(_corridor_scan(rng), stamp=4.0))
+    assert not m.any_within(_FAR, 0.1)[0]
+    m.update(_scan(_corridor_scan(rng), stamp=5.0))
+    assert builds == {"full": 2, "box": 3} and wrapped.build_seconds == 0.0
 
 
-def test_flight_builds_at_most_one_tree_per_map_update(builds):
+def test_indoor_flight_builds_a_tree_only_at_its_second_read(builds):
     from cloudnav import load_scenario, simulate
     from cloudnav.cli import resolve_scenario_path
 
     log = simulate(load_scenario(resolve_scenario_path("indoor_bar")), seed=1)
     assert log.outcome == "goal_reached"
-    assert 0 < builds[0] <= len(log.map_updates)
+    # the re-check reads each new tree once, from its box; only the reads of a
+    # plan or a relaxed check build one (14 trees in 505 updates at this seed)
+    assert len(log.map_updates) == 505
+    assert 0 < builds["full"] <= 40
+    assert builds["box"] >= len(log.map_updates)
     # each build is timed into the record of the one update that made the tree
-    assert sum(info.build_seconds > 0 for info in log.map_updates) == builds[0]
+    assert sum(info.build_seconds > 0 for info in log.map_updates) == builds["full"]
 
 
 def test_interleaved_updates_and_reads_match_bruteforce_union(builds):
@@ -376,6 +470,7 @@ def test_interleaved_updates_and_reads_match_bruteforce_union(builds):
         for _ in range(updates):
             touched.add(m.update(_scan(_corridor_scan(rng, n=200), stamp=scans * 0.02)).tree_index)
             scans += 1
+        # every phase reads each tree at least twice, so each new tree is built once
         want_builds += len(touched) + (reads > _MERGE_AFTER)
         union = np.concatenate([t.points for t in m.trees])
         for i in range(reads):
@@ -387,7 +482,7 @@ def test_interleaved_updates_and_reads_match_bruteforce_union(builds):
                 qs = rng.uniform([-0.5, -2, -0.5], [8.5, 2, 3], (40, 3))
                 assert np.array_equal(m.any_within(qs, r), brute_any_within(union, qs, r))
         assert bool(m._merged) == (reads > _MERGE_AFTER)
-        assert builds[0] == want_builds, f"after {scans} scans"
+        assert builds["full"] == want_builds, f"after {scans} scans"
     assert scans > 2 * h * 2  # the cycle wrapped twice
 
 
