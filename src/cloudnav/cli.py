@@ -105,7 +105,7 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
         scenario=log.scenario_name,
         timings={
             "map_update": _stats([u.total_seconds for u in log.map_updates]),
-            # over the updates whose tree a second read built: `count` is the build count
+            # over the updates whose tree or map state a second read built; `count` counts those updates
             "tree_build": _stats([u.build_seconds for u in log.map_updates if u.build_seconds > 0]),
             "plan": _plan_stats(log.plan_seconds),
         },

@@ -97,11 +97,6 @@ class Capsule:
     def bounding_sphere(self) -> tuple[np.ndarray, float]:
         return 0.5 * (self.p0 + self.p1), 0.5 * self.length + self.radius
 
-    def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        dirs = np.ascontiguousarray(dirs, dtype=float)
-        best = np.full(len(dirs), np.inf)
-        return _CapsuleTable([self]).ray_hits([0], np.asarray(origin, dtype=float)[None], dirs, best)
-
     def distances(self, pts: np.ndarray) -> np.ndarray:
         s = np.clip((pts - self.p0) @ self.a_hat, 0.0, self.length)
         closest = self.p0 + s[..., None] * self.a_hat

@@ -4,15 +4,17 @@ The local map cycles `TREE_COUNT` KD-trees: each tree holds the
 voxel-filtered accumulation of up to `scans_per_tree` consecutive scans, so
 together the trees cover a bounded window of recent sensor history and space
 vacated by moving obstacles becomes free again once the window rolls past.
-Collision checks consult every tree, until one map state has answered
-`_MERGE_AFTER` queries: later queries then read one tree built over every
-tree's points, which answers the same bits, until the next update.
 
-An update stores the filling tree's points without building it. A tree's
-first read answers from a small tree over only the points in the query's box;
-its second read builds it, into the `MapUpdateInfo` times of the update that
-made it. In a flight each map state is read once, by the trajectory re-check,
-unless a plan reads it again, so most trees are never built.
+Every tree follows one build rule, ikd-Tree's lazy rebuild: it is built at
+its second read, never at its first. An update stores the filling tree's
+points, and makes the new map state a tree whose parts are the map's trees;
+it builds nothing. A state's first read answers the least of its parts'
+answers, each part reading by its own rule: a tree's first read answers from
+a small tree over only the points in the query's box. A state's second read
+builds it over its parts' points, into the `MapUpdateInfo` times of the
+update that made it. In a flight each map state is read once, by the
+trajectory re-check, unless a plan reads it again, so most trees are never
+built.
 
 The tree being filled is not re-filtered from its raw scans on every update:
 the map keeps running per-voxel coordinate sums and counts for it and folds
@@ -44,8 +46,14 @@ class KdTree:
     it, of the query points' box on every axis (an empty box answers inf). A
     point left out is farther than the bound from every query point on some
     axis, so each answer comes from the same point pair through the same kernel
-    as the full tree's, and a tree read once is never built. A build's seconds
-    are added to `record`'s `build_seconds` and `total_seconds`, if it has one.
+    as the full tree's, and a tree read once is never built.
+
+    A tree made from `parts` holds the union of their points, concatenated
+    when it is built. Unbuilt, it answers the least of its parts' answers, each
+    part reading by its own rule: the nearest distance in a union is the least
+    of the per-part ones, from the same point pair, so both answer the same
+    bits. A build's seconds are added to `record`'s `build_seconds` and
+    `total_seconds`, if it has one.
 
     The tree splits at the sliding midpoint and keeps each node's full box
     (`balanced_tree=False, compact_nodes=False`): that builds in about half the
@@ -53,11 +61,14 @@ class KdTree:
     distances. (Unbalanced splits alone are slower to query.)
     """
 
-    def __init__(self, points: np.ndarray, record: MapUpdateInfo | None = None):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-        self._points = pts
+    def __init__(self, points, record: MapUpdateInfo | None = None, parts: tuple[KdTree, ...] = ()):
+        """`points` (N, 3), or None for a tree made from `parts`."""
+        if not parts:
+            points = np.asarray(points, dtype=float)
+            if points.ndim != 2 or points.shape[1] != 3:
+                raise ValueError(f"points must have shape (N, 3), got {points.shape}")
+        self._points = points
+        self._parts = parts
         self._record = record
         self._kd = None
         self._reads = 0
@@ -65,10 +76,10 @@ class KdTree:
     def build(self) -> None:
         """Build the search tree now, if it holds points and is not built yet,
         adding the seconds it took to `record`."""
-        if self._kd is not None or not len(self._points):
+        if self._kd is not None or not self.size:
             return
         t0 = time.perf_counter()
-        self._kd = cKDTree(self._points, balanced_tree=False, compact_nodes=False)
+        self._kd = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
         if self._record is not None:
             seconds = time.perf_counter() - t0
             self._record.build_seconds += seconds
@@ -76,10 +87,14 @@ class KdTree:
 
     @property
     def points(self) -> np.ndarray:
+        if self._parts:
+            return np.concatenate([part.points for part in self._parts])
         return self._points
 
     @property
     def size(self) -> int:
+        if self._parts:
+            return sum(part.size for part in self._parts)
         return len(self._points)
 
     def _box_tree(self, pts, bound: float) -> cKDTree:
@@ -105,6 +120,8 @@ class KdTree:
         self._reads += 1
         if self._reads > 1:
             self.build()
+        if self._kd is None and self._parts:
+            return np.minimum.reduce([part.nearest_distance(pts, r) for part in self._parts])
         # cKDTree's bound is exclusive; pad it so exact-boundary hits survive
         bound = r + 1e-9
         kd = self._kd if self._kd is not None else self._box_tree(pts, bound)
@@ -118,15 +135,6 @@ class KdTree:
 
 # The paper's two trees: one filling while the other still holds the window before it.
 TREE_COUNT = 2
-
-# Queries on one map state after which one tree over all the trees' points
-# answers them. On a shared 2-core x86-64 host a merged build takes 2.5-3.5 ms
-# on the bundled scenarios' 28-34k-point maps and saves 50-60 us a 135-point
-# query (47 against 107 us on forest_branch), so it pays for itself after
-# 50-60 queries. A flight asks one map state at most 40 times; the many plans
-# of perfbench's plan_forest share a map state and ask it thousands of times.
-_MERGE_AFTER = 64
-
 
 @dataclass(frozen=True)
 class MapConfig:
@@ -146,7 +154,7 @@ class MapUpdateInfo:
     wrapped: bool
     raw_accumulated: int
     filter_seconds: float
-    build_seconds: float  # 0.0 until the tree's second read builds it; a tree read once never is
+    build_seconds: float  # 0.0 until a second read builds its tree or its map state
     total_seconds: float
 
 
@@ -175,9 +183,7 @@ class TemporalLocalMap:
         self.total_scans = 0
         self.trees: list[KdTree] = [KdTree(np.empty((0, 3))) for _ in range(TREE_COUNT)]
         self._stamps = [0.0] * TREE_COUNT  # stamp of the scan each tree was last made from
-        self._queries = 0  # queries on the current map state
-        self._merged: list[KdTree] = []  # one tree over every tree's points, once made
-        self._latest: MapUpdateInfo | None = None  # the update that made the current map state
+        self._state = KdTree(None, parts=tuple(self.trees))  # the tree every query reads
         self._reset_accumulation()
 
     @property
@@ -242,7 +248,7 @@ class TemporalLocalMap:
             total_seconds=time.perf_counter() - t_start,
         )
         self.trees[tree_index] = KdTree(centroids, info)  # its build, if any, is timed into info
-        self._queries, self._merged, self._latest = 0, [], info
+        self._state = KdTree(None, info, parts=tuple(self.trees))  # and so is this state's
         return info
 
     @property
@@ -252,36 +258,14 @@ class TemporalLocalMap:
     def tree_cloud(self, index: int) -> PointCloud:
         return PointCloud(points=self.trees[index].points, stamp=self._stamps[index])
 
-    def _query_trees(self) -> list[KdTree]:
-        """The trees a query reads: every tree, or past `_MERGE_AFTER` queries
-        on this map state the one merged tree. The nearest distance in a union
-        is the least of the per-tree ones, each from the same point pair, so
-        both answer the same bits. The merged tree is built when it is made,
-        its time added to the update that made this map state (a map no update
-        made has nothing to merge)."""
-        self._queries += 1
-        if self._queries > _MERGE_AFTER and not self._merged and self._latest is not None:
-            self._merged = [KdTree(np.concatenate([t.points for t in self.trees]), self._latest)]
-            self._merged[0].build()
-        return self._merged or self.trees
-
     def any_within(self, pts: np.ndarray, r: float) -> np.ndarray:
-        """Boolean per query point: is any point of any tree within distance r (inclusive)?
-        One query of the first tree, then of each next tree on the misses only."""
-        pts = np.atleast_2d(pts)
-        trees = self._query_trees()
-        hit = trees[0].any_within(pts, r)
-        for tree in trees[1:]:
-            miss = np.flatnonzero(~hit)
-            if len(miss) == 0:
-                break
-            hit[miss] = tree.any_within(pts[miss], r)
-        return hit
+        """Boolean per query point: is any point of any tree within distance r (inclusive)?"""
+        return self._state.any_within(np.atleast_2d(pts), r)
 
     def nearest_distance(self, q, r: float) -> float:
         """Distance from point `q` to the nearest point of any tree if it is
         below `KdTree.nearest_distance`'s padded bound r + 1e-9, else inf."""
-        return min(float(tree.nearest_distance(q, r)) for tree in self._query_trees())
+        return float(self._state.nearest_distance(q, r))
 
 
 def check_trajectory(

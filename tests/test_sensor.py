@@ -106,7 +106,7 @@ def test_capsule_hits_match_sphere_marching_oracle():
     targets += rng.normal(0.0, 0.25, (n, 3))
     dirs = targets - np.zeros(3)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    t_fast = cap.ray_hits(np.zeros(3), dirs)
+    t_fast = Environment([Obstacle(cap)]).cast_rays(np.zeros(3), dirs, 0.0, np.inf)
     n_hits = 0
     for i in range(n):
         t_ref = march_ray(sdf, np.zeros(3), dirs[i], 10.0)
@@ -423,7 +423,7 @@ def _exactness_casts():
     return casts
 
 
-# The capsule band: Capsule.ray_hits casts only the rows whose ray lines can
+# The capsule band: the capsule pass casts only the rows whose ray lines can
 # pass within its radius of its axis line, or every row where the origin lies
 # that near the axis line. Equality with the reference, which casts every row,
 # shows that no dropped row held a hit.
@@ -637,7 +637,7 @@ def test_capsule_band_bit_identical_on_random_geometry():
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         dirs *= np.sqrt(1.0 + rng.choice([0.0, 0.99, -0.99], (len(dirs), 1)) * _UNIT_TOL)
         ref = _ref_capsule(cap.p0, cap.p1, cap.radius, origin, dirs)
-        assert np.array_equal(cap.ray_hits(origin, dirs), ref)
+        assert np.array_equal(Environment([Obstacle(cap)]).cast_rays(origin, dirs, 0.0, np.inf), ref)
         culled += len(_band_rows(cap, origin, dirs)) < len(dirs)
         hit += bool(np.isfinite(ref).any())
     assert culled >= 150 and hit >= 300
@@ -803,7 +803,7 @@ def test_capsule_pass_bit_identical_at_the_segment_rims():
         away = np.cross(aim, cap.a_hat)
         dirs = np.array([aim, aim + 0.5 * np.linalg.norm(aim) * away / np.linalg.norm(away)])
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        got = cap.ray_hits(origin, dirs)
+        got = Environment([Obstacle(cap)]).cast_rays(origin, dirs, 0.0, np.inf)
         assert np.array_equal(got, _ref_capsule(cap.p0, cap.p1, cap.radius, origin, dirs)), trial
         rims += bool(np.isfinite(got[0])) and not np.isfinite(got[1])
     assert rims == 1000

@@ -8,7 +8,6 @@ from cloudnav.core import (
     UavState,
 )
 from cloudnav.spatial import (
-    _MERGE_AFTER,
     KdTree,
     MapConfig,
     TemporalLocalMap,
@@ -145,9 +144,10 @@ def test_reads_refuse_non_finite_query_points_built_or_not(points, queries):
             t.nearest_distance(np.asarray(queries), 0.3)
     assert (t._kd is not None) == (t.size > 0)
     m = _two_tree_map(_ORIGIN, _FAR)
-    for _ in range(2):
+    for built in (False, True):  # the unbuilt map state asks its trees; the second read builds it
         with pytest.raises(ValueError, match="'x' must be finite"):
             m.any_within(np.atleast_2d(queries), 0.3)
+        assert (m._state._kd is not None) == built
 
 
 def _scan(points, stamp=0.0):
@@ -350,29 +350,47 @@ def test_map_collision_matches_bruteforce_union():
     assert 0 < hits < 300
 
 
-@pytest.mark.parametrize("sizes", [(300, 300), (0, 300), (300, 0)],
-                         ids=["both-trees", "first-empty", "second-empty"])
-def test_map_queries_match_bruteforce_before_and_after_merge(sizes):
-    rng = np.random.default_rng(31)
-    m = _two_tree_map(rng.uniform(-3, 0.5, (sizes[0], 3)), rng.uniform(-0.5, 3, (sizes[1], 3)))
+def _assert_reads_match_bruteforce(m, rng, reads):
+    """`reads` map reads alternating between a batch any_within and a single
+    nearest_distance, each equal to the brute-force answer over every tree."""
     union = np.concatenate([t.points for t in m.trees])
-    for i in range(2 * _MERGE_AFTER + 10):
-        r = rng.uniform(0.1, 0.8)
+    for i in range(reads):
+        r = rng.uniform(0.05, 0.8)
         if i % 2:
-            q = rng.uniform(-3.5, 3.5, 3)
+            q = rng.uniform([-3.5, -3.5, -3.5], [8.5, 3.5, 3.5])
             assert m.nearest_distance(q, r) == brute_nearest_distance(union, q, r)
         else:
-            qs = rng.uniform(-3.5, 3.5, (50, 3))
+            qs = rng.uniform([-3.5, -3.5, -3.5], [8.5, 3.5, 3.5], (50, 3))
             assert np.array_equal(m.any_within(qs, r), brute_any_within(union, qs, r))
-        assert bool(m._merged) == (i >= _MERGE_AFTER)  # query i + 1 > _MERGE_AFTER read the merged tree
 
 
-def test_map_update_drops_the_merged_tree():
+@pytest.mark.parametrize("sizes", [(300, 300), (0, 300), (300, 0)],
+                         ids=["both-trees", "first-empty", "second-empty"])
+def test_map_queries_match_bruteforce_before_and_after_the_state_build(sizes, builds):
+    rng = np.random.default_rng(31)
+    m = _two_tree_map(rng.uniform(-3, 0.5, (sizes[0], 3)), rng.uniform(-0.5, 3, (sizes[1], 3)))
+    state = m._state
+    _assert_reads_match_bruteforce(m, rng, 1)  # the first read: the least of the trees' box reads
+    assert builds["full"] == 0 and builds["box"] == 2
+    _assert_reads_match_bruteforce(m, rng, 1)  # the second read builds the state, and only it
+    assert builds["trees"] == [state] and builds["box"] == 2
+    _assert_reads_match_bruteforce(m, rng, 40)  # many reads of the built state
+    assert builds["trees"] == [state] and builds["box"] == 2
+    m.update(_scan(rng.uniform(-3, 3, (200, 3)), stamp=2.0))  # the cycle wraps onto tree 0
+    assert m._state is not state
+    _assert_reads_match_bruteforce(m, rng, 1)  # a fresh state reads its trees again
+    assert builds["full"] == 1 + (sizes[1] > 0)  # the kept tree's second read builds it
+    _assert_reads_match_bruteforce(m, rng, 9)
+    assert builds["trees"][-1] is m._state and builds["full"] == 2 + (sizes[1] > 0)
+
+
+def test_map_update_makes_a_fresh_unbuilt_state():
     m = _two_tree_map(_ORIGIN, _FAR)
-    for _ in range(_MERGE_AFTER + 1):
+    for _ in range(3):
         assert m.any_within(_ORIGIN, 0.1)[0]
-    assert m._merged
+    assert m._state._kd is not None
     m.update(_scan([[5.0, 5.0, 5.0]], stamp=2.0))  # the cycle wraps: tree 0 now holds only this scan
+    assert m._state._kd is None
     assert m.any_within([[5.0, 5.0, 5.0]], 0.1)[0]
     assert not m.any_within(_ORIGIN, 0.1)[0]
     assert m.nearest_distance([9.0, 9.0, 9.05], 0.1) == pytest.approx(0.05)
@@ -381,14 +399,17 @@ def test_map_update_drops_the_merged_tree():
 @pytest.fixture
 def builds(monkeypatch):
     """Counts the scipy trees that cloudnav.spatial builds: `full`, each over a
-    tree's whole point set, and `box`, each over the points in a first read's box."""
-    counts = {"full": 0, "box": 0}
+    tree's or a map state's whole point set (the built `KdTree`s in `trees`),
+    and `box`, each over the points in a first read's box."""
+    counts = {"full": 0, "box": 0, "trees": []}
     build, box_tree = KdTree.build, KdTree._box_tree
 
     def counted_build(self):
         unbuilt = self._kd is None
         build(self)
-        counts["full"] += unbuilt and self._kd is not None
+        if unbuilt and self._kd is not None:
+            counts["full"] += 1
+            counts["trees"].append(self)
 
     def counted_box_tree(self, *args):
         counts["box"] += 1
@@ -404,42 +425,50 @@ def test_updates_without_a_query_build_no_tree(builds):
     rng = np.random.default_rng(40)
     for i in range(100):
         m.update(_scan(_corridor_scan(rng), stamp=i * 0.02))
-    assert builds == {"full": 0, "box": 0}
+    assert builds == {"full": 0, "box": 0, "trees": []}
     assert not m.any_within(_FAR, 0.1)[0]  # a first read answers from each tree's box
-    assert builds == {"full": 0, "box": 2}
-    assert not m.any_within(_FAR, 0.1)[0]  # the second read builds both trees, once each
-    assert builds == {"full": 2, "box": 2}
+    assert builds == {"full": 0, "box": 2, "trees": []}
+    assert not m.any_within(_FAR, 0.1)[0]  # the second read builds the map state, once
+    assert not m.any_within(_FAR, 0.1)[0]
+    assert builds == {"full": 1, "box": 2, "trees": [m._state]}
 
 
-def test_second_read_builds_each_tree_once_into_its_update(builds):
+def test_second_read_builds_one_tree_into_its_update(builds):
     m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
     empty = m.update(_scan(np.empty((0, 3))))
     for _ in range(3):
         assert m.nearest_distance([0, 0, 0], 0.45) == np.inf
-    # an empty tree is never built: each read of either answers from its empty box
-    assert builds == {"full": 0, "box": 6} and empty.build_seconds == 0.0
+    # an empty state is never built: each read asks both empty trees, each from its empty box
+    assert builds["full"] == 0 and builds["box"] == 6 and empty.build_seconds == 0.0
     builds.update(full=0, box=0)
     m = TemporalLocalMap(MapConfig(scans_per_tree=2, resolution=0.1))
     rng = np.random.default_rng(41)
     # scans 0-1 fill tree 0 and 2-3 tree 1: updates 0 and 2 make trees that 1 and 3 replace unread
     infos = [m.update(_scan(_corridor_scan(rng), stamp=float(i))) for i in range(4)]
     assert not m.any_within(_FAR, 0.1)[0]
-    assert builds == {"full": 0, "box": 2} and all(info.build_seconds == 0.0 for info in infos)
+    assert builds["full"] == 0 and builds["box"] == 2 and all(info.build_seconds == 0.0 for info in infos)
     m.nearest_distance([0, 0, 0], 0.45)
-    assert builds == {"full": 2, "box": 2}
-    assert [info.build_seconds > 0 for info in infos] == [False, True, False, True]
-    for info in infos:
-        assert info.total_seconds >= info.filter_seconds + info.build_seconds
+    # the state's second read builds one tree over both trees' points, and no per-tree tree
+    assert builds["trees"] == [m._state] and builds["box"] == 2
+    assert np.array_equal(m._state._kd.data, np.concatenate([t.points for t in m.trees]))
+    assert [info.build_seconds > 0 for info in infos] == [False, False, False, True]
     built = [info.build_seconds for info in infos]
     m.nearest_distance([0, 0, 0], 0.45)
     m.any_within(_FAR, 0.1)
-    assert builds == {"full": 2, "box": 2}  # later reads build nothing and time nothing
+    assert builds["full"] == 1 and builds["box"] == 2  # later reads build nothing and time nothing
     assert [info.build_seconds for info in infos] == built
-    # scan 4 wraps onto tree 0; read once, then replaced by scan 5, that tree is never built
+    # scan 4 wraps onto tree 0; tree 1, read in two states, is built at its second read,
+    # into update 3, which made it; the new tree 0 is read once from its box
+    state, tree1 = m._state, m.trees[1]
     wrapped = m.update(_scan(_corridor_scan(rng), stamp=4.0))
     assert not m.any_within(_FAR, 0.1)[0]
+    assert builds["trees"] == [state, tree1] and builds["box"] == 3
+    assert infos[3].build_seconds > built[3] and wrapped.build_seconds == 0.0
+    for info in infos:
+        assert info.total_seconds >= info.filter_seconds + info.build_seconds
+    # read once, then replaced by scan 5, the wrapped tree and its state are never built
     m.update(_scan(_corridor_scan(rng), stamp=5.0))
-    assert builds == {"full": 2, "box": 3} and wrapped.build_seconds == 0.0
+    assert builds["full"] == 2 and wrapped.build_seconds == 0.0
 
 
 def test_indoor_flight_builds_a_tree_only_at_its_second_read(builds):
@@ -448,30 +477,37 @@ def test_indoor_flight_builds_a_tree_only_at_its_second_read(builds):
 
     log = simulate(load_scenario(resolve_scenario_path("indoor_bar")), seed=1)
     assert log.outcome == "goal_reached"
-    # the re-check reads each new tree once, from its box; only the reads of a
-    # plan or a relaxed check build one (14 trees in 505 updates at this seed)
+    # the re-check reads each new map state once, each tree from its box; only
+    # the reads of a plan or a relaxed check build a state or a tree read in two
     assert len(log.map_updates) == 505
-    assert 0 < builds["full"] <= 40
+    assert builds["full"] == 14  # at this seed
     assert builds["box"] >= len(log.map_updates)
-    # each build is timed into the record of the one update that made the tree
-    assert sum(info.build_seconds > 0 for info in log.map_updates) == builds["full"]
+    # each build is timed into the record of the one update that made its tree or state
+    records = [tree._record for tree in builds["trees"]]
+    assert all(any(info is rec for info in log.map_updates) for rec in records)
+    timed = [info for info in log.map_updates if info.build_seconds > 0]
+    assert len(timed) == len({id(rec) for rec in records}) <= builds["full"]
 
 
 def test_interleaved_updates_and_reads_match_bruteforce_union(builds):
     """Reads after several updates each: across a tree switch (both trees
-    unbuilt at once) and wraparounds, and past `_MERGE_AFTER` on one state."""
+    unbuilt at once) and wraparounds, one read or many on one state."""
     h = 3
     m = TemporalLocalMap(MapConfig(scans_per_tree=h, resolution=0.05))
     rng = np.random.default_rng(42)
     scans = 0
     want_builds = 0
-    for updates, reads in ((2, 3), (4, 5), (3, _MERGE_AFTER + 6), (5, 4), (1, _MERGE_AFTER + 1)):
-        touched = set()
+    reads_of = {}  # reads of each tree, as the one rule counts them
+    for updates, reads in ((2, 3), (4, 1), (3, 70), (5, 1), (1, 4), (1, 1), (6, 2)):
         for _ in range(updates):
-            touched.add(m.update(_scan(_corridor_scan(rng, n=200), stamp=scans * 0.02)).tree_index)
+            m.update(_scan(_corridor_scan(rng, n=200), stamp=scans * 0.02))
             scans += 1
-        # every phase reads each tree at least twice, so each new tree is built once
-        want_builds += len(touched) + (reads > _MERGE_AFTER)
+        # a state's first read reads each tree once; a tree's second read builds it;
+        # a state's second read builds the state
+        for tree in m.trees:
+            reads_of[tree] = reads_of.get(tree, 0) + 1
+            want_builds += reads_of[tree] == 2
+        want_builds += reads > 1
         union = np.concatenate([t.points for t in m.trees])
         for i in range(reads):
             r = rng.uniform(0.05, 0.6)
@@ -481,7 +517,7 @@ def test_interleaved_updates_and_reads_match_bruteforce_union(builds):
             else:
                 qs = rng.uniform([-0.5, -2, -0.5], [8.5, 2, 3], (40, 3))
                 assert np.array_equal(m.any_within(qs, r), brute_any_within(union, qs, r))
-        assert bool(m._merged) == (reads > _MERGE_AFTER)
+        assert (m._state._kd is not None) == (reads > 1)
         assert builds["full"] == want_builds, f"after {scans} scans"
     assert scans > 2 * h * 2  # the cycle wrapped twice
 
