@@ -104,7 +104,7 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
         seed=log.seed,
         scenario=log.scenario_name,
         timings={
-            "map_update": _stats([u.total_seconds for u in log.map_updates]),
+            "map_update": _stats([u.total_seconds for u in log.map_updates]),  # update() alone, no build
             # over the updates whose tree or map state a second read built; `count` counts those updates
             "tree_build": _stats([u.build_seconds for u in log.map_updates if u.build_seconds > 0]),
             "plan": _plan_stats(log.plan_seconds),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PointCloud
-from .sensor import FRAME_DT, RANGE_NOISE_BOUND, Environment, generate_scan, yaw_rotation
+from .sensor import FRAME_DT, RANGE_NOISE_BOUND, Environment, generate_scan, slab_interval, yaw_rotation
 from .spatial import TemporalLocalMap, dump_map
 
 # OctoMap's default sensor model: hit and miss updates for p = 0.7 and 0.4,
@@ -76,48 +76,24 @@ class OccupancyGrid:
     def occupied_mask(self) -> np.ndarray:
         return self.log_odds > 0.0
 
-    def _clip_segments(self, origin: np.ndarray, ends: np.ndarray):
-        """Liang-Barsky clip of each segment origin->end to the grid box.
-
-        Returns (ta, tb, valid): the surviving parameter range of each segment
-        and whether it is non-empty.
-        """
-        lo = self.config.origin
-        hi = lo + np.array(self.config.shape) * self.config.resolution
-        d = ends - origin
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - origin) / d
-            t2 = (hi - origin) / d
-        parallel = np.abs(d) < 1e-15
-        inside = (origin >= lo) & (origin <= hi)
-        lows = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
-        highs = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
-        ta = np.maximum(lows.max(axis=1), 0.0)
-        tb = np.minimum(highs.min(axis=1), 1.0)
-        return ta, tb, ta <= tb
-
     def traverse(self, origin, ends: np.ndarray):
         """Integer-grid traversal of each segment origin->ends[i], clipped to
         the grid. Returns (ray_index, cells) covering every cell each segment
         passes through exactly once.
         """
         cfg = self.config
-        res = cfg.resolution
+        res, shape = cfg.resolution, np.array(cfg.shape)
         origin = np.asarray(origin, dtype=float)
-        ends = np.atleast_2d(np.asarray(ends, dtype=float))
-        ta, tb, valid = self._clip_segments(origin, ends)
-        idx = np.nonzero(valid)[0]
+        d = np.atleast_2d(np.asarray(ends, dtype=float)) - origin
+        t_near, t_far = slab_interval(cfg.origin, cfg.origin + shape * res, origin, d)
+        ta, tb = np.maximum(t_near, 0.0), np.minimum(t_far, 1.0)
+        idx = np.nonzero(ta <= tb)[0]
         if len(idx) == 0:
             return np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
-        d = ends[idx] - origin
+        d = d[idx]
         starts = origin + ta[idx, None] * d
-        stops = origin + tb[idx, None] * d
-
-        shape = np.array(cfg.shape)
-        cell = cfg.cells(starts)
-        np.clip(cell, 0, shape - 1, out=cell)
-        end_cell = cfg.cells(stops)
-        np.clip(end_cell, 0, shape - 1, out=end_cell)
+        # a start or stop on the upper face, or a rounding outside the grid, goes to the face cell
+        cell, end_cell = (np.clip(cfg.cells(x), 0, shape - 1) for x in (starts, origin + tb[idx, None] * d))
 
         step = np.where(d > 0, 1, -1).astype(np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -125,8 +101,7 @@ class OccupancyGrid:
             next_bound = cfg.origin + (cell + (step > 0)) * res
             t_max = (next_bound - starts) / d
         zero = np.abs(d) < 1e-15
-        t_delta[zero] = np.inf
-        t_max[zero] = np.inf
+        t_delta[zero] = t_max[zero] = np.inf
 
         out_rays, out_cells = [], []
         active = np.arange(len(idx))
@@ -183,11 +158,10 @@ def bar_cells(config: GridConfig, bar_obstacle, t: float) -> set:
     # Only the samples u[i0..i1] of np.linspace(0, 1, n + 1) (u[i] = i * (1 / n), u[n] = 1)
     # whose points can reach the grid box widened by r and, against rounding, by a cell.
     pad = r + config.resolution
-    box = np.array([config.origin - pad, config.origin + np.multiply(config.shape, config.resolution) + pad])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ends = np.sort((box - p0) / (p1 - p0), axis=0)  # an axis along which the bar is flat: +-inf or nan
-    u_lo, u_hi = max(ends[0].max(), 0.0), min(ends[1].min(), 1.0)
-    if not u_lo <= u_hi:  # a nan too: the bar lies on the widened box's face, outside the grid
+    hi = config.origin + np.multiply(config.shape, config.resolution) + pad
+    (t_near,), (t_far,) = slab_interval(config.origin - pad, hi, p0, (p1 - p0)[None])
+    u_lo, u_hi = max(t_near, 0.0), min(t_far, 1.0)
+    if not u_lo <= u_hi:
         return set()
     i0, i1 = max(math.floor(u_lo * n) - 1, 0), min(math.ceil(u_hi * n) + 1, n)
     u = np.arange(i0, i1 + 1) * (1.0 / n)

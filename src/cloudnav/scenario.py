@@ -126,12 +126,29 @@ def _check(value, kind: str, key: str):
     else:
         ok = isinstance(value, {TEXT: str, MAP: dict, LIST: list}[kind])
     if not ok:
-        raise ScenarioError(f"{key}: expected {kind}, got {value!r}")
+        raise ScenarioError(f"{key}: expected {kind}, got {value!r}{_number_as_text(value, kind)}")
     if kind in (NUM, LENGTH):
         return float(value)
     if kind in (VEC, POINT):
         return np.array(value, dtype=float)
     return tuple(map(float, value)) if kind is NUMS else value
+
+
+def _number_as_text(value, kind: str) -> str:
+    """For a number kind given text that float() reads, as YAML 1.1 reads 2.4e5: why, and how to write it."""
+    if kind in (TEXT, MAP, LIST):
+        return ""
+    for x in value if isinstance(value, list) else [value]:
+        try:
+            number = float(x) if isinstance(x, str) else math.nan
+        except ValueError:
+            continue
+        if math.isfinite(number):
+            spelled = str(int(number)) if kind is INT and number.is_integer() else repr(number)
+            spelled = spelled if "." in spelled else spelled.replace("e", ".0e")
+            return (f" (YAML 1.1 reads a number only unquoted, with a dot before an exponent and a sign"
+                    f" after it: write {x!r} as {spelled})")
+    return ""
 
 
 def _section(d, table: str, path: str) -> dict:

@@ -56,6 +56,29 @@ def _nearest_roots(b: np.ndarray, c) -> np.ndarray:
     return t
 
 
+def slab_interval(lo, hi, origin, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slab test (Kay & Kajiya) of the lines origin + t dirs[i], from one point,
+    against the box [lo, hi]: each line's entry and exit parameters (t_near,
+    t_far), empty where t_near > t_far. A direction component below _EPS is
+    parallel: its slab holds the line (faces included) for every t or none."""
+    # One axis at a time: np.maximum/np.minimum chains give the t_near/t_far
+    # of a max/min over (N, 3) arrays at a fraction of the cost.
+    parallel = np.abs(dirs) < _EPS
+    any_parallel = parallel.any()
+    t_near, t_far = -np.inf, np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1/0 and 0 * inf
+        for k, d in enumerate(dirs.T):
+            inv = 1.0 / d
+            t1 = (lo[k] - origin[k]) * inv
+            t2 = (hi[k] - origin[k]) * inv
+            low, high = np.minimum(t1, t2), np.maximum(t1, t2)
+            if any_parallel:  # a ray parallel to the slab stays inside it or out
+                inf = np.inf if lo[k] <= origin[k] <= hi[k] else -np.inf
+                low, high = np.where(parallel[:, k], -inf, low), np.where(parallel[:, k], inf, high)
+            t_near, t_far = np.maximum(t_near, low), np.minimum(t_far, high)
+    return t_near, t_far
+
+
 @dataclass(frozen=True)
 class Sphere:
     center: np.ndarray
@@ -223,21 +246,7 @@ class Box:
         return 0.5 * (self.lo + self.hi), 0.5 * float(np.linalg.norm(self.hi - self.lo))
 
     def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        # Slab test one axis at a time: np.maximum/np.minimum chains give the
-        # t_near/t_far of a max/min over (N, 3) arrays at a fraction of the cost.
-        parallel = np.abs(dirs) < _EPS
-        any_parallel = parallel.any()
-        t_near, t_far = -np.inf, np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):  # 1/0 and 0 * inf
-            for k, d in enumerate(dirs.T):
-                inv = 1.0 / d
-                t1 = (self.lo[k] - origin[k]) * inv
-                t2 = (self.hi[k] - origin[k]) * inv
-                low, high = np.minimum(t1, t2), np.maximum(t1, t2)
-                if any_parallel:  # a ray parallel to the slab stays inside it or out
-                    inf = np.inf if self.lo[k] <= origin[k] <= self.hi[k] else -np.inf
-                    low, high = np.where(parallel[:, k], -inf, low), np.where(parallel[:, k], inf, high)
-                t_near, t_far = np.maximum(t_near, low), np.minimum(t_far, high)
+        t_near, t_far = slab_interval(self.lo, self.hi, origin, dirs)
         # entry hit ahead of the origin, else exit hit from inside, else miss
         hit = (t_near <= t_far) & (t_far > _EPS)
         return np.where(hit, np.where(t_near > _EPS, t_near, t_far), np.inf)

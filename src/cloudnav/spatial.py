@@ -11,8 +11,8 @@ points, and makes the new map state a tree whose parts are the map's trees;
 it builds nothing. A state's first read answers the least of its parts'
 answers, each part reading by its own rule: a tree's first read answers from
 a small tree over only the points in the query's box. A state's second read
-builds it over its parts' points, into the `MapUpdateInfo` times of the
-update that made it. In a flight each map state is read once, by the
+builds it over its parts' points, into the `MapUpdateInfo.build_seconds` of
+the update that made it. In a flight each map state is read once, by the
 trajectory re-check, unless a plan reads it again, so most trees are never
 built.
 
@@ -52,8 +52,8 @@ class KdTree:
     when it is built. Unbuilt, it answers the least of its parts' answers, each
     part reading by its own rule: the nearest distance in a union is the least
     of the per-part ones, from the same point pair, so both answer the same
-    bits. A build's seconds are added to `record`'s `build_seconds` and
-    `total_seconds`, if it has one.
+    bits. A build's seconds are added to `record`'s `build_seconds` only, if
+    it has one.
 
     The tree splits at the sliding midpoint and keeps each node's full box
     (`balanced_tree=False, compact_nodes=False`): that builds in about half the
@@ -81,9 +81,7 @@ class KdTree:
         t0 = time.perf_counter()
         self._kd = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
         if self._record is not None:
-            seconds = time.perf_counter() - t0
-            self._record.build_seconds += seconds
-            self._record.total_seconds += seconds
+            self._record.build_seconds += time.perf_counter() - t0
 
     @property
     def points(self) -> np.ndarray:
@@ -155,7 +153,7 @@ class MapUpdateInfo:
     raw_accumulated: int
     filter_seconds: float
     build_seconds: float  # 0.0 until a second read builds its tree or its map state
-    total_seconds: float
+    total_seconds: float  # update() alone: a later build adds to build_seconds only
 
 
 class TemporalLocalMap:

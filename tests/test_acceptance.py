@@ -263,9 +263,9 @@ def test_criterion_7_timing():
         info = m.update(scan)
         tree = m.trees[info.tree_index]
         tree.any_within(np.zeros((1, 3)), 0.1)  # a first read answers from the points in its box
-        tree.any_within(np.zeros((1, 3)), 0.1)  # the second read builds the tree, into info's times
+        tree.any_within(np.zeros((1, 3)), 0.1)  # the second read builds the tree, into info.build_seconds
         assert info.build_seconds > 0
-        times.append(info.total_seconds)
+        times.append(info.total_seconds + info.build_seconds)
     t = np.asarray(times)
     mean_ms = t.mean() * 1e3
     p95_ms = np.percentile(t, 95) * 1e3

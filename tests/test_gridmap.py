@@ -93,12 +93,32 @@ def test_axis_aligned_ray_cell_count():
         assert abs(len(cells) - expected) <= 1
 
 
-def test_traversal_complete_and_sound_vs_dense_sampling():
+def _axis_segments(lengths=(0.7, 2.5, 6.0)):
+    """Offsets along each axis, both ways: inside the 8 m grid and out through its faces."""
+    return np.concatenate([s * L * np.eye(3) for L in lengths for s in (1, -1)])
+
+
+# Grid faces (x = -4 and x = 4.1, its far face at 27 cells of 0.3 m) as make_grid and the grid compute them.
+_LO_FACE, _HI_FACE = -4.0, -4.0 + 27 * 0.3
+
+
+@pytest.mark.parametrize("origin, offsets", [
+    ([0.1, -0.2, 0.3], None),  # ends drawn at random inside the grid
+    ([0.1, -0.2, 0.3], _axis_segments()),  # axis-parallel, inside every slab they are parallel to
+    ([0.1, 5.0, 0.3], _axis_segments()[[0, 2, 3, 5]]),  # along x and z, outside the y slab
+    ([_LO_FACE, -0.2, 0.3], _axis_segments()[[1, 2, 4, 5]]),  # along y and z, on the lower x face
+    ([_HI_FACE, -0.2, 0.3], _axis_segments()[[1, 2, 4, 5]]),  # the same on the upper x face
+    ([0.1, -0.2, 0.3], np.zeros((1, 3))),  # zero length, in the grid
+    ([_LO_FACE, _HI_FACE, -0.2], np.zeros((1, 3))),  # zero length, on an edge of the grid
+    ([0.1, -0.2, 5.0], np.zeros((1, 3))),  # zero length, outside
+], ids=["random", "axis-parallel-inside", "axis-parallel-outside", "on-lower-face", "on-upper-face",
+        "zero-length", "zero-length-on-edge", "zero-length-outside"])
+def test_traversal_complete_and_sound_vs_dense_sampling(origin, offsets):
     grid = make_grid(resolution=0.3, origin=(-4, -4, -4), size=(8, 8, 8))
-    rng = np.random.default_rng(0)
-    n_rays = 1000
-    origin = np.array([0.1, -0.2, 0.3])
-    ends = rng.uniform(-3.9, 3.9, (n_rays, 3))
+    assert (grid.config.origin + np.array(grid.config.shape) * 0.3)[0] == _HI_FACE
+    origin = np.array(origin)
+    ends = np.random.default_rng(0).uniform(-3.9, 3.9, (1000, 3)) if offsets is None else origin + offsets
+    n_rays = len(ends)
     ray_idx, cells = grid.traverse(origin, ends)
     by_ray = {}
     for r, c in zip(ray_idx, cells):
@@ -263,6 +283,17 @@ def test_bar_cells_samples_only_the_axis_range_that_reaches_the_grid(monkeypatch
     # the bundled grids hold the whole bar; the others take only the samples near the grid
     assert all(k == n for k, n in sampled[: len(comp.sweep)])
     assert all(k < n for k, n in sampled[len(comp.sweep) : -1])
+
+
+def test_bar_cells_on_the_widened_box_face_are_empty():
+    """A bar lying exactly on a face of the grid box widened by its radius and a
+    cell (here 0.25 + 0.25 m, exact in binary) lies parallel to that slab, inside
+    it: it is sampled, and every sample's cells fall outside the grid."""
+    config = GridConfig(resolution=0.25, origin=[3.5, -1.5, -0.5], size=[2.1, 3.0, 3.6])
+    for x in (3.0, 3.5 + 9 * 0.25 + 0.5):  # the lower and the upper widened x face
+        for p1 in ([x, 0.0, 2.2], [x, 1.0, 2.2]):  # flat in x and y, then in x only
+            bar = _capsule_bar([x, 0.0, 0.2], p1, radius=0.25)
+            assert bar_cells(config, bar, 0.0) == _full_axis_cells(config, bar, 0.0) == set()
 
 
 def test_bar_cells_memory_grows_with_the_grid_not_the_bar():

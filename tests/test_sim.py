@@ -419,12 +419,51 @@ def test_unknown_keys_are_refused_by_dotted_path(override, key):
     ("obstacles=[{shape: sphere, center: [3, 0, 1], radius: 0.2, schedule: [{t: 0, offset: [1.0e+300, 0, 0]}]}]",
      "obstacles[0].schedule[0].offset"),
     ("obstacles=[{shape: sphere, center: [1.0e+200, 0, 1], radius: 0.2}]", "obstacles[0].center"),
+    # YAML 1.1 reads an exponent without a dot before it or a sign after it as text
+    ("sensor.points_per_second=2.4e5", "sensor.points_per_second"),
+    ("sensor.points_per_second=1.0e8", "sensor.points_per_second"),
+    ("planner.clearance=5e-1", "planner.clearance"),
+    ("map.scans_per_tree=1e3", "map.scans_per_tree"),
+    ("goal=[5, 0, 1e0]", "scenario.goal"),
+    ("compare.sweep=[0.3, 5e-2]", "compare.sweep"),
 ])
 def test_malformed_values_are_refused_by_dotted_key(override, key):
     raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}, "obstacles": BAR_AND_WALL}
     apply_overrides(raw, [override] if isinstance(override, str) else list(override))
     with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
         scenario_from_dict(raw)
+
+
+_AS_TEXT = "(YAML 1.1 reads a number only unquoted, with a dot before an exponent and a sign after it: write "
+
+
+@pytest.mark.parametrize("override, message", [
+    ("sensor.points_per_second=2.4e5", "sensor.points_per_second: expected a finite number, got '2.4e5' "
+                                       f"{_AS_TEXT}'2.4e5' as 240000.0)"),
+    ("planner.clearance=1e-30",
+     f"planner.clearance: expected a finite number, got '1e-30' {_AS_TEXT}'1e-30' as 1.0e-30)"),
+    ("map.scans_per_tree=5e1", f"map.scans_per_tree: expected an integer, got '5e1' {_AS_TEXT}'5e1' as 50)"),
+    ("goal=[5, 0, 1e0]", f"scenario.goal: expected a finite [x, y, z], got [5, 0, '1e0'] {_AS_TEXT}'1e0' as 1.0)"),
+    ('planner.v_max="2.5"', f"planner.v_max: expected a finite number, got '2.5' {_AS_TEXT}'2.5' as 2.5)"),
+    # text that is no finite number gets no advice
+    ("sensor.points_per_second=fast", "sensor.points_per_second: expected a finite number, got 'fast'"),
+    ("sensor.points_per_second=1e400", "sensor.points_per_second: expected a finite number, got '1e400'"),
+    ("name=1e3", None),  # text where text is due
+])
+def test_a_number_read_as_text_is_refused_saying_how_to_write_it(override, message):
+    raw = {"duration": 1.0, "goal": [5, 0, 1], "start": {"position": [0, 0, 1]}, "obstacles": BAR_AND_WALL}
+    apply_overrides(raw, [override])
+    if message is None:
+        assert scenario_from_dict(raw).name == "1e3"
+        return
+    with pytest.raises(ScenarioError) as refused:
+        scenario_from_dict(raw)
+    assert str(refused.value) == message
+    advice = re.search(r"write '(.+)' as (.+)\)$", message)
+    if advice:  # YAML reads the advised spelling as the number the text holds
+        text, spelled = advice.groups()
+        value = apply_overrides({}, [f"v={spelled}"])["v"]
+        assert isinstance(value, (int, float)) and value == float(text)
 
 
 SPHERE_BAR = {"name": "bar", "shape": "sphere", "center": [3.0, 0.0, 1.0], "radius": 0.1}
@@ -447,7 +486,11 @@ SUNK_BAR = {**BAR_AND_WALL[0], "schedule": [{"t": 0.0, "offset": [0, 0, 0]}, {"t
     # the bar has sunk out of every grid by the last of 50 scans
     ([SUNK_BAR, BAR_AND_WALL[1]], {}, "compare.origin, compare.size: the 0.3 m grid holds no cell of the bar 'bar' "
                                       "at t = 0.98 s"),
-], ids=["sphere-bar", "box-bar", "range-first", "no-bar", "no-wall", "sweep-grid-misses-bar", "bar-gone-at-last-scan"])
+    # the bar lies on the face x = 3 of the grid box widened by its radius and a cell (0.25 + 0.25 m)
+    ([{**BAR_AND_WALL[0], "radius": 0.25}, BAR_AND_WALL[1]], {"origin": [3.5, -1.5, -0.5], "sweep": [0.25]},
+     "compare.origin, compare.size: the 0.25 m grid holds no cell of the bar 'bar' at t = 0.98 s"),
+], ids=["sphere-bar", "box-bar", "range-first", "no-bar", "no-wall", "sweep-grid-misses-bar", "bar-gone-at-last-scan",
+        "bar-on-the-widened-grid-face"])
 def test_compare_sections_the_comparison_cannot_run_are_refused(obstacles, compare, message):
     with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}"):
         mini_scenario(obstacles=obstacles, compare=compare)

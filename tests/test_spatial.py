@@ -445,6 +445,7 @@ def test_second_read_builds_one_tree_into_its_update(builds):
     rng = np.random.default_rng(41)
     # scans 0-1 fill tree 0 and 2-3 tree 1: updates 0 and 2 make trees that 1 and 3 replace unread
     infos = [m.update(_scan(_corridor_scan(rng), stamp=float(i))) for i in range(4)]
+    totals = [info.total_seconds for info in infos]
     assert not m.any_within(_FAR, 0.1)[0]
     assert builds["full"] == 0 and builds["box"] == 2 and all(info.build_seconds == 0.0 for info in infos)
     m.nearest_distance([0, 0, 0], 0.45)
@@ -464,8 +465,9 @@ def test_second_read_builds_one_tree_into_its_update(builds):
     assert not m.any_within(_FAR, 0.1)[0]
     assert builds["trees"] == [state, tree1] and builds["box"] == 3
     assert infos[3].build_seconds > built[3] and wrapped.build_seconds == 0.0
-    for info in infos:
-        assert info.total_seconds >= info.filter_seconds + info.build_seconds
+    # a build adds to its update's build_seconds only: total_seconds stays what update() spent
+    assert [info.total_seconds for info in infos] == totals
+    assert all(info.total_seconds >= info.filter_seconds for info in infos)
     # read once, then replaced by scan 5, the wrapped tree and its state are never built
     m.update(_scan(_corridor_scan(rng), stamp=5.0))
     assert builds["full"] == 2 and wrapped.build_seconds == 0.0
