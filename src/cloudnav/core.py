@@ -114,30 +114,33 @@ class QuinticSegment:
         _check_duration(self.duration)
 
     @classmethod
-    def solve(cls, start: UavState, end_p, end_v, end_a, duration: float) -> "QuinticSegment":
-        """Two-point boundary-value problem from `start` to the given end state."""
+    def solve(cls, start: UavState, end_p, end_v, end_a, duration):
+        """Two-point boundary-value problem from `start` to the given end state over
+        `duration`, or over each of a sequence of durations (a list of segments).
+        They are solved as one stack, a lone duration as a stack of one; numpy
+        solves each matrix of a stack as a lone one, to the bit."""
         end_p = _as_vec3(end_p, "end_p")
         end_v = _as_vec3(end_v, "end_v")
         end_a = _as_vec3(end_a, "end_a")
-        _check_duration(duration)
-        c0, c1, c2, T = start.p, start.v, 0.5 * start.a, duration
+        durations = np.atleast_1d(np.asarray(duration, dtype=float)).tolist()
+        for T in durations:
+            _check_duration(T)
+        c0, c1, c2 = start.p, start.v, 0.5 * start.a
         A = np.array(
-            [
-                [T**3, T**4, T**5],
-                [3 * T**2, 4 * T**3, 5 * T**4],
-                [6 * T, 12 * T**2, 20 * T**3],
-            ]
+            [[[T**3, T**4, T**5], [3 * T**2, 4 * T**3, 5 * T**4], [6 * T, 12 * T**2, 20 * T**3]] for T in durations]
         )
-        b = np.stack(
-            [
-                end_p - (c0 + c1 * T + c2 * T * T),
-                end_v - (c1 + 2 * c2 * T),
-                end_a - 2 * c2,
-            ]
-        )  # (3 conditions, 3 axes)
-        high = np.linalg.solve(A, b)  # (3 coeffs, 3 axes)
-        coeffs = np.column_stack([c0, c1, c2, high[0], high[1], high[2]])
-        return cls(coeffs=coeffs, duration=duration)
+        T = np.array(durations)[:, None]
+        b = np.empty((len(durations), 3, 3))  # (durations, 3 conditions, 3 axes)
+        b[:, 0] = end_p - (c0 + c1 * T + c2 * T * T)
+        b[:, 1] = end_v - (c1 + 2 * c2 * T)
+        b[:, 2] = end_a - 2 * c2
+        high = np.linalg.solve(A, b)  # (durations, 3 coeffs, 3 axes)
+        coeffs = np.empty((len(durations), 3, 6))  # (durations, 3 axes, 6 coeffs)
+        coeffs[:, :, 0], coeffs[:, :, 1], coeffs[:, :, 2] = c0, c1, c2
+        coeffs[:, :, 3:] = high.transpose(0, 2, 1)
+        # each segment owns its (3, 6) block, as a view would keep the stack alive
+        segs = [cls(coeffs=c.copy(), duration=d) for c, d in zip(coeffs, durations)]
+        return segs if np.ndim(duration) else segs[0]
 
     def states_at(self, dts: np.ndarray):
         dts = np.asarray(dts, dtype=float)

@@ -88,6 +88,12 @@ class OccupancyGrid:
         t_near, t_far = slab_interval(cfg.origin, cfg.origin + shape * res, origin, d)
         ta, tb = np.maximum(t_near, 0.0), np.minimum(t_far, 1.0)
         idx = np.nonzero(ta <= tb)[0]
+        # The clip takes the closed box, the cells are half-open: a segment enters a
+        # cell iff the middle of its clip lies in one, as only a clip's ends or a
+        # parallel axis can lie on a face. So one lying in an upper face's plane,
+        # or touching the grid only on an upper face, enters none.
+        mid = origin + (0.5 * (ta[idx] + tb[idx]))[:, None] * d[idx]
+        idx = idx[cfg.in_bounds(cfg.cells(mid))]
         if len(idx) == 0:
             return np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
         d = d[idx]

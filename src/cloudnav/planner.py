@@ -1,11 +1,15 @@
 """Kinodynamic A* over acceleration-discretized motion primitives.
 
 Each node expansion integrates the 27 per-axis control combinations
-{-a_max, 0, +a_max}^3 over one primitive duration, rejects primitives that
-violate the velocity limit or pass within the safety clearance of any local
-map point, and pushes the survivors. An analytic two-point boundary-value shot
-to rest at the goal is tried after each SHOT_STEP of progress and from every
-node within SHOT_STEP of the goal; the first that holds ends the search.
+{-a_max, 0, +a_max}^3 over one primitive duration and pushes every child that
+keeps the velocity limit. As Lazy Weighted A* evaluates edges, a child's
+primitive is checked against the safety clearance of the local map's points
+only when the child is popped; one that comes too close is dropped, leaving the
+search's state untouched, so the search expands the nodes a check at
+generation would, in the same order (entries order by f, h and push counter).
+An analytic two-point boundary-value shot to rest at the goal is tried after
+each SHOT_STEP of progress and from every node within SHOT_STEP of the goal;
+the first that holds ends the search.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ RELAX_FLOOR = 0.10
 # Analytic shot trigger (m): after each SHOT_STEP of progress, and from every node this near the goal.
 SHOT_STEP = 1.0
 # Ceiling on the samples per primitive, floor(primitive_duration / check_dt) + 1,
-# so expand's (27, samples, 3) blocks stay small; the bundled scenarios use 6.
+# so a primitive check's (samples, 3) block stays small; the bundled scenarios use 6.
 MAX_PRIMITIVE_SAMPLES = 1000
 
 
@@ -109,7 +113,7 @@ class SearchNode:
 class SearchReport:
     outcome: str = "failed"
     expansions: int = 0
-    open_size: int = 0
+    open_size: int = 0  # entries left in the open set, children whose primitive is unchecked included
     closed_size: int = 0
     wall_seconds: float = 0.0
     cost: float = math.nan
@@ -126,12 +130,12 @@ def control_set(a_max: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _primitive_terms(a_max: float, tau: float, dt: float):
     """Node-independent terms of the 27 primitives: U's rows and edge costs as lists; read-only,
-    u * t at the first and last sample times t = 0 and tau (27, 2, 3), and the sample times
-    after 0 (1, T - 1, 1) with 0.5 * u * t * t there (27, T - 1, 3)."""
+    u * t at the first and last sample times t = 0 and tau (27, 2, 3), 0.5 * u * tau * tau
+    (27, 3), and the sample times after 0 (T - 1, 1), the last of them tau."""
     U = control_set(a_max)
-    T = sample_times(0.0, tau, dt)[None, :, None]  # includes both endpoints
+    ts = sample_times(0.0, tau, dt)  # includes both endpoints
     costs = ((U * U).sum(axis=1) + TIME_WEIGHT) * tau
-    terms = (U[:, None, :] * T[:, [0, -1]], T[:, 1:], (0.5 * U[:, None, :] * T * T)[:, 1:])
+    terms = (U[:, None, :] * ts[[0, -1], None], 0.5 * U * tau * tau, ts[1:, None])
     for a in terms:
         a.setflags(write=False)
     return (list(U), costs.tolist(), *terms)
@@ -148,35 +152,30 @@ def _prune_keys(P: np.ndarray, cell: float) -> list[tuple]:
     return list(map(tuple, np.floor(P / cell).astype(np.int64).tolist()))
 
 
-def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, goal) -> list[SearchNode]:
-    """All feasible children of `node` under the 27 motion primitives.
+def expand(node: SearchNode, cfg: PlannerConfig, goal) -> list[SearchNode]:
+    """All children of `node` under the 27 motion primitives that keep the velocity limit.
 
-    A primitive survives if every sampled velocity keeps to v_max on each axis
-    and no sampled position lies within the clearance of any map point.
-    Children, with their dedup-grid cells, come in control order, ranked toward `goal`.
+    A primitive survives if every sampled velocity keeps to v_max on each axis.
+    The map is not read here: `plan` checks a child's primitive against it when
+    it pops the child (`primitive_blocked`). Children, with their dedup-grid
+    cells, come in control order, ranked toward `goal`.
     """
     limits = cfg.limits
     tau = limits.primitive_duration
-    U_rows, costs, ut_ends, T1, half_ut2 = _primitive_terms(limits.a_max, tau, cfg.check_dt)
+    U_rows, costs, ut_ends, half_ut2, _ = _primitive_terms(limits.a_max, tau, cfg.check_dt)
     p0, v0 = node.p, node.v
 
     # Velocities at the first and last samples only: fl(v0 + fl(u * t)) is monotone
     # in t, as rounding is, so no sample between breaks a bound both ends keep.
-    # Positions, p0 + v0 * t + 0.5 * u * t * t, only for controls within the bound
-    # and after t = 0, the parent, known clear.
     V = v0 + ut_ends
-    cand = (np.abs(V).max(axis=(1, 2)) <= limits.v_max).nonzero()[0]
-    if len(cand) == 0:
+    surv = (np.abs(V).max(axis=(1, 2)) <= limits.v_max).nonzero()[0]
+    if len(surv) == 0:
         return []
-    P = (p0 + v0 * T1) + half_ut2[cand]
-    hits = local_map.any_within(P.reshape(-1, 3), cfg.clearance).reshape(len(cand), -1)
-    keep = ~hits.any(axis=1)
-    surv = cand[keep].tolist()
-    if not surv:
-        return []
-    P_end = P[keep, -1]
+    # end positions rounded as primitive_blocked's last sample: (p0 + v0 * t) + 0.5 * u * t * t
+    P_end = (p0 + v0 * tau) + half_ut2[surv]
     h = heuristic(P_end, goal, cfg)
     t_child = node.t + tau
+    surv = surv.tolist()
     G = [node.g + costs[i] for i in surv]
     keys = _prune_keys(P_end, cfg.prune_cell)
     # U's rows are read-only, so children share them as their acceleration (incoming control)
@@ -186,6 +185,16 @@ def expand(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap, go
     ]
 
 
+def primitive_blocked(node: SearchNode, cfg: PlannerConfig, local_map: TemporalLocalMap) -> bool:
+    """Whether the primitive into `node` from its parent passes within the
+    clearance of a map point at a sample after t = 0 (the parent, checked before)."""
+    limits = cfg.limits
+    ts = _primitive_terms(limits.a_max, limits.primitive_duration, cfg.check_dt)[-1]
+    parent = node.parent
+    P = (parent.p + parent.v * ts) + 0.5 * node.a * ts * ts
+    return bool(local_map.any_within(P, cfg.clearance).any())
+
+
 def analytic_expansion(
     state: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap
 ) -> QuinticSegment | None:
@@ -193,7 +202,9 @@ def analytic_expansion(
 
     Tries durations of 1, 1.5 and 2 times a base time (3 and 4 too within SHOT_STEP of
     the goal, where braking takes longer); returns the first, so the earliest arrival,
-    whose sampled path is collision-free and keeps the limits, else None.
+    whose sampled path is collision-free and keeps the limits, else None. The
+    durations are solved as one stack, and the samples of those within the limits
+    read in one map query.
     """
     goal = np.asarray(goal, dtype=float)
     d = float(np.linalg.norm(goal - state.p))
@@ -201,20 +212,25 @@ def analytic_expansion(
     # straight-line time, with a braking-aware floor for near-goal attempts
     base = max(d / cfg.limits.v_max, speed / cfg.limits.a_max, cfg.check_dt)
     zero = np.zeros(3)
-    for scale in (1.0, 1.5, 2.0, 3.0, 4.0) if d <= SHOT_STEP else (1.0, 1.5, 2.0):
-        tau = scale * base
-        seg = QuinticSegment.solve(state, goal, zero, zero, tau)
+    scales = (1.0, 1.5, 2.0, 3.0, 4.0) if d <= SHOT_STEP else (1.0, 1.5, 2.0)
+    segs, blocks = [], []
+    for seg in QuinticSegment.solve(state, goal, zero, zero, [scale * base for scale in scales]):
         # validate on a grid fine relative to the segment itself; short segments
         # would otherwise be sampled only at their endpoints
-        ts = sample_times(0.0, tau, min(cfg.check_dt, tau / 8.0))
+        ts = sample_times(0.0, seg.duration, min(cfg.check_dt, seg.duration / 8.0))
         P, V, A = seg.states_at(ts)
         if not (np.abs(V) <= cfg.limits.v_max).all():  # a NaN fails too
             continue
         if (np.abs(A) > cfg.limits.a_max + 1e-9).any():
             continue
-        if local_map.any_within(P, cfg.clearance).any():
-            continue
-        return seg
+        segs.append(seg)
+        blocks.append(P)
+    if not segs:
+        return None
+    hits = local_map.any_within(np.concatenate(blocks), cfg.clearance)
+    for seg, block_hits in zip(segs, np.split(hits, np.cumsum([len(P) for P in blocks[:-1]]))):
+        if not block_hits.any():
+            return seg
     return None
 
 
@@ -270,6 +286,10 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
         best = closed.get(node.key)
         if best is not None and best <= node.g:
             continue
+        # the lazy edge check: a child whose primitive comes too close to the map
+        # is dropped here, before it touches the closed set, the shot or the budget
+        if node.parent is not None and primitive_blocked(node, cfg, local_map):
+            continue
         closed[node.key] = node.g
 
         diff = node.p - goal
@@ -289,7 +309,7 @@ def plan(start: UavState, goal, cfg: PlannerConfig, local_map: TemporalLocalMap)
             outcome = "expansion_budget_exhausted"
             break
         report.expansions += 1
-        for child in expand(node, cfg, local_map, goal):
+        for child in expand(node, cfg, goal):
             cbest = closed.get(child.key)
             if cbest is not None and cbest <= child.g:
                 continue

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,8 @@ def test_segments_refuse_non_finite_and_non_positive_tau(tau):
         QuinticSegment(coeffs=np.zeros((3, 6)), duration=tau)
     with pytest.raises(ValueError, match="duration must be finite and > 0"):
         QuinticSegment.solve(s, [1, 0, 0], np.zeros(3), np.zeros(3), tau)
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
+        QuinticSegment.solve(s, [1, 0, 0], np.zeros(3), np.zeros(3), [1.0, tau])
 
 
 _NAN = float("nan")
@@ -277,6 +281,32 @@ def test_quintic_solve_meets_boundary_conditions():
         assert np.max(np.abs(P[1] - end_p)) <= 1e-6
         assert np.max(np.abs(V[1] - end_v)) <= 1e-6
         assert np.max(np.abs(A[1] - end_a)) <= 1e-6
+
+
+def _lone_quintic_coeffs(start, end_p, end_v, end_a, T):
+    """Oracle: one duration's coefficients from a lone 3 x 3 solve."""
+    c0, c1, c2 = start.p, start.v, 0.5 * start.a
+    A = np.array([[T**3, T**4, T**5], [3 * T**2, 4 * T**3, 5 * T**4], [6 * T, 12 * T**2, 20 * T**3]])
+    b = np.stack([end_p - (c0 + c1 * T + c2 * T * T), end_v - (c1 + 2 * c2 * T), end_a - 2 * c2])
+    high = np.linalg.solve(A, b)
+    return np.column_stack([c0, c1, c2, high[0], high[1], high[2]])
+
+
+def test_quintic_solve_of_a_stack_equals_lone_solves_bit_for_bit():
+    # the analytic shot solves its candidate durations as one stack
+    rng = np.random.default_rng(9)
+    starts = [
+        UavState(t=0.0, p=[0.3, -1.2, 0.5], v=[1.1, -0.4, 0.2], a=[0.0, 0.0, 0.0]),  # moving
+        UavState(t=0.7, p=[-2.0, 0.4, 1.0], v=[-0.6, 1.9, -0.3], a=[1.5, -2.0, 0.7]),  # accelerating
+    ]
+    for start, K in itertools.product(starts, range(1, 6)):
+        goal, zero = rng.uniform(-3, 3, 3), np.zeros(3)
+        durations = (rng.uniform(0.05, 4.0) * np.array([1.0, 1.5, 2.0, 3.0, 4.0][:K])).tolist()
+        segs = QuinticSegment.solve(start, goal, zero, zero, durations)
+        assert [seg.duration for seg in segs] == durations
+        for seg, T in zip(segs, durations):
+            assert np.array_equal(seg.coeffs, _lone_quintic_coeffs(start, goal, zero, zero, T))
+            assert np.array_equal(seg.coeffs, QuinticSegment.solve(start, goal, zero, zero, T).coeffs)
 
 
 def test_voxel_filter_single_voxel_centroid():

@@ -120,6 +120,10 @@ def test_traversal_complete_and_sound_vs_dense_sampling(origin, offsets):
     ends = np.random.default_rng(0).uniform(-3.9, 3.9, (1000, 3)) if offsets is None else origin + offsets
     n_rays = len(ends)
     ray_idx, cells = grid.traverse(origin, ends)
+    if origin[0] == _HI_FACE:
+        # the segments lie in the plane of the upper x face, outside the half-open cells
+        assert all(dense_sample_cells(grid, origin, end) == set() for end in ends)
+        assert len(ray_idx) == len(cells) == 0
     by_ray = {}
     for r, c in zip(ray_idx, cells):
         by_ray.setdefault(int(r), set()).add(tuple(c))

@@ -23,12 +23,14 @@ from cloudnav.planner import (
     expand,
     heuristic,
     plan,
+    primitive_blocked,
     relaxed_replan,
     replan_step,
 )
 from cloudnav.scenario import load_scenario
 from cloudnav.sensor import generate_scan, yaw_rotation
 from cloudnav.spatial import MapConfig, TemporalLocalMap
+from oracles import eager_plan
 
 
 def make_map(points=None, resolution=0.001):
@@ -70,7 +72,7 @@ def test_control_set_is_27_deterministic():
 
 
 def test_expand_from_rest_in_free_space_yields_27():
-    children = expand(rest_node(), default_cfg(), make_map(), [5, 0, 0])
+    children = expand(rest_node(), default_cfg(), [5, 0, 0])
     assert len(children) == 27
     # velocity after 0.6 s at a_max=2 is 1.2 <= 2 on every axis
     for c in children:
@@ -78,10 +80,33 @@ def test_expand_from_rest_in_free_space_yields_27():
         assert c.g > 0 or np.allclose(c.state.a, 0)
 
 
-def test_expand_enclosed_by_point_shell_yields_zero():
+def test_pop_time_check_drops_every_child_enclosed_by_point_shell():
+    # expand reads no map; each child's primitive is checked when it is popped
+    cfg = default_cfg()
     m = make_map(sphere_shell([0, 0, 0], 0.3))
-    children = expand(rest_node(), default_cfg(), m, [5, 0, 0])
-    assert children == []
+    children = expand(rest_node(), cfg, [5, 0, 0])
+    assert len(children) == 27
+    assert all(primitive_blocked(c, cfg, m) for c in children)
+    assert not any(primitive_blocked(c, cfg, make_map()) for c in children)
+
+
+def test_pop_time_check_reads_every_primitive_sample_after_t0():
+    # the check reads the primitive's constant-acceleration states after t = 0,
+    # the last of them the child's position
+    cfg = default_cfg()
+    start = UavState(t=0.4, p=[0.1, 0.2, -0.3], v=[1.0, -0.5, 0.3], a=[0, 0, 0])
+    ts = sample_times(0.0, cfg.limits.primitive_duration, cfg.check_dt)
+    maps = [make_map(np.random.default_rng(seed).uniform(-1.5, 1.5, (12, 3))) for seed in range(4)]
+    blocked = []
+    for c in expand(node_at(start), cfg, [5, 0, 0]):
+        P = ConstantAccelSegment(start=start, u=c.a, duration=cfg.limits.primitive_duration).states_at(ts)[0]
+        assert np.array_equal(P[-1], c.p)
+        for m in maps:
+            blocked.append(primitive_blocked(c, cfg, m))
+            assert blocked[-1] == m.any_within(P[1:], cfg.clearance).any()
+        for q in P[1:]:
+            assert primitive_blocked(c, cfg, make_map(q[None] + [0.99 * cfg.clearance, 0, 0]))
+    assert 0 < sum(blocked) < len(blocked)
 
 
 def test_velocity_bound_is_per_axis_and_not_settable():
@@ -92,7 +117,7 @@ def test_velocity_bound_is_per_axis_and_not_settable():
 
 def test_expand_velocity_saturated_axis_yields_18():
     node = node_at(UavState(t=0.0, p=[0, 0, 0], v=[2.0, 0, 0], a=[0, 0, 0]))
-    children = expand(node, default_cfg(), make_map(), [5, 0, 0])
+    children = expand(node, default_cfg(), [5, 0, 0])
     assert len(children) == 18
     assert all(c.state.a[0] <= 0.0 for c in children)
 
@@ -121,7 +146,7 @@ def test_expand_children_carry_their_prune_keys():
     d = 0.5 * 2.0 * 0.6 * 0.6
     for cell, p in itertools.product((d, d / 2, 0.225), ((0, 0, 0), (-3 * d, -d, 5 * d), (-2.3, -0.01, -7.9))):
         cfg = default_cfg(prune_cell=cell)
-        children = expand(rest_node(p), cfg, make_map(), [5, 0, 0])
+        children = expand(rest_node(p), cfg, [5, 0, 0])
         assert len(children) == 27
         assert [c.key for c in children] == _floor_keys(np.array([c.p for c in children]), cell)
 
@@ -135,13 +160,12 @@ def test_expand_end_point_velocity_test_equals_sampled_test():
     ut = U[:, None, :] * sample_times(0.0, tau, cfg.check_dt)[None, :, None]
     edges = [s * e for s in (1.0, -1.0) for e in (v_max, v_max - a_max * tau)]
     values = sorted({x for e in edges for x in (e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf))}) + [-0.0]
-    empty = make_map()
     kept = 0
     for v0 in itertools.product(values, repeat=3):
         V = np.array(v0) + ut
         sampled = (np.abs(V) <= v_max).all(axis=-1).all(axis=-1)  # every sample, every axis
         node = node_at(UavState(t=0.0, p=[0.0, 0.0, 0.0], v=list(v0), a=[0.0, 0.0, 0.0]))
-        children = expand(node, cfg, empty, [5, 0, 0])
+        children = expand(node, cfg, [5, 0, 0])
         assert [tuple(c.a) for c in children] == [tuple(u) for u in U[sampled]], v0
         for c, i in zip(children, np.flatnonzero(sampled)):
             assert np.array_equal(c.v, V[i, -1])
@@ -151,7 +175,7 @@ def test_expand_end_point_velocity_test_equals_sampled_test():
 
 def test_expand_costs_accumulate():
     cfg = default_cfg()
-    children = expand(rest_node(), cfg, make_map(), [5, 0, 0])
+    children = expand(rest_node(), cfg, [5, 0, 0])
     for c in children:
         u = c.state.a
         assert c.g == pytest.approx((np.dot(u, u) + TIME_WEIGHT) * 0.6)
@@ -162,11 +186,10 @@ def test_expand_ranks_children_by_the_heuristic_bit_for_bit():
     # the open set's f is g plus the weighted heuristic() that the admissibility tests check
     cfg = default_cfg()
     goal = np.array([5.0, -1.3, 0.7])
-    m = make_map(sphere_shell([1.8, 0.2, -0.3], 0.5))
     node = node_at(UavState(t=0.4, p=[0.1, 0.2, -0.3], v=[1.0, -0.5, 0.3], a=[0, 0, 0]))
     node.g = 1.7
-    children = expand(node, cfg, m, goal)
-    assert 0 < len(children) < 27  # the shell ahead blocks some primitives
+    children = expand(node, cfg, goal)
+    assert len(children) == 18  # full thrust along +x breaks the velocity bound
     for c in children:
         assert c.f == c.g + HEURISTIC_WEIGHT * heuristic(c.p, goal, cfg)
 
@@ -519,73 +542,137 @@ _HOVER = UavState.hover([0.0, 0.0, 0.0])
 _MOVING = UavState(t=0.5, p=[0.0, 0.0, 0.0], v=[-0.8, 0.4, 0.1], a=[0.0, 0.0, 0.0])
 # at v_max on x: every +x control breaks the velocity bound from the first expansion
 _ON_BOUND = UavState(t=0.0, p=[0.0, 2.5, 0.0], v=[2.0, 0.0, 0.0], a=[0.0, 0.0, 0.0])
-# (start, goal, extra PlannerConfig fields, sha256 of the search's outcome and trajectory)
+# (start, goal, extra PlannerConfig fields, sha256 of the search's outcome, but its
+# open_size, and trajectory, the open set's size at the end). The digests are those
+# of the search that read the map for every child it generated; its open_size
+# values were 2959, 1745, 916, 3164, 2242 and 14375. Checking a child only when
+# it is popped leaves its unchecked siblings in the open set, so only that grew.
 _DIGEST_CASES = {
     "hover-far": (
         _HOVER,
         (7.0, 0.0, 0.0),
         {},
-        "ea869467e493907a2708fcdc0bb8331a49c327040527b6697b2a39d696e40baf",
+        "e23dba9754b860f7693e9ff4b1c0be1662be8046569d0ac5fac03003fbcf7145",
+        3170,
     ),
     "hover-up": (
         _HOVER,
         (3.5, 0.2, 1.5),
         {},
-        "3869c761496173ad58aefcaeb2b9c09e58674fddc5a862c1742e9dcc4841d975",
+        "04637fed88b0401e04631e016858784fe4f109b857f76a6ec566cd4fcdc6f86c",
+        1966,
     ),
     "moving-left": (
         _MOVING,
         (6.5, 2.5, 0.5),
         {},
-        "a0514641450dc5c96decb717842b4883e4d24e48c173672cfa01c3bc96601f16",
+        "8985fc43629cebb500a82b8fd360a8ca5cd22533ab39cb640cc624a3e3c1c198",
+        1333,
     ),
     "moving-right": (
         _MOVING,
         (5.0, -3.0, 0.0),
         {},
-        "c540075c2b6afcf7702180037cd3fc3f7bddf5f412a80f63a566908df5605d42",
+        "ee85d394be9ec5dafefede45cc07b012dfc77b49ea53d8f07e02c0d18cdbe81a",
+        4190,
     ),
     "on-bound": (
         _ON_BOUND,
         (5.5, -1.5, 0.5),
         {},
-        "2ec361308e8d219912dab0d8fecf7ff240e60b8c2559d18f42b73ab99cb57437",
+        "736abe6ed4e216788d412e1f3e55976fe221a5688ef46f54f8db467d23fa9ac3",
+        2413,
     ),
     "inside-shell": (
         _HOVER,
         (5.5, 0.3, 0.0),
         {},
-        "7da37dabdc6627a9381b45143b5ad0074d01c048b64ef2fb8184af2a58970b1d",
+        "f3909d88fd859a54b654534bf5e4d8d9078f10b8c587226ccc190f0a956aa242",
+        15550,
     ),
 }
 
 
-def _search_digest(start, goal, cfg, local_map) -> str:
-    try:
-        traj, report = plan(start, goal, cfg, local_map)
-    except PlanningFailed as err:
-        traj, report = None, err.report
-    h = hashlib.sha256()
-    summary = (report.expansions, report.cost, report.open_size, report.closed_size, report.outcome)
-    h.update(repr(summary).encode())
-    if traj is None:
-        return h.hexdigest()
-    h.update(repr(traj.t0).encode())
+def _trajectory_bytes(traj) -> bytes:
+    """The trajectory's t0, then each segment's arrays and duration."""
+    out = [repr(traj.t0).encode()]
     for seg in traj.segments:
         if isinstance(seg, ConstantAccelSegment):
             arrays = (seg.start.p, seg.start.v, seg.start.a, seg.u)
         else:
             arrays = (seg.coeffs,)
-        for a in arrays:
-            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-        h.update(repr(seg.duration).encode())
-    return h.hexdigest()
+        out += [np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays]
+        out.append(repr(seg.duration).encode())
+    return b"".join(out)
+
+
+def _search_digest(start, goal, cfg, local_map) -> tuple[str, int]:
+    """sha256 of the search's outcome, but its open_size, and trajectory; and its open_size."""
+    try:
+        traj, report = plan(start, goal, cfg, local_map)
+    except PlanningFailed as err:
+        traj, report = None, err.report
+    h = hashlib.sha256()
+    summary = (report.expansions, report.cost, report.closed_size, report.outcome)
+    h.update(repr(summary).encode())
+    if traj is not None:
+        h.update(_trajectory_bytes(traj))
+    return h.hexdigest(), report.open_size
 
 
 @pytest.mark.parametrize("case", sorted(_DIGEST_CASES))
 def test_plan_digests_are_pinned(case):
     """Pins every byte of six searches: a speed-up of the search loop must not
     change which nodes it expands, in what order, or the trajectory it returns."""
-    start, goal, extra, want = _DIGEST_CASES[case]
+    start, goal, extra, want, want_open = _DIGEST_CASES[case]
     cfg = default_cfg(max_expansions=1500, **extra)
-    assert _search_digest(start, goal, cfg, _digest_map()) == want
+    assert _search_digest(start, goal, cfg, _digest_map()) == (want, want_open)
+
+
+def _random_map(kind, seed):
+    """Seeded uniform points ahead of a start at the origin, none within 0.7 m of
+    it; "enclosure" adds a closed shell of radius 1.2 m around the start."""
+    n = {"cluttered": 500, "sparse": 30, "enclosure": 80}[kind]
+    pts = np.random.default_rng(seed).uniform([-1.5, -3.0, -1.5], [7.5, 3.0, 1.5], (n, 3))
+    if kind == "enclosure":
+        pts = np.concatenate([sphere_shell([0, 0, 0], 1.2, n=2500), pts[np.linalg.norm(pts, axis=1) > 1.3]])
+    return make_map(pts[np.linalg.norm(pts, axis=1) > 0.7])
+
+
+_DIFF_STARTS = {
+    "rest": _HOVER,
+    "moving": UavState(t=0.3, p=[0.0, 0.0, 0.0], v=[0.9, -0.6, 0.2], a=[0.5, 0.0, -0.3]),
+    "on-bound": UavState(t=0.0, p=[0.0, 0.0, 0.0], v=[2.0, -2.0, 0.0], a=[0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind, seed, outcomes", [
+    ("cluttered", 1, {"primitive", "expansion_budget_exhausted", "open_set_exhausted"}),
+    ("cluttered", 2, {"analytic", "primitive", "expansion_budget_exhausted", "open_set_exhausted"}),
+    ("sparse", 3, {"analytic", "primitive"}),
+    ("enclosure", 4, {"expansion_budget_exhausted", "open_set_exhausted"}),
+], ids=["cluttered-1", "cluttered-2", "sparse-3", "enclosure-4"])
+def test_plan_equals_the_eager_search(kind, seed, outcomes):
+    """The lazy search (each child's primitive read when it is popped, the shot's
+    durations solved and read together) ends as the oracle that reads every
+    child's primitive when it is generated and each duration alone: the same
+    expansions, closed set, outcome, cost and trajectory bytes."""
+    m = _random_map(kind, seed)
+    seen = set()
+    for start, clearance, (tolerance, budget) in itertools.product(
+        _DIFF_STARTS.values(), (0.45, 0.2), ((0.3, 600), (1.5, 40))
+    ):
+        cfg = default_cfg(clearance=clearance, goal_tolerance=tolerance, max_expansions=budget)
+        try:
+            traj, report = plan(start, (6.5, 1.0, 0.4), cfg, m)
+        except PlanningFailed as err:
+            traj, report = None, err.report
+        want_traj, want = eager_plan(start, (6.5, 1.0, 0.4), cfg, m)
+        got_fields = (report.expansions, report.closed_size, report.outcome, repr(report.cost))
+        assert got_fields == (want.expansions, want.closed_size, want.outcome, repr(want.cost))
+        assert (traj is None) == (want_traj is None)
+        if traj is not None:
+            assert _trajectory_bytes(traj) == _trajectory_bytes(want_traj)
+        assert report.open_size >= want.open_size
+        seen.add(report.outcome)
+    assert seen == outcomes
